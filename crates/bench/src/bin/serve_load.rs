@@ -1,29 +1,25 @@
-//! Load-drives the `serve` inference engine with the Table-1 MS network.
+//! Load-drives the `serve` inference tier with the Table-1 MS network.
 //!
 //! Deploys a trained-shape network through the core deploy stage into a
 //! datastore, loads it into a `serve::ModelRegistry`, then fires a
-//! synthetic request stream at the engine. Compares throughput against
-//! the single-thread sequential baseline and the analytical platform
-//! model, and writes the numbers to `BENCH_serve.json` (+ a CSV series
-//! in `target/experiments/`).
+//! synthetic request stream at a `serve::Router`. Compares throughput
+//! against the single-thread sequential baseline and the analytical
+//! platform model, and writes the numbers to `BENCH_serve.json` (+ a CSV
+//! series in `target/experiments/`).
 //!
-//! `--backend reference|batched|both` picks the `FrozenPlan` backend.
-//! `both` (the default) serves the stream twice — first on the scalar
-//! `Reference` backend with a bit-identity check against sequential
-//! `Network::predict`, then on the vectorized `Batched` kernels with a
-//! `1e-4` max-abs-error tolerance gate — and reports
-//! `speedup_vs_reference`, asserting it stays ≥ 4×. Chaos and
-//! open-loop runs default to `batched` alone (fault injection must not
-//! double-fire across two passes). Per-layer kernel timings from an
-//! instrumented probe batch land in the JSON as `kernel_timings`.
+//! Sequential `Network::predict` is the one forward reference: every
+//! served output must stay within `1e-4` max-abs-error of it. Per-layer
+//! kernel timings from an instrumented single-thread probe batch of 32
+//! land in the JSON as `kernel_timings`; their per-sample sum against the
+//! per-sample sequential time is `kernel_speedup`, which must stay ≥ 4×.
 //!
 //! `--smoke` runs a small request count for CI and skips the
 //! speedup-vs-sequential assertion (shared runners have unpredictable
 //! scheduling); the default and `SPECTROAI_FULL=1` scales assert that
-//! the engine beats the sequential baseline.
+//! the tier beats the sequential baseline.
 //!
-//! `--shards N` serves through the sharded `serve::Router` (supervisor,
-//! admission control, failover) instead of one bare engine; `--chaos`
+//! `--shards N` spreads the tier over N supervised shards (default one;
+//! supervisor, admission control, failover); `--chaos`
 //! additionally injects a worker panic and a batch stall mid-run via
 //! `faultsim` and asserts the tier loses no request: the supervisor
 //! fails the shard over, restarts it, and every submission reaches a
@@ -52,14 +48,19 @@ use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use neural::kernels::{max_abs_divergence, Scratch};
 use serve::{
-    Engine, ModelRegistry, PlanBackend, Request, RetryPolicy, Router, RouterConfig, ServeConfig,
-    SubmitError, SupervisorConfig, Ticket,
+    ModelRegistry, Request, RetryPolicy, Router, RouterConfig, ServeConfig, SubmitError,
+    SupervisorConfig, Ticket,
 };
 use spectroai::pipeline::deploy::deploy_network;
 use spectroai::pipeline::ms::{ActivationChoice, MsPipeline};
 
 const INPUT_LEN: usize = 397;
 const OUTPUTS: usize = 8;
+/// Max-abs-error every served output must stay within of sequential
+/// `Network::predict`.
+const TOLERANCE: f32 = 1e-4;
+/// Samples per batch in the single-thread kernel timing probe.
+const PROBE_BATCH: usize = 32;
 
 /// `--shards N` from argv, if present.
 fn shards_arg() -> Option<usize> {
@@ -103,31 +104,30 @@ fn gate_baseline_arg() -> Option<(PathBuf, serde_json::Value)> {
 
 /// The BENCH regression gate: served throughput must stay within 25%
 /// of the committed baseline. Raw req/s is compared only when the
-/// baseline ran the same scale and backend (smoke vs full differ in
+/// baseline ran the same scale and shard count (smoke vs full differ in
 /// request count and therefore warm-up share); across mismatched modes
-/// the gate falls back to `speedup_vs_reference` (batched vs scalar
-/// kernels through the identical tier shape, so host speed *and* core
-/// count normalize away), then to `speedup` (served/sequential) when
-/// the baseline ran a single backend.
+/// the gate falls back to `kernel_speedup` (single-thread batch-32
+/// kernels vs sequential `Network::predict`, both per sample, so host
+/// speed *and* core count normalize away), then to `speedup`
+/// (served/sequential) when the baseline predates that field.
 fn bench_regression_gate(
     baseline: &(PathBuf, serde_json::Value),
     smoke: bool,
-    backend: &str,
+    shards: usize,
     served_rps: f64,
     speedup: f64,
-    speedup_vs_reference: Option<f64>,
+    kernel_speedup: f64,
 ) {
     const MAX_DROP: f64 = 0.25;
     let (path, doc) = baseline;
     let same_mode = doc["smoke"].as_bool() == Some(smoke)
-        && doc["backend"].as_str() == Some(backend)
+        && doc["shards"].as_u64() == Some(shards as u64)
         && doc["chaos"].as_bool() == Some(false)
         && doc["arrival"].is_null();
-    let normalized = speedup_vs_reference.zip(doc["speedup_vs_reference"].as_f64());
     let (metric, current, committed) = if same_mode {
         ("served_rps", served_rps, doc["served_rps"].as_f64())
-    } else if let Some((current, committed)) = normalized {
-        ("speedup_vs_reference", current, Some(committed))
+    } else if let Some(committed) = doc["kernel_speedup"].as_f64() {
+        ("kernel_speedup", kernel_speedup, Some(committed))
     } else {
         ("speedup", speedup, doc["speedup"].as_f64())
     };
@@ -152,48 +152,6 @@ fn bench_regression_gate(
         MAX_DROP * 100.0,
         path.display()
     );
-}
-
-/// Which `FrozenPlan` backend(s) this run drives.
-#[derive(Clone, Copy, PartialEq)]
-enum BackendMode {
-    Reference,
-    Batched,
-    Both,
-}
-
-impl BackendMode {
-    fn label(self) -> &'static str {
-        match self {
-            BackendMode::Reference => "reference",
-            BackendMode::Batched => "batched",
-            BackendMode::Both => "both",
-        }
-    }
-}
-
-/// `--backend <reference|batched|both>` from argv. Defaults to `both`,
-/// except chaos/open-loop runs where the dual pass would double-fire
-/// fault injection or skew the arrival schedule — those default to
-/// `batched` (the serving default).
-fn backend_arg(chaos: bool, arrival: bool) -> BackendMode {
-    let args: Vec<String> = std::env::args().collect();
-    let explicit = args
-        .iter()
-        .position(|a| a == "--backend")
-        .and_then(|i| args.get(i + 1))
-        .cloned();
-    match explicit.as_deref() {
-        Some("reference") => BackendMode::Reference,
-        Some("batched") => BackendMode::Batched,
-        Some("both") => BackendMode::Both,
-        Some(other) => {
-            eprintln!("unknown --backend {other:?}; expected reference|batched|both");
-            std::process::exit(2);
-        }
-        None if chaos || arrival => BackendMode::Batched,
-        None => BackendMode::Both,
-    }
 }
 
 /// Builds the requested open-loop process at a rate the serving tier can
@@ -222,8 +180,7 @@ fn main() {
     let arrival = arrival_arg();
     // Read the committed baseline up front — this run overwrites it.
     let gate_baseline = gate_baseline_arg();
-    let backend_mode = backend_arg(chaos, arrival.is_some());
-    let shards = shards_arg().or(if chaos { Some(4) } else { None });
+    let shards = shards_arg().unwrap_or(if chaos { 4 } else { 1 });
     banner(
         "serve_load — batched inference serving on the Table-1 MS network",
         "paper §III.A.2 Table 1 (deployed via Tool 4)",
@@ -263,7 +220,7 @@ fn main() {
         .map(|_| (0..INPUT_LEN).map(|_| rng.gen_range(0.0f32..1.0)).collect())
         .collect();
 
-    // Single-thread sequential baseline — also the bit-identity oracle.
+    // Single-thread sequential baseline — also the tolerance oracle.
     let started = Instant::now();
     let expected: Vec<Vec<f32>> = inputs.iter().map(|x| network.predict(x)).collect();
     let sequential_seconds = started.elapsed().as_secs_f64();
@@ -284,7 +241,7 @@ fn main() {
         .resolve("table1-ms", None)
         .expect("resolve deployed plan");
     let kernel_timings = kernel_timing_probe(&plan, &inputs);
-    println!("kernels:    per-layer probe (batch 32, mean of 10 reps):");
+    println!("kernels:    per-layer probe (batch {PROBE_BATCH}, mean of 10 reps):");
     println!(
         "            {:<20} {:>9} {:>12} {:>8}",
         "op", "mean_us", "MACs/batch", "GMAC/s"
@@ -304,72 +261,46 @@ fn main() {
         );
     }
 
+    // Kernel speedup gate: single-thread batched kernels against
+    // single-thread sequential `Network::predict`, both per sample and
+    // both measured in this process, so the ratio is independent of
+    // worker count and host speed.
+    let sequential_us_per_sample = sequential_seconds * 1e6 / n_requests as f64;
+    let kernel_us_per_sample = kernel_timings
+        .iter()
+        .map(|t| t["mean_us"].as_f64().unwrap_or(0.0))
+        .sum::<f64>()
+        / PROBE_BATCH as f64;
+    let kernel_speedup = sequential_us_per_sample / kernel_us_per_sample;
+    println!(
+        "kernels:    batch-{PROBE_BATCH} kernels {kernel_us_per_sample:.1}us/sample vs sequential \
+         predict {sequential_us_per_sample:.1}us/sample ({kernel_speedup:.2}x)"
+    );
+    assert!(
+        kernel_speedup >= 4.0,
+        "vectorized kernels must hold at least 4x over sequential Network::predict \
+         (got {kernel_speedup:.2}x)"
+    );
+
     let retry = RetryPolicy {
         max_attempts: 64,
         base_delay_ms: 1,
         backoff: 1.5,
     };
 
-    // Scalar-reference pass (`both`/`reference` modes): same tier shape,
-    // always closed-loop and fault-free — it is the kernel-speed
-    // baseline and the bit-identity oracle, not a chaos subject.
-    let reference_pass = if backend_mode != BackendMode::Batched {
-        assert!(
-            registry.set_backend("table1-ms", receipt.version, PlanBackend::Reference),
-            "pin reference backend"
-        );
-        let outcome = match shards {
-            Some(n) => {
-                serve_sharded(&registry, &inputs, &expected, &config, n, false, retry, None, None)
-            }
-            None => serve_single(&registry, &inputs, &expected, &config, retry, None, None),
-        };
-        assert_eq!(
-            outcome.mismatches, 0,
-            "reference backend must be bit-identical to sequential Network::predict"
-        );
-        let rps = n_requests as f64 / outcome.served_seconds;
-        println!(
-            "reference:  {n_requests} predictions in {:.3}s ({rps:.0} req/s, scalar backend)",
-            outcome.served_seconds
-        );
-        Some(outcome)
-    } else {
-        None
-    };
-
     // `--trace <out.json>`: collect a chrome-trace profile of the serving
     // run (spans + queue-depth gauge from the engine's obs hooks).
     let trace = TraceSession::from_args();
 
-    // The main pass: vectorized batched kernels (the serving default),
-    // tolerance-gated against sequential predict — unless the run pinned
-    // `--backend reference`, where the reference pass is the run.
-    let tolerance = match backend_mode {
-        BackendMode::Reference => None,
-        _ => Some(1e-4f32),
-    };
     let process = arrival
         .as_deref()
         .map(|kind| arrival_process(kind, sequential_rps, n_requests));
     if let Some(kind) = &arrival {
         println!("arrival:    open-loop {kind} process (seeded, rate anchored to baseline)");
     }
-    let mut reference_pass = reference_pass;
-    let outcome = if backend_mode == BackendMode::Reference {
-        reference_pass.take().expect("reference pass ran")
-    } else {
-        assert!(
-            registry.set_backend("table1-ms", receipt.version, PlanBackend::Batched),
-            "pin batched backend"
-        );
-        match shards {
-            Some(n) => serve_sharded(
-                &registry, &inputs, &expected, &config, n, chaos, retry, process, tolerance,
-            ),
-            None => serve_single(&registry, &inputs, &expected, &config, retry, process, tolerance),
-        }
-    };
+    let outcome = serve_tier(
+        &registry, &inputs, &expected, &config, shards, chaos, retry, process,
+    );
     if let Some(trace_path) = trace.finish() {
         validate_trace(&trace_path);
     }
@@ -377,55 +308,23 @@ fn main() {
     let served_rps = n_requests as f64 / served_seconds;
     let report = outcome.report;
 
-    match tolerance {
-        None => assert_eq!(
-            outcome.mismatches, 0,
-            "reference serving must be bit-identical to sequential Network::predict"
-        ),
-        Some(tol) => {
-            assert_eq!(
-                outcome.mismatches, 0,
-                "batched serving must stay within {tol:e} max-abs-error of sequential \
-                 Network::predict (observed max {:e})",
-                outcome.max_err
-            );
-            println!(
-                "tolerance:  batched outputs within {:e} of sequential predict (gate {tol:e})",
-                outcome.max_err
-            );
-        }
-    }
+    assert_eq!(
+        outcome.mismatches, 0,
+        "served outputs must stay within {TOLERANCE:e} max-abs-error of sequential \
+         Network::predict (observed max {:e})",
+        outcome.max_err
+    );
+    println!(
+        "tolerance:  served outputs within {:e} of sequential predict (gate {TOLERANCE:e})",
+        outcome.max_err
+    );
     let speedup = served_rps / sequential_rps;
     println!(
         "served:     {n_requests} predictions in {served_seconds:.3}s ({served_rps:.0} req/s, \
-         {:.2}x sequential, {} backend)",
-        speedup,
-        if tolerance.is_some() { "batched" } else { "reference" }
+         {speedup:.2}x sequential)"
     );
-    let speedup_vs_reference = reference_pass
-        .as_ref()
-        .map(|r| r.served_seconds / served_seconds);
     if let Some(baseline) = &gate_baseline {
-        bench_regression_gate(
-            baseline,
-            smoke,
-            backend_mode.label(),
-            served_rps,
-            speedup,
-            speedup_vs_reference,
-        );
-    }
-    if let Some(kernel_speedup) = speedup_vs_reference {
-        println!(
-            "kernels:    batched backend is {kernel_speedup:.2}x the scalar reference \
-             ({:.0} -> {served_rps:.0} req/s)",
-            n_requests as f64 / reference_pass.as_ref().expect("reference ran").served_seconds
-        );
-        assert!(
-            kernel_speedup >= 4.0,
-            "vectorized kernels must hold at least 4x over the scalar reference \
-             (got {kernel_speedup:.2}x)"
-        );
+        bench_regression_gate(baseline, smoke, shards, served_rps, speedup, kernel_speedup);
     }
     println!(
         "batching:   {} batches, mean size {:.2}, largest {}, queue high-water {}",
@@ -439,17 +338,16 @@ fn main() {
         report.latency_p99_us,
         report.latency_max_us
     );
-    if let Some(router) = &outcome.router {
-        println!(
-            "tier:       {} shards, {} failovers, {} restarts, {} re-routed, {} shed, {} crash-resolved",
-            router.shards.len(),
-            router.failovers,
-            router.restarts,
-            router.rerouted,
-            router.shed,
-            outcome.crashed,
-        );
-    }
+    let router = &outcome.router;
+    println!(
+        "tier:       {} shards, {} failovers, {} restarts, {} re-routed, {} shed, {} crash-resolved",
+        router.shards.len(),
+        router.failovers,
+        router.restarts,
+        router.rerouted,
+        router.shed,
+        outcome.crashed,
+    );
     if let Some(kind) = &arrival {
         // Open-loop gates: every offered request reached a terminal fate
         // (served or explicitly shed — never silently lost), and the
@@ -477,7 +375,6 @@ fn main() {
         // The chaos acceptance gates: zero lost requests (conservation),
         // the supervisor actually failed over and restarted the shard,
         // and the log-linear histogram resolves the tail (p50 < p99).
-        let router = outcome.router.as_ref().expect("--chaos implies shards");
         let terminal = report.requests_completed
             + report.requests_failed
             + report.requests_timed_out
@@ -518,22 +415,18 @@ fn main() {
         fit.modelled_seconds, fit.measured_seconds, device.name, fit.ratio
     );
 
-    let router_json = match &outcome.router {
-        Some(router) => serde_json::to_value(router).expect("serialize router report"),
-        None => serde_json::Value::Null,
-    };
+    let router_json = serde_json::to_value(router).expect("serialize router report");
     let json = serde_json::json!({
         "bench": "serve_load",
         "smoke": smoke,
         "shards": shards,
         "chaos": chaos,
         "arrival": arrival,
-        "backend": backend_mode.label(),
         "offered": outcome.offered,
         "served": outcome.served,
         "shed": outcome.shed,
-        "failovers": outcome.router.as_ref().map_or(0, |r| r.failovers),
-        "restarts": outcome.router.as_ref().map_or(0, |r| r.restarts),
+        "failovers": router.failovers,
+        "restarts": router.restarts,
         "router": router_json,
         "model": "table1-ms",
         "input_len": INPUT_LEN,
@@ -547,14 +440,11 @@ fn main() {
         "served_seconds": served_seconds,
         "served_rps": served_rps,
         "speedup": speedup,
-        "reference_seconds": reference_pass.as_ref().map(|r| r.served_seconds),
-        "reference_rps": reference_pass
-            .as_ref()
-            .map(|r| n_requests as f64 / r.served_seconds),
-        "speedup_vs_reference": speedup_vs_reference,
+        "sequential_us_per_sample": sequential_us_per_sample,
+        "kernel_us_per_sample": kernel_us_per_sample,
+        "kernel_speedup": kernel_speedup,
         "max_abs_error": outcome.max_err,
-        "tolerance": tolerance,
-        "bit_identical": tolerance.is_none(),
+        "tolerance": TOLERANCE,
         "kernel_timings": kernel_timings,
         "metrics": report,
         "model_fit": fit,
@@ -579,14 +469,13 @@ fn main() {
 
     let csv = write_csv(
         "serve_load.csv",
-        "requests,workers,max_batch,backend,sequential_rps,served_rps,speedup,\
-         speedup_vs_reference,p50_us,p95_us,p99_us,mean_batch",
+        "requests,workers,max_batch,shards,sequential_rps,served_rps,speedup,\
+         kernel_speedup,p50_us,p95_us,p99_us,mean_batch",
         &[format!(
-            "{n_requests},{},{},{},{sequential_rps:.1},{served_rps:.1},{speedup:.3},{},{},{},{},{:.2}",
+            "{n_requests},{},{},{shards},{sequential_rps:.1},{served_rps:.1},{speedup:.3},\
+             {kernel_speedup:.3},{},{},{},{:.2}",
             config.workers,
             config.max_batch,
-            backend_mode.label(),
-            speedup_vs_reference.map_or_else(|| "-".to_string(), |s| format!("{s:.3}")),
             report.latency_p50_us,
             report.latency_p95_us,
             report.latency_p99_us,
@@ -602,12 +491,11 @@ struct RunOutcome {
     report: serve::MetricsReport,
     max_batch_seen: usize,
     mismatches: usize,
-    /// Worst observed max-abs-error vs sequential predict (0.0 on the
-    /// exact-compare reference path).
+    /// Worst observed max-abs-error vs sequential predict.
     max_err: f32,
     /// Requests resolved with `WorkerCrashed` (chaos runs only).
     crashed: usize,
-    router: Option<serve::RouterReport>,
+    router: serve::RouterReport,
     /// Requests the driver offered (== the full schedule).
     offered: usize,
     /// Requests that completed with a prediction.
@@ -672,26 +560,6 @@ fn drive_open_loop(
     }
 }
 
-/// Checks one served output against the sequential oracle: exact when
-/// `tolerance` is `None` (reference backend), max-abs-error gated
-/// otherwise (batched kernels). Returns whether it passed and folds the
-/// observed error into `max_err`.
-fn output_matches(
-    output: &[f32],
-    expected: &[f32],
-    tolerance: Option<f32>,
-    max_err: &mut f32,
-) -> bool {
-    match tolerance {
-        None => output == expected,
-        Some(tol) => {
-            let err = max_abs_divergence(output, expected);
-            *max_err = max_err.max(err);
-            err <= tol
-        }
-    }
-}
-
 /// Times each batched kernel of `plan` on an instrumented 32-sample
 /// probe batch: wall-clock deltas between the per-kernel observer
 /// callbacks, meaned over several reps after a warm-up (the plan stays
@@ -703,7 +571,6 @@ fn kernel_timing_probe(
     plan: &neural::plan::FrozenPlan,
     inputs: &[Vec<f32>],
 ) -> Vec<serde_json::Value> {
-    const PROBE_BATCH: usize = 32;
     const REPS: u32 = 10;
     let mut block = Vec::with_capacity(PROBE_BATCH * INPUT_LEN);
     for x in inputs.iter().cycle().take(PROBE_BATCH) {
@@ -713,7 +580,7 @@ fn kernel_timing_probe(
     let mut outputs = Vec::new();
     for _ in 0..3 {
         outputs.clear();
-        plan.predict_batch_instrumented(&block, &mut outputs, &mut scratch, &mut |_, _| {})
+        plan.predict_batch_scratch(&block, &mut outputs, &mut scratch, &mut |_, _| {})
             .expect("warm-up probe batch");
     }
     let mut names: Vec<&'static str> = Vec::new();
@@ -721,7 +588,7 @@ fn kernel_timing_probe(
     for _ in 0..REPS {
         outputs.clear();
         let mut last = Instant::now();
-        plan.predict_batch_instrumented(&block, &mut outputs, &mut scratch, &mut |i, name| {
+        plan.predict_batch_scratch(&block, &mut outputs, &mut scratch, &mut |i, name| {
             let now = Instant::now();
             if i == names.len() {
                 names.push(name);
@@ -736,7 +603,7 @@ fn kernel_timing_probe(
     assert_eq!(
         macs_per_sample.len(),
         names.len(),
-        "macs_per_op must align with the instrumented observer indices"
+        "macs_per_op must align with the kernel observer indices"
     );
     names
         .iter()
@@ -760,77 +627,12 @@ fn kernel_timing_probe(
         .collect()
 }
 
-/// The original single-engine path: one `Engine`, no supervision.
-#[allow(clippy::too_many_arguments)]
-fn serve_single(
-    registry: &Arc<ModelRegistry>,
-    inputs: &[Vec<f32>],
-    expected: &[Vec<f32>],
-    config: &ServeConfig,
-    retry: RetryPolicy,
-    arrival: Option<ArrivalProcess>,
-    tolerance: Option<f32>,
-) -> RunOutcome {
-    let engine = Engine::start(Arc::clone(registry), config.clone()).expect("start serve engine");
-    let started = Instant::now();
-    let (tickets, shed, behind_max_us) = match arrival {
-        Some(process) => {
-            let drive = drive_open_loop(&|req| engine.submit(req), inputs, process);
-            (drive.tickets, drive.shed, drive.behind_max_us)
-        }
-        None => (
-            inputs
-                .iter()
-                .enumerate()
-                .map(|(i, x)| {
-                    (
-                        i,
-                        engine
-                            .submit_with_retry(Request::new("table1-ms", x.clone()), retry)
-                            .expect("submission should succeed within the retry budget"),
-                    )
-                })
-                .collect(),
-            0,
-            0.0,
-        ),
-    };
-    let mut mismatches = 0usize;
-    let mut max_batch_seen = 0usize;
-    let mut served = 0usize;
-    let mut max_err = 0.0f32;
-    for (index, ticket) in tickets {
-        let prediction = ticket.wait().expect("request should complete");
-        if !output_matches(&prediction.output, &expected[index], tolerance, &mut max_err) {
-            mismatches += 1;
-        }
-        max_batch_seen = max_batch_seen.max(prediction.batch_size);
-        served += 1;
-    }
-    let served_seconds = started.elapsed().as_secs_f64();
-    let report = engine.metrics().report();
-    engine.shutdown();
-    RunOutcome {
-        served_seconds,
-        report,
-        max_batch_seen,
-        mismatches,
-        max_err,
-        crashed: 0,
-        router: None,
-        offered: inputs.len(),
-        served,
-        shed,
-        behind_max_us,
-    }
-}
-
-/// The sharded tier: N supervised shards behind the `Router`. With
+/// The serving tier: N supervised shards behind the `Router`. With
 /// `chaos`, a deterministic fault plan panics a worker in shard 0 and
 /// stalls a batch in shard 1 mid-run; the supervisor must fail both
 /// shards over and restart them while every ticket still resolves.
 #[allow(clippy::too_many_arguments)]
-fn serve_sharded(
+fn serve_tier(
     registry: &Arc<ModelRegistry>,
     inputs: &[Vec<f32>],
     expected: &[Vec<f32>],
@@ -839,7 +641,6 @@ fn serve_sharded(
     chaos: bool,
     retry: RetryPolicy,
     arrival: Option<ArrivalProcess>,
-    tolerance: Option<f32>,
 ) -> RunOutcome {
     let router_config = RouterConfig {
         shards,
@@ -897,7 +698,9 @@ fn serve_sharded(
     for (index, ticket) in tickets {
         match ticket.wait() {
             Ok(prediction) => {
-                if !output_matches(&prediction.output, &expected[index], tolerance, &mut max_err) {
+                let err = max_abs_divergence(&prediction.output, &expected[index]);
+                max_err = max_err.max(err);
+                if err > TOLERANCE {
                     mismatches += 1;
                 }
                 max_batch_seen = max_batch_seen.max(prediction.batch_size);
@@ -937,7 +740,7 @@ fn serve_sharded(
         mismatches,
         max_err,
         crashed,
-        router: Some(report),
+        router: report,
         offered: inputs.len(),
         served,
         shed,

@@ -1,6 +1,6 @@
 //! Blocked batch×weights GEMM primitives over packed transposed weights.
 //!
-//! The scalar reference path computes `y[u] = bias[u] + dot(w_row_u, x)`
+//! `Network::predict`'s dense layers compute `y[u] = bias[u] + dot(w_row_u, x)`
 //! — a reduction whose strict IEEE evaluation order LLVM cannot
 //! vectorize. These kernels instead stream the *packed transposed*
 //! weight matrix `wt[k][n]` k-major and compute register-tiled panels:
@@ -11,12 +11,12 @@
 //! axpy (`y[u] += x[k] * wt[k][u]`) whose contiguous inner loop still
 //! autovectorizes (the blocking strategy documented in DESIGN.md §15).
 //!
-//! Accumulation association differs from the reference (same term
+//! Accumulation association differs from `Network::predict` (same term
 //! order, different parenthesization), and the inner updates use
 //! `f32::mul_add` — a correctly-rounded fused multiply-add on every
 //! target (hardware FMA where available, libm `fmaf` otherwise), so
 //! results are deterministic across machines while rounding once per
-//! term instead of twice. Both are exactly why the batched backend is
+//! term instead of twice. Both are exactly why the batched kernels are
 //! tolerance-gated rather than bit-identity-gated.
 
 /// Row-tile height of the register microkernel.

@@ -1,26 +1,23 @@
 //! Cache-blocked batched inference kernels for [`crate::plan::FrozenPlan`].
 //!
-//! The scalar reference path in `plan.rs` replicates each layer's
-//! training-time arithmetic operation-for-operation, which makes it
-//! bit-identical to [`crate::Network::predict`] — and unvectorizable,
-//! because every output element is a strict left-to-right `f32`
-//! reduction. This module is the opt-out fast path: weights are packed
-//! *transposed* at plan-compile time so the innermost loops become
-//! contiguous rank-1 updates over output units (no reduction, no
-//! cross-iteration dependency), which LLVM autovectorizes. All
-//! intermediates live in a caller-owned [`Scratch`] arena so the
-//! steady-state forward pass performs zero heap allocation per batch —
-//! the `serve` engine allocates one `Scratch` per worker at startup and
-//! reuses it for every batch (enforced by the `alloc-in-hot-path` lint
-//! rule plus an obs-counter test in `serve/tests/stress.rs`).
+//! [`crate::Network::predict`] evaluates each output element as a strict
+//! left-to-right `f32` reduction, which is exact to the training-time
+//! arithmetic but unvectorizable. These kernels are the plan's only
+//! forward path: weights are packed *transposed* at plan-compile time so
+//! the innermost loops become contiguous rank-1 updates over output
+//! units (no reduction, no cross-iteration dependency), which LLVM
+//! autovectorizes. All intermediates live in a caller-owned [`Scratch`]
+//! arena so the steady-state forward pass performs zero heap allocation
+//! per batch — the `serve` engine allocates one `Scratch` per worker at
+//! startup and reuses it for every batch (enforced by the
+//! `alloc-in-hot-path` lint rule plus an obs-counter test in
+//! `serve/tests/stress.rs`).
 //!
-//! Because the batched kernels re-associate accumulation (same terms,
-//! different parenthesization), their outputs are *not* bit-identical
-//! to the reference: they are gated by a max-abs-error tolerance
-//! instead (see `neural/tests/kernel_equivalence.rs` and DESIGN.md
-//! §15). [`PlanBackend`] selects between the two per plan, and
-//! `serve::ModelRegistry::set_backend` selects per deployed model
-//! version.
+//! Because the kernels re-associate accumulation (same terms, different
+//! parenthesization), their outputs are *not* bit-identical to
+//! [`crate::Network::predict`]: they are gated by a max-abs-error
+//! tolerance against it instead (see [`max_abs_divergence`],
+//! `neural/tests/kernel_equivalence.rs` and DESIGN.md §15).
 
 pub(crate) mod act;
 pub(crate) mod conv;
@@ -30,33 +27,9 @@ pub(crate) mod recurrent;
 
 use crate::Activation;
 
-/// Which forward implementation a [`crate::plan::FrozenPlan`] runs for
-/// batched prediction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum PlanBackend {
-    /// Scalar per-sample loop, bit-identical to
-    /// [`crate::Network::predict`]. Kept as the differential-testing
-    /// oracle and as an opt-in escape hatch.
-    Reference,
-    /// Cache-blocked batched kernels over packed transposed weights;
-    /// within max-abs-error tolerance of `Reference`, roughly an order
-    /// of magnitude faster on conv-heavy nets.
-    #[default]
-    Batched,
-}
-
-impl PlanBackend {
-    /// Stable lowercase name, used in benchmark reports and CLI flags.
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            PlanBackend::Reference => "reference",
-            PlanBackend::Batched => "batched",
-        }
-    }
-}
-
 /// Maximum absolute elementwise divergence between two equally-sized
-/// output blocks, the metric the tolerance gate compares backends with.
+/// output blocks, the metric the tolerance gate compares the kernels
+/// against [`crate::Network::predict`] with.
 ///
 /// Positions where both values are the same non-finite value (or both
 /// NaN) count as zero divergence — the batched kernels must preserve
@@ -242,7 +215,7 @@ pub(crate) enum BatchKernel {
         /// `[out_len * filters]`, position-major as exported.
         bias: Vec<f32>,
     },
-    /// Max pooling (bit-identical to reference).
+    /// Max pooling (bit-identical to `MaxPool1d`).
     MaxPool {
         channels: usize,
         in_len: usize,
@@ -250,7 +223,7 @@ pub(crate) enum BatchKernel {
         stride: usize,
         out_len: usize,
     },
-    /// Average pooling (bit-identical to reference).
+    /// Average pooling (bit-identical to `AvgPool1d`).
     AvgPool {
         channels: usize,
         in_len: usize,

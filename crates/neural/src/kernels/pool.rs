@@ -1,10 +1,10 @@
 //! Batched pooling kernels.
 //!
 //! Pooling has no weights and no reductions worth re-associating, so
-//! these loops keep the reference arithmetic exactly (same tie-last
-//! `>=` max scan, same left-to-right sum): pooled outputs are
-//! bit-identical between backends, only the surrounding layers drift
-//! within tolerance.
+//! these loops keep the pooling layers' arithmetic exactly (same
+//! tie-last `>=` max scan, same left-to-right sum): pooled outputs are
+//! bit-identical to `Network::predict`, only the surrounding layers
+//! drift within tolerance.
 
 /// Batched max pooling, channels-first. Tie-last `>=` scan from
 /// `NEG_INFINITY` matches `MaxPool1d::forward` (NaN never satisfies

@@ -4,12 +4,16 @@
 //! in one strided GEMM (`z = b + W·x_t`, reading each sample's step-`t`
 //! feature slice directly out of the batch block) plus one accumulate
 //! GEMM (`z += U·h_prev`), then the elementwise gate math runs exactly
-//! as in the reference (same sigmoid/tanh evaluations per element).
+//! as in the `Lstm` layer (same sigmoid/tanh evaluations per element).
 //! Hidden/cell state for every sample lives in the scratch arena's
 //! `cell` buffer — no per-timestep allocation.
 
 use super::gemm;
-use crate::plan::sigmoid;
+
+/// The gate sigmoid, written exactly as the `Lstm` layer evaluates it.
+fn sigmoid(x: f32) -> f32 {
+    1.0 / (1.0 + (-x).exp())
+}
 
 /// Batched LSTM returning each sample's final hidden state.
 #[allow(clippy::too_many_arguments)]

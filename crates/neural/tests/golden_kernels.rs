@@ -1,14 +1,16 @@
 //! Golden-file regression test for the inference kernels.
 //!
-//! Pins the exact numeric output of both `FrozenPlan` backends on the
+//! Pins the exact numeric output of both forward implementations on the
 //! paper's Table-1 topology against a blessed fixture under
-//! `tests/golden/`. Every value is stored as the hex of its `f32` bit
-//! pattern, so the comparison is bit-exact: any change to weight
-//! initialization, kernel blocking, accumulation order, or activation
-//! math shows up as a failure naming the first diverging index. The
-//! batched backend is tolerance-gated against the reference at runtime,
-//! but its *own* output must still be deterministic — that is what this
-//! fixture pins.
+//! `tests/golden/`: the `reference/*` cases are sequential
+//! `Network::predict`, the `batched/*` cases `FrozenPlan::predict_batch`.
+//! Every value is stored as the hex of its `f32` bit pattern, so the
+//! comparison is bit-exact: any change to weight initialization, kernel
+//! blocking, accumulation order, or activation math shows up as a
+//! failure naming the first diverging index. The batched kernels are
+//! tolerance-gated against `Network::predict` at runtime, but their
+//! *own* output must still be deterministic — that is what this fixture
+//! pins.
 //!
 //! To re-bless after an intentional change:
 //! `NEURAL_GOLDEN_BLESS=1 cargo test -p neural --test golden_kernels`
@@ -16,7 +18,7 @@
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
-use neural::kernels::{PlanBackend, Scratch};
+use neural::kernels::Scratch;
 use neural::plan::FrozenPlan;
 use neural::spec::{LayerSpec, NetworkSpec};
 use neural::Activation;
@@ -65,11 +67,12 @@ fn table1_spec() -> NetworkSpec {
         })
 }
 
-fn table1_plan() -> FrozenPlan {
+fn table1_network_and_plan() -> (neural::Network, FrozenPlan) {
     let spec = table1_spec();
     let net = spec.build(42).expect("build Table-1 network");
-    FrozenPlan::from_spec_weights("table1-golden", &spec, &net.export_weights())
-        .expect("compile Table-1 plan")
+    let plan = FrozenPlan::from_spec_weights("table1-golden", &spec, &net.export_weights())
+        .expect("compile Table-1 plan");
+    (net, plan)
 }
 
 /// Deterministic spectrum-shaped inputs (sign-varying, in the range the
@@ -92,9 +95,10 @@ fn hex_line(values: &[f32]) -> String {
 }
 
 /// Renders the full fixture text: one `case <name>` header per
-/// backend × batch-size combination, then one line of f32 bit patterns.
+/// implementation × batch-size combination, then one line of f32 bit
+/// patterns.
 fn render_fixture() -> String {
-    let plan = table1_plan();
+    let (mut net, plan) = table1_network_and_plan();
     let mut scratch = Scratch::new();
     let mut out = String::new();
     out.push_str("# neural golden fixture: bit-exact FrozenPlan outputs on the Table-1 net.\n");
@@ -103,15 +107,18 @@ fn render_fixture() -> String {
         "# Regenerate with: NEURAL_GOLDEN_BLESS=1 cargo test -p neural --test golden_kernels\n",
     );
 
-    for (backend, backend_name) in [
-        (PlanBackend::Reference, "reference"),
-        (PlanBackend::Batched, "batched"),
-    ] {
+    for backend_name in ["reference", "batched"] {
         for batch in [1usize, 32] {
             let inputs = wave_inputs(batch * plan.input_len(), batch as u32);
             let mut outputs = Vec::new();
-            plan.predict_batch_with(backend, &inputs, &mut outputs, &mut scratch)
-                .expect("predict batch");
+            if backend_name == "reference" {
+                for x in inputs.chunks_exact(plan.input_len()) {
+                    outputs.extend(net.predict(x));
+                }
+            } else {
+                plan.predict_batch_scratch(&inputs, &mut outputs, &mut scratch, &mut |_, _| {})
+                    .expect("predict batch");
+            }
             writeln!(out, "case {backend_name}/batch-{batch}").expect("write case header");
             out.push_str(&hex_line(&outputs));
             out.push('\n');

@@ -1,13 +1,13 @@
 //! Differential-testing harness for the batched inference kernels
-//! (DESIGN.md §15): every `PlanOp` variant, driven with random widths,
-//! kernel sizes, and strides, must produce the same outputs on the
-//! vectorized [`PlanBackend::Batched`] path as on the scalar
-//! [`PlanBackend::Reference`] path — within `TOL` of max-abs-error,
-//! across batch sizes that straddle the kernels' row-pair blocking
-//! (1, 2, 7, 32, 33). Failures report the first diverging sample and
-//! output index so a kernel bug localizes immediately.
+//! (DESIGN.md §15): every layer kind, driven with random widths, kernel
+//! sizes, and strides, must produce the same outputs through
+//! [`FrozenPlan`]'s vectorized kernels as through the one forward
+//! reference, per-sample [`neural::Network::predict`] — within `TOL` of
+//! max-abs-error, across batch sizes that straddle the kernels' row-pair
+//! blocking (1, 2, 7, 32, 33). Failures report the first diverging
+//! sample and output index so a kernel bug localizes immediately.
 
-use neural::kernels::{max_abs_divergence, PlanBackend, Scratch};
+use neural::kernels::{max_abs_divergence, Scratch};
 use neural::plan::FrozenPlan;
 use neural::spec::{LayerSpec, NetworkSpec};
 use neural::Activation;
@@ -15,7 +15,7 @@ use proptest::prelude::*;
 
 /// The tolerance gate: the batched kernels associate additions
 /// differently (k-major axpy vs per-unit dot product), so outputs are
-/// tolerance-equal, never bit-equal, to the reference.
+/// tolerance-equal, never bit-equal, to `Network::predict`.
 const TOL: f32 = 1e-4;
 
 /// Batch sizes straddling the kernels' blocking factors: 1 (no
@@ -38,23 +38,22 @@ fn wave_inputs(len: usize, seed: u64) -> Vec<f32> {
         .collect()
 }
 
-/// Runs both backends over every batch size and reports the first
-/// divergence (sample, output index, both values) if any pair of
-/// outputs differs by more than [`TOL`].
+/// Runs the plan over every batch size against sequential
+/// `Network::predict` and reports the first divergence (sample, output
+/// index, both values) if any pair of outputs differs by more than
+/// [`TOL`].
 fn backends_agree(spec: &NetworkSpec, seed: u64) -> Result<(), String> {
-    let net = spec.build(seed).map_err(|e| format!("build failed: {e}"))?;
+    let mut net = spec.build(seed).map_err(|e| format!("build failed: {e}"))?;
     let plan = FrozenPlan::from_spec_weights("diff", spec, &net.export_weights())
         .map_err(|e| format!("compile failed: {e}"))?;
     let out_len = plan.output_len();
     let mut scratch = Scratch::new();
     for &batch in &BATCHES {
         let inputs = wave_inputs(batch * plan.input_len(), seed.wrapping_add(batch as u64));
-        let mut reference = Vec::new();
-        plan.predict_batch_with(PlanBackend::Reference, &inputs, &mut reference, &mut scratch)
-            .map_err(|e| format!("reference backend, batch {batch}: {e}"))?;
+        let reference = network_predict(&mut net, &inputs);
         let mut batched = Vec::new();
-        plan.predict_batch_with(PlanBackend::Batched, &inputs, &mut batched, &mut scratch)
-            .map_err(|e| format!("batched backend, batch {batch}: {e}"))?;
+        plan.predict_batch_scratch(&inputs, &mut batched, &mut scratch, &mut |_, _| {})
+            .map_err(|e| format!("batched kernels, batch {batch}: {e}"))?;
         for (i, (&r, &b)) in reference.iter().zip(&batched).enumerate() {
             if max_abs_divergence(&[r], &[b]) > TOL {
                 return Err(format!(
@@ -68,6 +67,15 @@ fn backends_agree(spec: &NetworkSpec, seed: u64) -> Result<(), String> {
         }
     }
     Ok(())
+}
+
+/// The oracle: sequential `Network::predict` over every sample of a
+/// contiguous input block, outputs concatenated batch-major.
+fn network_predict(net: &mut neural::Network, inputs: &[f32]) -> Vec<f32> {
+    inputs
+        .chunks_exact(net.input_len())
+        .flat_map(|x| net.predict(x))
+        .collect()
 }
 
 proptest! {
@@ -189,7 +197,7 @@ proptest! {
         rate in 0.0f32..0.9,
         seed in 0u64..10_000,
     ) {
-        // Every PlanOp variant in one pipeline: Reshape → Conv1d →
+        // Every layer kind in one pipeline: Reshape → Conv1d →
         // MaxPool1d → LocallyConnected1d → AvgPool1d → Flatten → Dense
         // → Dropout → Highway → ResidualDense → Dense(Softmax).
         let spec = NetworkSpec::new(60)
@@ -210,35 +218,6 @@ proptest! {
             .layer(LayerSpec::Dense { units: 4, activation: Activation::Softmax });
         if let Err(msg) = backends_agree(&spec, seed) {
             prop_assert!(false, "{}", msg);
-        }
-    }
-
-    #[test]
-    fn reference_backend_is_bit_identical_to_sequential_predict(
-        input in 1usize..24,
-        hidden in 1usize..16,
-        seed in 0u64..10_000,
-    ) {
-        // The scalar reference backend is not merely tolerance-equal to
-        // per-sample `FrozenPlan::predict` — it IS that loop, so the
-        // outputs must match bit for bit.
-        let spec = NetworkSpec::new(input)
-            .layer(LayerSpec::Dense { units: hidden, activation: Activation::Selu })
-            .layer(LayerSpec::Dense { units: 4, activation: Activation::Softmax });
-        let net = spec.build(seed).expect("valid spec");
-        let plan = FrozenPlan::from_spec_weights("ref", &spec, &net.export_weights())
-            .expect("compiles");
-        let batch = 7usize;
-        let inputs = wave_inputs(batch * input, seed);
-        let mut outputs = Vec::new();
-        let mut scratch = Scratch::new();
-        plan.predict_batch_with(PlanBackend::Reference, &inputs, &mut outputs, &mut scratch)
-            .expect("reference batch");
-        for sample in 0..batch {
-            let single = plan
-                .predict(&inputs[sample * input..(sample + 1) * input])
-                .expect("sequential predict");
-            prop_assert_eq!(&outputs[sample * 4..(sample + 1) * 4], &single[..]);
         }
     }
 }
@@ -269,16 +248,13 @@ fn single_sample_batch_exercises_the_remainder_path_alone() {
             units: 4,
             activation: Activation::Softmax,
         });
-    let net = spec.build(23).expect("valid spec");
+    let mut net = spec.build(23).expect("valid spec");
     let plan =
         FrozenPlan::from_spec_weights("edge1", &spec, &net.export_weights()).expect("compiles");
     let inputs = wave_inputs(plan.input_len(), 23);
-    let mut scratch = Scratch::new();
-    let mut reference = Vec::new();
-    plan.predict_batch_with(PlanBackend::Reference, &inputs, &mut reference, &mut scratch)
-        .expect("reference batch of 1");
+    let reference = net.predict(&inputs);
     let mut batched = Vec::new();
-    plan.predict_batch_with(PlanBackend::Batched, &inputs, &mut batched, &mut scratch)
+    plan.predict_batch(&inputs, &mut batched)
         .expect("batched batch of 1");
     assert!(
         max_abs_divergence(&reference, &batched) <= TOL,
@@ -342,12 +318,12 @@ fn degenerate_ragged_conv_tiles_match() {
 }
 
 /// Non-finite inputs: NaN/inf poisoning must propagate identically
-/// through both backends (same non-finite pattern on the poisoned
-/// samples, clean samples untouched). This holds with and without
-/// `checked-math` — the finite-value sanitizer deliberately tolerates
-/// inputs that are already non-finite and only trips on non-finites
-/// *introduced* by the math (see `tests/checked_math.rs` for that
-/// case, which both backends label `FrozenPlan::predict_batch`).
+/// through the plan and `Network::predict` (same non-finite pattern on
+/// the poisoned samples, clean samples untouched). This holds with and
+/// without `checked-math` — the finite-value sanitizer deliberately
+/// tolerates inputs that are already non-finite and only trips on
+/// non-finites *introduced* by the math (see `tests/checked_math.rs`
+/// for that case).
 #[test]
 fn non_finite_inputs_behave_identically_across_backends() {
     const IN: usize = 6;
@@ -361,7 +337,7 @@ fn non_finite_inputs_behave_identically_across_backends() {
             units: OUT,
             activation: Activation::Linear,
         });
-    let net = spec.build(11).expect("valid spec");
+    let mut net = spec.build(11).expect("valid spec");
     let plan =
         FrozenPlan::from_spec_weights("poison", &spec, &net.export_weights()).expect("compiles");
 
@@ -371,15 +347,10 @@ fn non_finite_inputs_behave_identically_across_backends() {
     inputs[2 * IN] = f32::INFINITY;
     inputs[2 * IN + 3] = f32::NEG_INFINITY;
 
-    let run = |backend: PlanBackend| -> Vec<f32> {
-        let mut outputs = Vec::new();
-        plan.predict_batch_with(backend, &inputs, &mut outputs, &mut Scratch::new())
-            .expect("shape is valid");
-        outputs
-    };
-
-    let reference = run(PlanBackend::Reference);
-    let batched = run(PlanBackend::Batched);
+    let reference = network_predict(&mut net, &inputs);
+    let mut batched = Vec::new();
+    plan.predict_batch(&inputs, &mut batched)
+        .expect("shape is valid");
     assert_eq!(reference.len(), batched.len());
 
     // Clean sample: tolerance-equal as usual.

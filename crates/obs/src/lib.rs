@@ -1,5 +1,5 @@
 //! Structured observability for the spectroscopy workspace: hierarchical
-//! spans, atomic counters/gauges, power-of-two histograms, a bounded
+//! spans, atomic counters/gauges, log-linear histograms, a bounded
 //! lock-free event journal, and pluggable exporters — with zero
 //! dependencies and a near-zero-cost disabled path.
 //!
@@ -355,9 +355,13 @@ mod tests {
 
     #[test]
     fn disabled_by_default_and_reenabled_after_guard_drop() {
+        // "Not recording" only holds while no sibling test has a
+        // collector installed, so both checks hold the install gate.
+        let not_installed = || INSTALL_GATE.lock().unwrap_or_else(PoisonError::into_inner);
         {
-            let _outside = span("not.recorded");
-            assert!(!_outside.is_recording());
+            let _gate = not_installed();
+            let outside = span("not.recorded");
+            assert!(!outside.is_recording());
         }
         let guard = install(Collector::with_clock(Arc::new(ManualClock::new(0))));
         {
@@ -366,6 +370,7 @@ mod tests {
         }
         assert_eq!(guard.collector().events().len(), 1);
         drop(guard);
+        let _gate = not_installed();
         let after = span("not.recorded.either");
         assert!(!after.is_recording());
     }

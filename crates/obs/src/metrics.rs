@@ -183,20 +183,7 @@ impl Histogram {
     /// Conservative upper bound of the `q`-quantile (`0.0 ..= 1.0`) over
     /// the current bucket counts. Zero when empty.
     pub fn quantile_upper(&self, q: f64) -> u64 {
-        let buckets = self.bucket_counts();
-        let total: u64 = buckets.iter().sum();
-        if total == 0 {
-            return 0;
-        }
-        let rank = (q * total as f64).ceil() as u64;
-        let mut seen = 0u64;
-        for (i, &count) in buckets.iter().enumerate() {
-            seen += count;
-            if seen >= rank {
-                return Self::bucket_upper(i);
-            }
-        }
-        Self::bucket_upper(BUCKETS - 1)
+        self.snapshot().quantile_upper(q)
     }
 
     /// A point-in-time copy of the histogram state.
@@ -221,6 +208,42 @@ pub struct HistogramSnapshot {
     pub sum: u64,
     /// Largest observation.
     pub max: u64,
+}
+
+impl HistogramSnapshot {
+    /// Folds `other` into this snapshot. Every histogram shares the same
+    /// fixed log-linear buckets, so merging is element-wise addition of
+    /// the bucket counts; quantiles of the merged snapshot are exactly
+    /// those of one histogram that had seen both sets of observations.
+    pub fn merge(&mut self, other: &HistogramSnapshot) {
+        if self.counts.len() < other.counts.len() {
+            self.counts.resize(other.counts.len(), 0);
+        }
+        for (merged, count) in self.counts.iter_mut().zip(&other.counts) {
+            *merged += count;
+        }
+        self.count += other.count;
+        self.sum = self.sum.saturating_add(other.sum);
+        self.max = self.max.max(other.max);
+    }
+
+    /// Conservative upper bound of the `q`-quantile (`0.0 ..= 1.0`) over
+    /// the bucket counts. Zero when empty.
+    pub fn quantile_upper(&self, q: f64) -> u64 {
+        let total: u64 = self.counts.iter().sum();
+        if total == 0 {
+            return 0;
+        }
+        let rank = (q * total as f64).ceil() as u64;
+        let mut seen = 0u64;
+        for (i, &count) in self.counts.iter().enumerate() {
+            seen += count;
+            if seen >= rank {
+                return Histogram::bucket_upper(i);
+            }
+        }
+        Histogram::bucket_upper(BUCKETS - 1)
+    }
 }
 
 /// Name-keyed registry of counters, gauges and histograms.
@@ -381,6 +404,25 @@ mod tests {
         let p99 = h.quantile_upper(0.99);
         assert!(p50 <= p95 && p95 <= p99);
         assert!(p99 >= 100_000 >> 1);
+    }
+
+    #[test]
+    fn merged_snapshots_match_one_histogram_over_both_streams() {
+        let (a, b, both) = (Histogram::new(), Histogram::new(), Histogram::new());
+        for v in [10u64, 20, 50, 100, 400] {
+            a.observe(v);
+            both.observe(v);
+        }
+        for v in [900u64, 2_000, 9_000, 40_000, 100_000] {
+            b.observe(v);
+            both.observe(v);
+        }
+        let mut merged = a.snapshot();
+        merged.merge(&b.snapshot());
+        assert_eq!(merged, both.snapshot());
+        for q in [0.0, 0.5, 0.95, 0.99, 1.0] {
+            assert_eq!(merged.quantile_upper(q), both.quantile_upper(q), "q = {q}");
+        }
     }
 
     #[test]

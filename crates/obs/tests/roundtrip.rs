@@ -1,6 +1,9 @@
 //! Round-trip tests for the obs crate: deterministic span timing through
 //! a ManualClock, chrome-trace export parsed back with serde_json,
-//! journal wraparound, concurrent counters, and the disabled fast path.
+//! journal wraparound, and concurrent counters. The disabled fast path
+//! lives in `tests/disabled.rs`: it asserts that *no* collector is
+//! installed, which only holds in a binary where no sibling test can be
+//! holding an `obs::install` guard.
 
 use std::sync::Arc;
 
@@ -175,24 +178,6 @@ fn concurrent_counter_updates_are_exact() {
         h.join().unwrap();
     }
     assert_eq!(guard.collector().counter("stress.count").get(), 8000);
-}
-
-#[test]
-fn disabled_path_records_nothing_anywhere() {
-    // No collector installed in this scope: everything must be inert.
-    {
-        let span = obs::span("ghost");
-        assert!(!span.is_recording());
-    }
-    obs::counter_add("ghost.counter", 5);
-    obs::gauge_set("ghost.gauge", 1.0);
-    assert!(obs::active().is_none());
-
-    // Installing afterwards starts from a clean slate.
-    let clock = Arc::new(ManualClock::new(0));
-    let guard = obs::install(manual_collector(&clock));
-    assert!(guard.collector().events().is_empty());
-    assert!(guard.collector().metrics().counters.is_empty());
 }
 
 #[test]

@@ -52,8 +52,9 @@ impl Default for ServeConfig {
 }
 
 /// Bounded-retry policy for submissions bounced by backpressure — the
-/// same shape as `spectroai::recovery::RetryPolicy`, applied to
-/// [`SubmitError::QueueFull`] instead of stage failures.
+/// same shape as `spectroai::recovery::RetryPolicy`, applied by
+/// [`crate::Router::submit_with_retry`] to transient rejections instead
+/// of stage failures.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RetryPolicy {
     /// Attempts including the first (≥ 1).
@@ -76,7 +77,7 @@ impl Default for RetryPolicy {
 
 impl RetryPolicy {
     /// Delay before retry number `retry` (1-based).
-    fn delay(&self, retry: usize) -> Duration {
+    pub(crate) fn delay(&self, retry: usize) -> Duration {
         let ms = self.base_delay_ms as f64 * self.backoff.powi(retry as i32 - 1);
         Duration::from_millis(ms as u64)
     }
@@ -124,10 +125,8 @@ impl Request {
 /// A completed prediction.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Prediction {
-    /// The model output. On the (default) `Batched` plan backend this is
-    /// within max-abs-error tolerance of `Network::predict`; with
-    /// `PlanBackend::Reference` selected via
-    /// `ModelRegistry::set_backend` it is bit-identical.
+    /// The model output, from the plan's batched kernels: within
+    /// max-abs-error tolerance of `Network::predict`.
     pub output: Vec<f32>,
     /// Version the request actually executed on.
     pub model_version: u32,
@@ -387,38 +386,6 @@ impl Engine {
         }
     }
 
-    /// [`Engine::submit`] with bounded exponential backoff on
-    /// [`SubmitError::QueueFull`] — the `spectroai::recovery` retry idiom
-    /// applied to backpressure. Non-retryable errors return immediately.
-    ///
-    /// # Errors
-    ///
-    /// The last [`SubmitError`] once the attempt budget is exhausted.
-    pub fn submit_with_retry(
-        &self,
-        request: Request,
-        policy: RetryPolicy,
-    ) -> Result<Ticket, SubmitError> {
-        let attempts = policy.max_attempts.max(1);
-        let mut attempt = 1;
-        loop {
-            match self.submit(request.clone()) {
-                Ok(ticket) => return Ok(ticket),
-                Err(SubmitError::QueueFull { capacity }) => {
-                    if attempt >= attempts {
-                        return Err(SubmitError::QueueFull { capacity });
-                    }
-                    let delay = policy.delay(attempt);
-                    if !delay.is_zero() {
-                        std::thread::sleep(delay);
-                    }
-                    attempt += 1;
-                }
-                Err(other) => return Err(other),
-            }
-        }
-    }
-
     /// Current queue-depth high-water mark.
     pub fn queue_high_water(&self) -> usize {
         self.queue.high_water()
@@ -585,7 +552,12 @@ fn run_batch(
     }
     bufs.outputs.clear();
     let started = Instant::now();
-    let result = plan.predict_batch_scratch(&bufs.block, &mut bufs.outputs, &mut bufs.scratch);
+    let result = plan.predict_batch_scratch(
+        &bufs.block,
+        &mut bufs.outputs,
+        &mut bufs.scratch,
+        &mut |_, _| {},
+    );
     if let Some(factor) = slow_factor {
         // Injected slow shard: inflate the measured compute time so the
         // slowdown shows up in latency percentiles and the EWMA the
@@ -666,45 +638,8 @@ mod tests {
     }
 
     #[test]
-    fn reference_backend_serves_bit_identical_to_sequential_predict() {
-        let (registry, mut net) = registry_with("ms", 1);
-        assert!(registry.set_backend("ms", 1, neural::kernels::PlanBackend::Reference));
-        let engine = Engine::start(
-            Arc::clone(&registry),
-            ServeConfig {
-                workers: 3,
-                max_batch: 8,
-                max_linger: Duration::from_millis(2),
-                ..ServeConfig::default()
-            },
-        )
-        .unwrap();
-        let inputs: Vec<Vec<f32>> = (0..40)
-            .map(|s| (0..64).map(|i| (((s * 64 + i) as f32) * 0.13).sin()).collect())
-            .collect();
-        let tickets: Vec<Ticket> = inputs
-            .iter()
-            .map(|x| engine.submit(Request::new("ms", x.clone())).unwrap())
-            .collect();
-        for (ticket, x) in tickets.into_iter().zip(&inputs) {
-            let prediction = ticket.wait().unwrap();
-            assert_eq!(prediction.output, net.predict(x), "reference serving must be bit-identical");
-            assert_eq!(prediction.model_version, 1);
-            assert!(prediction.batch_size >= 1);
-        }
-        let report = engine.metrics().report();
-        assert_eq!(report.requests_completed, 40);
-        assert_eq!(report.requests_rejected, 0);
-        assert!(report.batches <= 40);
-        assert!(report.mean_batch_size >= 1.0);
-        engine.shutdown();
-    }
-
-    #[test]
     fn default_batched_backend_serves_within_tolerance_of_reference() {
         let (registry, mut net) = registry_with("ms", 1);
-        let (_, plan) = registry.resolve("ms", None).unwrap();
-        assert_eq!(plan.backend(), neural::kernels::PlanBackend::Batched);
         let engine = Engine::start(
             registry,
             ServeConfig {
@@ -730,9 +665,14 @@ mod tests {
                 err <= 1e-4,
                 "batched serving drifted {err} from the reference output"
             );
+            assert_eq!(prediction.model_version, 1);
+            assert!(prediction.batch_size >= 1);
         }
         let report = engine.metrics().report();
         assert_eq!(report.requests_completed, 40);
+        assert_eq!(report.requests_rejected, 0);
+        assert!(report.batches <= 40);
+        assert!(report.mean_batch_size >= 1.0);
         engine.shutdown();
     }
 
@@ -766,37 +706,6 @@ mod tests {
         assert_eq!(report.requests_submitted, 3);
         assert_eq!(report.requests_rejected, 1);
         assert_eq!(report.queue_depth_high_water, 3);
-        engine.shutdown();
-    }
-
-    #[test]
-    fn submit_with_retry_exhausts_budget_on_persistent_backpressure() {
-        let (registry, _) = registry_with("ms", 1);
-        let engine = Engine::start(
-            registry,
-            ServeConfig {
-                workers: 0,
-                queue_capacity: 1,
-                ..ServeConfig::default()
-            },
-        )
-        .unwrap();
-        let x = vec![0.0f32; 64];
-        engine.submit(Request::new("ms", x.clone())).unwrap();
-        let started = Instant::now();
-        let err = engine
-            .submit_with_retry(
-                Request::new("ms", x),
-                RetryPolicy {
-                    max_attempts: 3,
-                    base_delay_ms: 2,
-                    backoff: 2.0,
-                },
-            )
-            .unwrap_err();
-        assert!(matches!(err, SubmitError::QueueFull { .. }));
-        // Two backoff sleeps: 2ms + 4ms.
-        assert!(started.elapsed() >= Duration::from_millis(6));
         engine.shutdown();
     }
 

@@ -13,21 +13,23 @@
 //!   ever observes a torn model).
 //! * [`Engine`] — bounded queue + workers. The queue applies explicit
 //!   backpressure: when full, [`Engine::submit`] returns
-//!   [`SubmitError::QueueFull`] immediately instead of blocking, and
-//!   [`Engine::submit_with_retry`] layers the same bounded
-//!   exponential-backoff idiom as `spectroai::recovery` on top.
+//!   [`SubmitError::QueueFull`] immediately instead of blocking.
+//! * [`Router`] — the sharded tier over N engines: routing, admission
+//!   control, shard supervision and rolling upgrades.
+//!   [`Router::submit_with_retry`] layers the same bounded
+//!   exponential-backoff idiom as `spectroai::recovery` on top of
+//!   transient rejections.
 //! * micro-batching — each worker coalesces queued requests that resolved
 //!   to the same plan into one contiguous input block (bounded by
 //!   `max_batch` and a `max_linger` wait) and runs it through the plan's
 //!   vectorized batch kernels ([`neural::kernels`]) over a per-worker
-//!   scratch arena: no allocation on the steady-state hot path. The
-//!   default [`PlanBackend::Batched`] is tolerance-gated against the
-//!   scalar reference; [`ModelRegistry::set_backend`] can pin a model
-//!   version to [`PlanBackend::Reference`] for outputs bit-identical to
-//!   sequential [`neural::Network::predict`].
-//! * [`ServeMetrics`] — atomic counters plus `obs` power-of-two
+//!   scratch arena: no allocation on the steady-state hot path. Served
+//!   outputs are tolerance-gated (max-abs-error ≤ 1e-4) against
+//!   sequential [`neural::Network::predict`], the one forward reference.
+//! * [`ServeMetrics`] — atomic counters plus `obs` log-linear
 //!   histograms for latency (p50/p95/p99) and batch sizes, snapshotted
-//!   into a serializable [`MetricsReport`]. The engine also emits
+//!   into a serializable [`MetricsReport`]; the router merges the
+//!   per-shard histograms into one tier-wide report. The engine also emits
 //!   `serve.batch`/`serve.request` spans and a `serve.queue_depth` gauge
 //!   whenever an `obs::Collector` is installed (see the workspace `obs`
 //!   crate and `serve_load --trace`).
@@ -76,7 +78,6 @@ mod shard;
 pub use engine::{Engine, Prediction, Request, RetryPolicy, ServeConfig, Ticket};
 pub use health::HealthState;
 pub use metrics::{MetricsReport, ServeMetrics};
-pub use neural::kernels::PlanBackend;
 pub use registry::ModelRegistry;
 pub use router::{
     AdmissionConfig, Router, RouterConfig, RouterReport, ShardReport, SupervisorConfig, SwapReport,
@@ -92,7 +93,7 @@ use neural::NeuralError;
 #[non_exhaustive]
 pub enum SubmitError {
     /// The bounded queue is at capacity — explicit backpressure. Retry
-    /// later (or use [`Engine::submit_with_retry`]).
+    /// later (or use [`Router::submit_with_retry`]).
     QueueFull {
         /// The queue's configured capacity.
         capacity: usize,

@@ -146,12 +146,10 @@ impl ServeMetrics {
 
     /// Snapshots every counter into a serializable report.
     pub fn report(&self) -> MetricsReport {
-        let completed = self.latency.count();
         let batch = self.batch_sizes.snapshot();
-        MetricsReport {
+        let mut report = MetricsReport {
             requests_submitted: self.submitted.get(),
             requests_rejected: self.rejected.get(),
-            requests_completed: completed,
             requests_failed: self.failed.get(),
             requests_timed_out: self.timed_out.get(),
             requests_drained: self.drained.get(),
@@ -162,22 +160,10 @@ impl ServeMetrics {
                 batch.sum as f64 / batch.count as f64
             },
             queue_depth_high_water: self.queue_high_water.get(),
-            latency_mean_us: if completed == 0 {
-                0.0
-            } else {
-                self.latency.sum() as f64 / completed as f64
-            },
-            // Bucket upper bounds can exceed the worst value actually
-            // observed (the max lands mid-bucket); clamping keeps the
-            // report internally consistent — a percentile is never
-            // reported above `latency_max_us`. (BENCH_serve.json once
-            // shipped p95 = 851967 µs next to max = 847723 µs.)
-            latency_p50_us: self.latency.quantile_upper(0.50).min(self.latency.max()),
-            latency_p95_us: self.latency.quantile_upper(0.95).min(self.latency.max()),
-            latency_p99_us: self.latency.quantile_upper(0.99).min(self.latency.max()),
-            latency_p999_us: self.latency.quantile_upper(0.999).min(self.latency.max()),
-            latency_max_us: self.latency.max(),
-        }
+            ..MetricsReport::default()
+        };
+        report.set_latency(&self.latency.snapshot());
+        report
     }
 }
 
@@ -186,7 +172,7 @@ impl ServeMetrics {
 /// Percentiles are conservative upper bounds from the log-linear bucket
 /// histogram (a p95 of `1151` means "95% of requests finished within
 /// 1151 µs"), accurate to 12.5%.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct MetricsReport {
     /// Requests accepted into the queue.
     pub requests_submitted: u64,
@@ -218,6 +204,31 @@ pub struct MetricsReport {
     pub latency_p999_us: u64,
     /// Worst observed latency (µs).
     pub latency_max_us: u64,
+}
+
+impl MetricsReport {
+    /// Fills `requests_completed` and every latency field from a
+    /// latency histogram snapshot (one shard's, or several shards'
+    /// merged with [`HistogramSnapshot::merge`]).
+    pub(crate) fn set_latency(&mut self, latency: &HistogramSnapshot) {
+        self.requests_completed = latency.count;
+        self.latency_mean_us = if latency.count == 0 {
+            0.0
+        } else {
+            latency.sum as f64 / latency.count as f64
+        };
+        // Bucket upper bounds can exceed the worst value actually
+        // observed (the max lands mid-bucket); clamping keeps the report
+        // internally consistent — a percentile is never reported above
+        // `latency_max_us`. (BENCH_serve.json once shipped p95 = 851967
+        // µs next to max = 847723 µs.)
+        let upper = |q: f64| latency.quantile_upper(q).min(latency.max);
+        self.latency_p50_us = upper(0.50);
+        self.latency_p95_us = upper(0.95);
+        self.latency_p99_us = upper(0.99);
+        self.latency_p999_us = upper(0.999);
+        self.latency_max_us = latency.max;
+    }
 }
 
 #[cfg(test)]

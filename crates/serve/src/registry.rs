@@ -5,7 +5,6 @@ use std::sync::Arc;
 
 use datastore::Store;
 use neural::export::ExportedNetwork;
-use neural::kernels::PlanBackend;
 use neural::plan::FrozenPlan;
 use parking_lot::RwLock;
 
@@ -95,24 +94,6 @@ impl ModelRegistry {
         })?;
         self.publish_plan(name, version, Arc::clone(&plan));
         Ok(plan)
-    }
-
-    /// Switches the forward backend of one published model version
-    /// ([`PlanBackend::Batched`] is the compile-time default). The swap
-    /// is atomic exactly like a hot-swap publish: a fresh `Arc` with the
-    /// requested backend replaces the slot, and in-flight requests that
-    /// already resolved the old plan finish on the old backend. Returns
-    /// `false` if the model/version is not published.
-    pub fn set_backend(&self, name: &str, version: u32, backend: PlanBackend) -> bool {
-        let mut models = self.models.write();
-        let Some(slot) = models.get_mut(name).and_then(|v| v.get_mut(&version)) else {
-            return false;
-        };
-        if slot.backend() != backend {
-            let plan = FrozenPlan::clone(slot).with_backend(backend);
-            *slot = Arc::new(plan);
-        }
-        true
     }
 
     /// The newest published version of `name`, if any. Because every
@@ -293,28 +274,6 @@ mod tests {
         assert!(Arc::ptr_eq(&new, &resolved));
         // The old Arc is still intact for in-flight work.
         assert_eq!(old.input_len(), 3);
-    }
-
-    #[test]
-    fn set_backend_swaps_atomically_and_preserves_inflight_plans() {
-        let registry = ModelRegistry::new();
-        registry.publish("ms", 1, &exported(1)).unwrap();
-        let (_, before) = registry.resolve("ms", Some(1)).unwrap();
-        assert_eq!(before.backend(), PlanBackend::Batched);
-        assert!(registry.set_backend("ms", 1, PlanBackend::Reference));
-        let (_, after) = registry.resolve("ms", Some(1)).unwrap();
-        assert_eq!(after.backend(), PlanBackend::Reference);
-        // The previously resolved Arc is untouched (old backend, still
-        // serviceable by in-flight requests).
-        assert_eq!(before.backend(), PlanBackend::Batched);
-        assert!(!Arc::ptr_eq(&before, &after));
-        // Setting the same backend again is a no-op swap.
-        assert!(registry.set_backend("ms", 1, PlanBackend::Reference));
-        let (_, same) = registry.resolve("ms", Some(1)).unwrap();
-        assert!(Arc::ptr_eq(&after, &same));
-        // Unknown slots report false.
-        assert!(!registry.set_backend("ms", 9, PlanBackend::Reference));
-        assert!(!registry.set_backend("nope", 1, PlanBackend::Reference));
     }
 
     #[test]

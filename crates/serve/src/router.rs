@@ -411,8 +411,7 @@ impl Router {
                     if attempt >= attempts {
                         return Err(err);
                     }
-                    let ms = policy.base_delay_ms as f64 * policy.backoff.powi(attempt as i32 - 1);
-                    std::thread::sleep(Duration::from_millis(ms as u64));
+                    std::thread::sleep(policy.delay(attempt));
                     attempt += 1;
                 }
                 Err(other) => return Err(other),
@@ -610,42 +609,18 @@ fn wait_drained(shard: &Shard, timeout: Duration) -> bool {
     }
 }
 
-/// Cross-shard aggregate report: counters summed, latency percentiles
-/// over the merged per-shard histograms (buckets are shared workspace
-/// `obs` log-linear buckets, so merging is element-wise addition).
+/// Cross-shard aggregate report: counters summed, latency statistics
+/// from the merged per-shard histograms (see
+/// [`obs::HistogramSnapshot::merge`]).
 fn merge_reports(inner: &RouterInner) -> MetricsReport {
-    let mut counts = vec![0u64; obs::BUCKETS];
-    let mut sum = 0u64;
-    let mut max = 0u64;
-    let mut total = MetricsReport {
-        requests_submitted: 0,
-        requests_rejected: 0,
-        requests_completed: 0,
-        requests_failed: 0,
-        requests_timed_out: 0,
-        requests_drained: 0,
-        batches: 0,
-        mean_batch_size: 0.0,
-        queue_depth_high_water: 0,
-        latency_mean_us: 0.0,
-        latency_p50_us: 0,
-        latency_p95_us: 0,
-        latency_p99_us: 0,
-        latency_p999_us: 0,
-        latency_max_us: 0,
-    };
+    let mut total = MetricsReport::default();
+    let mut latency = Histogram::new().snapshot();
     let mut batch_samples = 0.0f64;
     for shard in &inner.shards {
         let report = shard.metrics().report();
-        let snapshot = shard.metrics().latency_snapshot();
-        for (merged, count) in counts.iter_mut().zip(&snapshot.counts) {
-            *merged += count;
-        }
-        sum += snapshot.sum;
-        max = max.max(snapshot.max);
+        latency.merge(&shard.metrics().latency_snapshot());
         total.requests_submitted += report.requests_submitted;
         total.requests_rejected += report.requests_rejected;
-        total.requests_completed += report.requests_completed;
         total.requests_failed += report.requests_failed;
         total.requests_timed_out += report.requests_timed_out;
         total.requests_drained += report.requests_drained;
@@ -658,34 +633,8 @@ fn merge_reports(inner: &RouterInner) -> MetricsReport {
     if total.batches > 0 {
         total.mean_batch_size = batch_samples / total.batches as f64;
     }
-    if total.requests_completed > 0 {
-        total.latency_mean_us = sum as f64 / total.requests_completed as f64;
-    }
-    // Clamp to the merged max for the same reason `ServeMetrics::report`
-    // does: a bucket upper bound must never out-report the worst latency
-    // actually observed.
-    total.latency_p50_us = merged_quantile(&counts, 0.50).min(max);
-    total.latency_p95_us = merged_quantile(&counts, 0.95).min(max);
-    total.latency_p99_us = merged_quantile(&counts, 0.99).min(max);
-    total.latency_p999_us = merged_quantile(&counts, 0.999).min(max);
-    total.latency_max_us = max;
+    total.set_latency(&latency);
     total
-}
-
-fn merged_quantile(counts: &[u64], q: f64) -> u64 {
-    let total: u64 = counts.iter().sum();
-    if total == 0 {
-        return 0;
-    }
-    let rank = (q * total as f64).ceil() as u64;
-    let mut seen = 0u64;
-    for (index, count) in counts.iter().enumerate() {
-        seen += count;
-        if seen >= rank {
-            return Histogram::bucket_upper(index);
-        }
-    }
-    Histogram::bucket_upper(counts.len().saturating_sub(1))
 }
 
 /// Supervisor body: per tick, restart Down shards whose backoff has
@@ -1089,13 +1038,76 @@ mod tests {
 
     #[test]
     fn merged_quantile_spans_shard_histograms() {
-        let counts_empty = vec![0u64; obs::BUCKETS];
-        assert_eq!(merged_quantile(&counts_empty, 0.99), 0);
-        let mut counts = vec![0u64; obs::BUCKETS];
-        counts[Histogram::bucket_index(100)] = 99;
-        counts[Histogram::bucket_index(100_000)] = 1;
-        assert!(merged_quantile(&counts, 0.50) < 200);
-        assert!(merged_quantile(&counts, 1.0) >= 100_000);
+        let registry = registry_with_versions(&[(1, 1.0)]);
+        let router = Router::start(
+            registry,
+            RouterConfig {
+                shards: 2,
+                engine: ServeConfig {
+                    workers: 0,
+                    ..ServeConfig::default()
+                },
+                supervisor: quiet_supervisor(),
+                ..RouterConfig::default()
+            },
+        )
+        .unwrap();
+        let empty = router.report().total;
+        assert_eq!((empty.latency_p99_us, empty.latency_max_us), (0, 0));
+        // Shard 0 sees 99 fast requests, shard 1 one slow one: only the
+        // merged histogram knows the slow one is the 100th percentile.
+        for _ in 0..99 {
+            router.inner.shards[0]
+                .metrics()
+                .record_completed(Duration::from_micros(100));
+        }
+        router.inner.shards[1]
+            .metrics()
+            .record_completed(Duration::from_micros(100_000));
+        let total = router.report().total;
+        assert_eq!(total.requests_completed, 100);
+        assert!(total.latency_p50_us < 200, "{total:?}");
+        assert!(total.latency_p99_us < 200, "{total:?}");
+        assert_eq!(total.latency_max_us, 100_000);
+        assert!(total.latency_p999_us >= 100_000 * 7 / 8, "{total:?}");
+        router.shutdown();
+    }
+
+    #[test]
+    fn submit_with_retry_exhausts_budget_on_persistent_backpressure() {
+        let registry = registry_with_versions(&[(1, 1.0)]);
+        // One shard, no workers, a one-deep queue: the second
+        // submission bounces with QueueFull on every attempt.
+        let router = Router::start(
+            registry,
+            RouterConfig {
+                shards: 1,
+                engine: ServeConfig {
+                    workers: 0,
+                    queue_capacity: 1,
+                    ..ServeConfig::default()
+                },
+                supervisor: quiet_supervisor(),
+                ..RouterConfig::default()
+            },
+        )
+        .unwrap();
+        router.submit(Request::new("m", vec![0.0; 4])).unwrap();
+        let started = Instant::now();
+        let err = router
+            .submit_with_retry(
+                Request::new("m", vec![0.0; 4]),
+                RetryPolicy {
+                    max_attempts: 3,
+                    base_delay_ms: 2,
+                    backoff: 2.0,
+                },
+            )
+            .unwrap_err();
+        assert!(matches!(err, SubmitError::QueueFull { .. }), "got {err:?}");
+        // Two backoff sleeps: 2ms + 4ms.
+        assert!(started.elapsed() >= Duration::from_millis(6));
+        router.shutdown();
     }
 
     #[test]
