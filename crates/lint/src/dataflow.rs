@@ -82,9 +82,7 @@ fn classify_blocking(call: &CallSite) -> Option<String> {
         CallKind::Method { name, .. } => match name.as_str() {
             "join" | "wait" if call.no_args => Some(format!(".{name}()")),
             "recv" | "recv_timeout" => Some(format!(".{name}(..) channel receive")),
-            "submit" | "submit_with_retry" | "submit_pinned" => {
-                Some(format!(".{name}(..) engine submission"))
-            }
+            "submit" | "submit_with_retry" => Some(format!(".{name}(..) request submission")),
             "read_to_string" | "read_to_end" | "sync_all" => {
                 Some(format!(".{name}(..) file I/O"))
             }

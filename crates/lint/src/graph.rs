@@ -423,6 +423,20 @@ pub fn lock_graph(
         }
     }
 
+    // A declared name no in-scope function acquires is stale: the lock
+    // was renamed or removed, and its ordering is no longer checked.
+    let acquired: BTreeSet<&str> = facts
+        .iter()
+        .flat_map(|f| f.acquires.iter().map(|(lock, _)| lock.as_str()))
+        .collect();
+    for name in lock_names.iter().filter(|n| !acquired.contains(n.as_str())) {
+        out.push(stale_config(format!(
+            "[lock-order] name `{name}` matches no lock acquisition in {} — was the \
+             lock renamed or removed?",
+            LOCK_ORDER_CRATES.join("/"),
+        )));
+    }
+
     // Declared-order inversions, one finding per offending edge.
     for ((from, to), site) in &lock_graph.edges {
         let (Some(from_rank), Some(to_rank)) = (rank_of(from), rank_of(to)) else {
@@ -550,12 +564,19 @@ pub fn alloc_in_hot_path(
     stats: &mut GraphStats,
     out: &mut Vec<Finding>,
 ) {
+    let mut prefix_used = vec![false; config.hot_paths.len()];
     for item in &table.items {
         if item.in_test {
             continue;
         }
         let path = item.path();
-        let configured = config.hot_paths.iter().any(|p| path.starts_with(p.as_str()));
+        let mut configured = false;
+        for (prefix, used) in config.hot_paths.iter().zip(prefix_used.iter_mut()) {
+            if path.starts_with(prefix.as_str()) {
+                *used = true;
+                configured = true;
+            }
+        }
         let marked = item.hot_marker;
         if !configured && !marked {
             continue;
@@ -575,6 +596,25 @@ pub fn alloc_in_hot_path(
                 ),
             });
         }
+    }
+    for (prefix, _) in config.hot_paths.iter().zip(&prefix_used).filter(|(_, &u)| !u) {
+        out.push(stale_config(format!(
+            "[alloc-hot-path] path `{prefix}` matches no function — was it moved or \
+             renamed?"
+        )));
+    }
+}
+
+/// A `stale-config` finding: a lint.toml entry that matches nothing, so
+/// the coverage it declares has silently lapsed. Fails `--deny` like a
+/// stale suppression.
+fn stale_config(message: String) -> Finding {
+    Finding {
+        rule: "stale-config".to_string(),
+        severity: Severity::Error,
+        path: "lint.toml".to_string(),
+        line: 0,
+        message,
     }
 }
 

@@ -40,7 +40,7 @@
 //! calls — [`dataflow`], DESIGN.md §14):
 //!
 //! * `blocking-under-lock` — blocking primitives (condvar waits, `join`,
-//!   channel `recv`, `thread::sleep`, file I/O, engine submission)
+//!   channel `recv`, `thread::sleep`, file I/O, request submission)
 //!   executed while any lock guard is live, with the guard's acquisition
 //!   site and the caller→callee chain.
 //! * `atomic-ordering` — every atomic site classified by crate-qualified

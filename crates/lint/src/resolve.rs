@@ -260,7 +260,7 @@ mod tests {
         parse_file(path, crate_dir, src, &tokens, &mask)
     }
 
-    fn find_call<'a>(item: &'a FnItem, pred: impl Fn(&CallKind) -> bool) -> &'a CallKind {
+    fn find_call(item: &FnItem, pred: impl Fn(&CallKind) -> bool) -> &CallKind {
         &item.calls.iter().find(|c| pred(&c.kind)).expect("call").kind
     }
 

@@ -39,8 +39,12 @@ pub const RULES: &[(&str, &str)] = &[
         "No allocation-family calls inside hot-path functions",
     ),
     (
+        "stale-config",
+        "Every lint.toml [alloc-hot-path] path and [lock-order] name still matches code",
+    ),
+    (
         "blocking-under-lock",
-        "No blocking operation (condvar wait, join, recv, sleep, file I/O, engine \
+        "No blocking operation (condvar wait, join, recv, sleep, file I/O, request \
          submission) while a lock guard is live",
     ),
     (

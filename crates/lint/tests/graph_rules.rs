@@ -250,6 +250,46 @@ fn alloc_in_hot_path_flags_marked_and_configured_functions() {
 }
 
 #[test]
+fn alloc_hot_path_prefix_matching_no_function_is_stale() {
+    let analysis = analyze(
+        &[(
+            "crates/serve/src/hot.rs",
+            include_str!("fixtures/hot_alloc_bad.rs"),
+        )],
+        "[alloc-hot-path]\npaths = [\"serve::hot::cold\", \"serve::moved::worker_loop\"]\n",
+    );
+    let findings = rule_findings(&analysis, "stale-config");
+    assert_eq!(findings.len(), 1, "findings: {findings:?}");
+    assert_eq!(findings[0].path, "lint.toml");
+    assert!(
+        findings[0].message.contains("`serve::moved::worker_loop`"),
+        "{}",
+        findings[0].message
+    );
+    // The live prefix still pulls `cold` in.
+    assert_eq!(analysis.report.stats.hot_fns, 2);
+}
+
+#[test]
+fn lock_order_name_matching_no_acquisition_is_stale() {
+    let analysis = analyze(
+        &[(
+            "crates/serve/src/cycle_a.rs",
+            include_str!("fixtures/lock_cycle_a.rs"),
+        )],
+        "[lock-order]\norder = [\"serve::models\", \"serve::engine\", \"serve::state\"]\n",
+    );
+    let findings = rule_findings(&analysis, "stale-config");
+    assert_eq!(findings.len(), 1, "findings: {findings:?}");
+    assert_eq!(findings[0].path, "lint.toml");
+    assert!(
+        findings[0].message.contains("`serve::engine`"),
+        "{}",
+        findings[0].message
+    );
+}
+
+#[test]
 fn graph_stats_count_items_and_resolution_outcomes() {
     let analysis = analyze(
         &[

@@ -213,7 +213,7 @@ fn closed_loop_survives_chaos_and_recovers() {
     }
     let final_fit = report.final_fit.expect("final window scored");
     assert!(final_fit < 0.3, "final fit {final_fit} did not recover");
-    assert_eq!(report.open_episode, false);
+    assert!(!report.open_episode);
 }
 
 #[test]
@@ -278,5 +278,5 @@ fn quiet_stream_stays_stable() {
     assert_eq!(report.dropped, 0);
     assert_eq!(report.served, 48);
     assert_eq!(report.serving_version, Some(1));
-    assert_eq!(report.open_episode, false);
+    assert!(!report.open_episode);
 }

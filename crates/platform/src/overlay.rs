@@ -200,9 +200,9 @@ pub struct ModelFit {
 
 /// Compares a measured serving run against the analytical model for the
 /// same `device`/`workload`/`n_samples`. The measurement side only needs
-/// a wall-clock (e.g. derived from a `ServeMetrics` snapshot:
-/// `requests_completed` samples over the driving loop's elapsed time), so
-/// the platform model stays decoupled from the serving engine.
+/// a wall-clock (e.g. derived from a `serve::Router::report` snapshot:
+/// `total.requests_completed` samples over the driving loop's elapsed
+/// time), so the platform model stays decoupled from the serving tier.
 pub fn compare_measured(
     device: &Device,
     workload: &Workload,

@@ -1,15 +1,13 @@
-//! The inference engine: bounded queue, worker pool, micro-batcher.
+//! The serving engine's request path: request and response types, and
+//! the worker loop that turns queued requests into micro-batches.
 //!
-//! In the sharded tier (see `router`), each shard runs one engine. The
-//! engine carries the shard-facing plumbing: a per-worker [`Heartbeat`]
-//! the supervisor's stall detector reads, an optional
-//! [`faultsim::FaultPlan`] hook consulted once per batch (test-only
-//! chaos injection), and a [`Engine::decommission`] path that hands the
-//! still-queued requests to the supervisor *without* joining workers —
-//! a stalled or dead worker must never wedge its own failover.
+//! Each router shard (see `shard`) owns a bounded queue and a pool of
+//! workers running [`worker_loop`]. A worker carries the shard-facing
+//! plumbing: a per-worker [`Heartbeat`] the supervisor's stall detector
+//! reads, and an optional [`faultsim::FaultPlan`] hook consulted once per
+//! batch (test-only chaos injection).
 
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use faultsim::{FaultPlan, ServeFault};
@@ -19,17 +17,16 @@ use parking_lot::{Condvar, Mutex};
 use crate::health::Heartbeat;
 use crate::metrics::ServeMetrics;
 use crate::queue::{BoundedQueue, PendingRequest};
-use crate::registry::ModelRegistry;
-use crate::{ServeError, SubmitError};
+use crate::ServeError;
 
-/// Engine tuning knobs.
+/// Per-shard tuning knobs: worker pool, queue and micro-batching.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServeConfig {
     /// Worker threads draining the queue. Zero is allowed (nothing
     /// drains — useful for backpressure tests).
     pub workers: usize,
     /// Submission queue capacity; beyond it, submissions are rejected
-    /// with [`SubmitError::QueueFull`].
+    /// with [`crate::SubmitError::QueueFull`].
     pub queue_capacity: usize,
     /// Most samples a worker folds into one micro-batch.
     pub max_batch: usize,
@@ -195,7 +192,7 @@ impl ResponseSlot {
 /// Handle to one in-flight request.
 #[derive(Debug)]
 pub struct Ticket {
-    slot: Arc<ResponseSlot>,
+    pub(crate) slot: Arc<ResponseSlot>,
 }
 
 impl Ticket {
@@ -204,7 +201,7 @@ impl Ticket {
     /// # Errors
     ///
     /// Returns the per-request [`ServeError`] (deadline exceeded, model
-    /// failure, or engine shutdown before execution).
+    /// failure, or shutdown before execution).
     pub fn wait(self) -> Result<Prediction, ServeError> {
         let mut slot = self.slot.result.lock();
         loop {
@@ -214,253 +211,20 @@ impl Ticket {
             slot = self.slot.done.wait(slot);
         }
     }
-
-    /// Non-blocking poll: the result if the request already completed.
-    pub fn try_take(&self) -> Option<Result<Prediction, ServeError>> {
-        let mut slot = self.slot.result.lock();
-        self.slot.take(&mut slot)
-    }
 }
 
 /// Shard-facing context a worker thread carries: which shard it serves,
 /// the heartbeat slot the supervisor's stall detector reads, and the
 /// optional chaos-injection plan consulted once per batch.
-struct WorkerCtx {
-    queue: Arc<BoundedQueue>,
-    metrics: Arc<ServeMetrics>,
-    max_batch: usize,
-    linger: Duration,
-    shard: usize,
-    index: usize,
-    heartbeat: Arc<Heartbeat>,
-    fault_plan: Option<Arc<FaultPlan>>,
-}
-
-/// The serving engine. Submissions go through a bounded queue; a pool of
-/// worker threads forms micro-batches and executes them on frozen plans
-/// resolved from the [`ModelRegistry`] at submit time.
-pub struct Engine {
-    registry: Arc<ModelRegistry>,
-    queue: Arc<BoundedQueue>,
-    metrics: Arc<ServeMetrics>,
-    heartbeat: Arc<Heartbeat>,
-    workers: Vec<JoinHandle<()>>,
-    config: ServeConfig,
-}
-
-impl std::fmt::Debug for Engine {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Engine")
-            .field("config", &self.config)
-            .field("workers", &self.workers.len())
-            .finish_non_exhaustive()
-    }
-}
-
-impl Engine {
-    /// Starts the worker pool over `registry`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ServeError::WorkerSpawn`] if the OS refuses a worker
-    /// thread; workers already started are joined before returning, so a
-    /// failed start leaks nothing.
-    pub fn start(registry: Arc<ModelRegistry>, config: ServeConfig) -> Result<Self, ServeError> {
-        Self::start_sharded(registry, config, 0, None, Arc::new(ServeMetrics::new()))
-    }
-
-    /// Starts the worker pool as shard `shard` of a sharded tier, with a
-    /// shared [`ServeMetrics`] that survives restarts and an optional
-    /// fault-injection plan (chaos testing only — every batch consults
-    /// [`FaultPlan::batch_fault`]).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Engine::start`].
-    pub(crate) fn start_sharded(
-        registry: Arc<ModelRegistry>,
-        config: ServeConfig,
-        shard: usize,
-        fault_plan: Option<Arc<FaultPlan>>,
-        metrics: Arc<ServeMetrics>,
-    ) -> Result<Self, ServeError> {
-        let queue = Arc::new(BoundedQueue::new(config.queue_capacity.max(1)));
-        let heartbeat = Arc::new(Heartbeat::new(config.workers));
-        let mut workers = Vec::with_capacity(config.workers);
-        for i in 0..config.workers {
-            let ctx = WorkerCtx {
-                queue: Arc::clone(&queue),
-                metrics: Arc::clone(&metrics),
-                max_batch: config.max_batch.max(1),
-                linger: config.max_linger,
-                shard,
-                index: i,
-                heartbeat: Arc::clone(&heartbeat),
-                fault_plan: fault_plan.clone(),
-            };
-            let spawned = std::thread::Builder::new()
-                .name(format!("serve-{shard}-worker-{i}"))
-                .spawn(move || worker_loop(ctx));
-            match spawned {
-                Ok(handle) => workers.push(handle),
-                Err(err) => {
-                    queue.close();
-                    for worker in workers {
-                        let _ = worker.join();
-                    }
-                    return Err(ServeError::WorkerSpawn(format!(
-                        "serve-{shard}-worker-{i}: {err}"
-                    )));
-                }
-            }
-        }
-        Ok(Self {
-            registry,
-            queue,
-            metrics,
-            heartbeat,
-            workers,
-            config,
-        })
-    }
-
-    /// The registry this engine resolves models from.
-    pub fn registry(&self) -> &Arc<ModelRegistry> {
-        &self.registry
-    }
-
-    /// The engine's configuration.
-    pub fn config(&self) -> &ServeConfig {
-        &self.config
-    }
-
-    /// Live metrics (snapshot with [`ServeMetrics::report`]).
-    pub fn metrics(&self) -> &ServeMetrics {
-        &self.metrics
-    }
-
-    /// Submits a request. Never blocks: the model is resolved and the
-    /// input shape checked up front, then the request either enters the
-    /// bounded queue or bounces with explicit backpressure.
-    ///
-    /// # Errors
-    ///
-    /// [`SubmitError::UnknownModel`], [`SubmitError::ShapeMismatch`],
-    /// [`SubmitError::QueueFull`], or [`SubmitError::ShuttingDown`].
-    pub fn submit(&self, request: Request) -> Result<Ticket, SubmitError> {
-        let (version, plan) = self
-            .registry
-            .resolve(&request.model, request.version)
-            .map_err(|_| SubmitError::UnknownModel {
-                name: request.model.clone(),
-                version: request.version,
-            })?;
-        if request.input.len() != plan.input_len() {
-            return Err(SubmitError::ShapeMismatch {
-                expected: plan.input_len(),
-                actual: request.input.len(),
-            });
-        }
-        let now = Instant::now();
-        let slot = Arc::new(ResponseSlot::new());
-        let pending = PendingRequest {
-            plan,
-            version,
-            input: request.input,
-            enqueued: now,
-            deadline: now + request.deadline.unwrap_or(self.config.default_deadline),
-            slot: Arc::clone(&slot),
-            metrics: Arc::clone(&self.metrics),
-        };
-        match self.queue.try_push(pending) {
-            Ok(depth) => {
-                self.metrics.record_submitted();
-                self.metrics.record_queue_depth(depth);
-                Ok(Ticket { slot })
-            }
-            Err((err, bounced)) => {
-                bounced.reject();
-                self.metrics.record_rejected();
-                Err(err)
-            }
-        }
-    }
-
-    /// Current queue-depth high-water mark.
-    pub fn queue_high_water(&self) -> usize {
-        self.queue.high_water()
-    }
-
-    /// Current queue depth (admission-control estimate, not hot path).
-    pub fn queue_len(&self) -> usize {
-        self.queue.len()
-    }
-
-    /// Worker threads that have exited (panicked, or returned after the
-    /// queue closed). Non-zero on a live engine means a worker died.
-    pub(crate) fn dead_workers(&self) -> usize {
-        self.workers.iter().filter(|w| w.is_finished()).count()
-    }
-
-    /// `true` if any worker has been busy on one batch longer than
-    /// `stall_deadline` (the supervisor's stall detector).
-    pub(crate) fn stalled(&self, stall_deadline: Duration) -> bool {
-        self.heartbeat.longest_busy() > stall_deadline
-    }
-
-    /// Takes this engine out of service *without joining workers*: the
-    /// queue closes, still-queued requests are handed back for
-    /// re-routing, and worker handles are detached — a stalled or
-    /// panicked worker must never block its own failover. Detached
-    /// live workers finish their in-flight batch (completing those
-    /// requests late) and exit on the closed queue.
-    pub(crate) fn decommission(mut self) -> Vec<PendingRequest> {
-        self.queue.close();
-        let pending = self.queue.drain();
-        // Detach: dropping a JoinHandle never blocks.
-        self.workers.clear();
-        pending
-    }
-
-    /// Pushes a request displaced from a failed sibling shard straight
-    /// into this engine's queue (terminal accounting stays on the
-    /// origin shard's metrics). Returns the request on backpressure so
-    /// the supervisor can try the next shard.
-    pub(crate) fn push_displaced(
-        &self,
-        request: PendingRequest,
-    ) -> Result<(), PendingRequest> {
-        // No metrics.record_submitted here: the origin shard already
-        // counted the admission.
-        self.queue.try_push(request).map(|_| ()).map_err(|(_, r)| r)
-    }
-
-    /// Graceful shutdown: stop accepting work, let workers drain the
-    /// queue, join them. Anything still queued after the workers exit
-    /// (possible only with zero workers) completes with
-    /// [`ServeError::ShuttingDown`].
-    pub fn shutdown(mut self) {
-        self.shutdown_inner();
-    }
-
-    fn shutdown_inner(&mut self) {
-        self.queue.close();
-        for worker in self.workers.drain(..) {
-            let _ = worker.join();
-        }
-        for request in self.queue.drain() {
-            // Terminal accounting *before* completion: `in_flight`
-            // (submitted minus terminals) must never under-count.
-            request.metrics.record_drained();
-            request.slot.complete(Err(ServeError::ShuttingDown));
-        }
-    }
-}
-
-impl Drop for Engine {
-    fn drop(&mut self) {
-        self.shutdown_inner();
-    }
+pub(crate) struct WorkerCtx {
+    pub(crate) queue: Arc<BoundedQueue>,
+    pub(crate) metrics: Arc<ServeMetrics>,
+    pub(crate) max_batch: usize,
+    pub(crate) linger: Duration,
+    pub(crate) shard: usize,
+    pub(crate) index: usize,
+    pub(crate) heartbeat: Arc<Heartbeat>,
+    pub(crate) fault_plan: Option<Arc<FaultPlan>>,
 }
 
 /// Worker body: pop a same-plan batch, apply any injected fault, drop
@@ -474,7 +238,7 @@ impl Drop for Engine {
 /// thread handle and fails the shard over. Terminal request outcomes are
 /// recorded on each request's *origin-shard* metrics, so conservation
 /// holds even for requests re-routed here from a failed sibling.
-fn worker_loop(ctx: WorkerCtx) {
+pub(crate) fn worker_loop(ctx: WorkerCtx) {
     let mut bufs = WorkerBufs::new();
     loop {
         ctx.heartbeat.mark_idle(ctx.index);
@@ -595,6 +359,7 @@ fn run_batch(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{ModelRegistry, Router, RouterConfig, SubmitError};
     use neural::export::ExportedNetwork;
     use neural::spec::{LayerSpec, NetworkSpec};
     use neural::{Activation, Network};
@@ -625,6 +390,20 @@ mod tests {
         (registry, net)
     }
 
+    /// The serving tier with one shard: the whole request path (admission,
+    /// queue, workers, shutdown) without cross-shard routing.
+    fn one_shard(registry: Arc<ModelRegistry>, engine: ServeConfig) -> Router {
+        Router::start(
+            registry,
+            RouterConfig {
+                shards: 1,
+                engine,
+                ..RouterConfig::default()
+            },
+        )
+        .unwrap()
+    }
+
     /// A dense plan whose output is constantly `marker` — weights zero,
     /// bias all `marker` — so a response reveals exactly which version
     /// served it.
@@ -640,7 +419,7 @@ mod tests {
     #[test]
     fn default_batched_backend_serves_within_tolerance_of_reference() {
         let (registry, mut net) = registry_with("ms", 1);
-        let engine = Engine::start(
+        let router = one_shard(
             registry,
             ServeConfig {
                 workers: 3,
@@ -648,14 +427,13 @@ mod tests {
                 max_linger: Duration::from_millis(2),
                 ..ServeConfig::default()
             },
-        )
-        .unwrap();
+        );
         let inputs: Vec<Vec<f32>> = (0..40)
             .map(|s| (0..64).map(|i| (((s * 64 + i) as f32) * 0.13).sin()).collect())
             .collect();
         let tickets: Vec<Ticket> = inputs
             .iter()
-            .map(|x| engine.submit(Request::new("ms", x.clone())).unwrap())
+            .map(|x| router.submit(Request::new("ms", x.clone())).unwrap())
             .collect();
         for (ticket, x) in tickets.into_iter().zip(&inputs) {
             let prediction = ticket.wait().unwrap();
@@ -668,12 +446,12 @@ mod tests {
             assert_eq!(prediction.model_version, 1);
             assert!(prediction.batch_size >= 1);
         }
-        let report = engine.metrics().report();
+        let report = router.report().total;
         assert_eq!(report.requests_completed, 40);
         assert_eq!(report.requests_rejected, 0);
         assert!(report.batches <= 40);
         assert!(report.mean_batch_size >= 1.0);
-        engine.shutdown();
+        router.shutdown();
     }
 
     #[test]
@@ -681,50 +459,49 @@ mod tests {
         let (registry, _) = registry_with("ms", 1);
         // No workers: nothing drains the queue, so capacity is reached
         // deterministically.
-        let engine = Engine::start(
+        let router = one_shard(
             registry,
             ServeConfig {
                 workers: 0,
                 queue_capacity: 3,
                 ..ServeConfig::default()
             },
-        )
-        .unwrap();
+        );
         let x = vec![0.5f32; 64];
         for _ in 0..3 {
-            engine.submit(Request::new("ms", x.clone())).unwrap();
+            router.submit(Request::new("ms", x.clone())).unwrap();
         }
         let started = Instant::now();
-        let err = engine.submit(Request::new("ms", x.clone())).unwrap_err();
+        let err = router.submit(Request::new("ms", x.clone())).unwrap_err();
         let elapsed = started.elapsed();
         assert_eq!(err, SubmitError::QueueFull { capacity: 3 });
         assert!(
             elapsed < Duration::from_millis(100),
             "queue-full must return promptly, took {elapsed:?}"
         );
-        let report = engine.metrics().report();
+        let report = router.report().total;
         assert_eq!(report.requests_submitted, 3);
         assert_eq!(report.requests_rejected, 1);
         assert_eq!(report.queue_depth_high_water, 3);
-        engine.shutdown();
+        router.shutdown();
     }
 
     #[test]
     fn unknown_model_and_bad_shape_fail_fast() {
         let (registry, _) = registry_with("ms", 1);
-        let engine = Engine::start(registry, ServeConfig::default()).unwrap();
+        let router = one_shard(registry, ServeConfig::default());
         assert!(matches!(
-            engine.submit(Request::new("nope", vec![0.0; 64])),
+            router.submit(Request::new("nope", vec![0.0; 64])),
             Err(SubmitError::UnknownModel { .. })
         ));
         assert!(matches!(
-            engine.submit(Request::new("ms", vec![0.0; 3])),
+            router.submit(Request::new("ms", vec![0.0; 3])),
             Err(SubmitError::ShapeMismatch {
                 expected: 64,
                 actual: 3
             })
         ));
-        engine.shutdown();
+        router.shutdown();
     }
 
     #[test]
@@ -732,22 +509,20 @@ mod tests {
         let (registry, _) = registry_with("ms", 1);
         // Workers start after a backlog is queued with an already-tiny
         // deadline; by the time one runs, the deadline has passed.
-        let engine = Engine::start(
+        let router = one_shard(
             registry.clone(),
             ServeConfig {
                 workers: 0,
                 ..ServeConfig::default()
             },
-        )
-        .unwrap();
-        let ticket = engine
+        );
+        let ticket = router
             .submit(Request::new("ms", vec![0.0; 64]).with_deadline(Duration::from_millis(1)))
             .unwrap();
         std::thread::sleep(Duration::from_millis(10));
-        // Spin up a drain by shutting down: queued request completes as
-        // ShuttingDown (no workers), so instead run a one-worker engine
-        // path: push through the worker loop directly.
-        drop(engine);
+        // No worker ever runs it: dropping the router drains the queue,
+        // and the expired request still reaches a terminal error.
+        drop(router);
         assert!(matches!(
             ticket.wait(),
             Err(ServeError::ShuttingDown | ServeError::DeadlineExceeded)
@@ -755,7 +530,7 @@ mod tests {
 
         // Now the live-worker variant: a worker that lingers long enough
         // for the deadline to expire before the batch dispatches.
-        let engine = Engine::start(
+        let router = one_shard(
             registry,
             ServeConfig {
                 workers: 1,
@@ -763,31 +538,30 @@ mod tests {
                 max_linger: Duration::from_millis(40),
                 ..ServeConfig::default()
             },
-        )
-        .unwrap();
+        );
         // First request opens a lingering batch window longer than the
         // second's deadline; the second expires inside it.
-        let _warm = engine.submit(Request::new("ms", vec![0.0; 64])).unwrap();
-        let doomed = engine
+        let _warm = router.submit(Request::new("ms", vec![0.0; 64])).unwrap();
+        let doomed = router
             .submit(Request::new("ms", vec![0.0; 64]).with_deadline(Duration::from_millis(1)))
             .unwrap();
         match doomed.wait() {
             Err(ServeError::DeadlineExceeded) => {
-                assert!(engine.metrics().report().requests_timed_out >= 1);
+                assert!(router.report().total.requests_timed_out >= 1);
             }
             // Scheduling may still beat the deadline — then it must have
             // served normally.
             Ok(prediction) => assert_eq!(prediction.output.len(), 8),
             Err(other) => panic!("unexpected error: {other:?}"),
         }
-        engine.shutdown();
+        router.shutdown();
     }
 
     #[test]
     fn hot_swap_never_tears_a_model() {
         let registry = Arc::new(ModelRegistry::new());
         registry.publish_plan("m", 1, marker_plan(1.0));
-        let engine = Arc::new(Engine::start(
+        let router = Arc::new(one_shard(
             Arc::clone(&registry),
             ServeConfig {
                 workers: 4,
@@ -796,8 +570,7 @@ mod tests {
                 queue_capacity: 4096,
                 ..ServeConfig::default()
             },
-        )
-        .unwrap());
+        ));
         let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
         let swapper = {
             let registry = Arc::clone(&registry);
@@ -813,7 +586,7 @@ mod tests {
         };
         let mut checked = 0;
         for _ in 0..500 {
-            let Ok(ticket) = engine.submit(Request::new("m", vec![0.1; 4])) else {
+            let Ok(ticket) = router.submit(Request::new("m", vec![0.1; 4])) else {
                 continue;
             };
             let prediction = ticket.wait().unwrap();
@@ -828,24 +601,23 @@ mod tests {
         stop.store(true, std::sync::atomic::Ordering::Relaxed);
         swapper.join().unwrap();
         assert!(checked > 0);
-        if let Ok(engine) = Arc::try_unwrap(engine) {
-            engine.shutdown();
+        if let Ok(router) = Arc::try_unwrap(router) {
+            router.shutdown();
         }
     }
 
     #[test]
     fn shutdown_completes_stranded_requests() {
         let (registry, _) = registry_with("ms", 1);
-        let engine = Engine::start(
+        let router = one_shard(
             registry,
             ServeConfig {
                 workers: 0,
                 ..ServeConfig::default()
             },
-        )
-        .unwrap();
-        let ticket = engine.submit(Request::new("ms", vec![0.0; 64])).unwrap();
-        engine.shutdown();
+        );
+        let ticket = router.submit(Request::new("ms", vec![0.0; 64])).unwrap();
+        router.shutdown();
         assert_eq!(ticket.wait(), Err(ServeError::ShuttingDown));
     }
 
@@ -855,25 +627,24 @@ mod tests {
         // park on tickets *before* shutdown; the shutdown drain has to
         // resolve every one of them with a terminal error.
         let (registry, _) = registry_with("ms", 1);
-        let engine = Engine::start(
+        let router = one_shard(
             registry,
             ServeConfig {
                 workers: 0,
                 ..ServeConfig::default()
             },
-        )
-        .unwrap();
+        );
         let waiters: Vec<_> = (0..4)
             .map(|_| {
-                let ticket = engine.submit(Request::new("ms", vec![0.0; 64])).unwrap();
+                let ticket = router.submit(Request::new("ms", vec![0.0; 64])).unwrap();
                 std::thread::spawn(move || ticket.wait())
             })
             .collect();
         // Let the waiters actually park on their condvars.
         std::thread::sleep(Duration::from_millis(20));
-        let drained_before = engine.metrics().report().requests_drained;
+        let drained_before = router.report().total.requests_drained;
         assert_eq!(drained_before, 0);
-        engine.shutdown();
+        router.shutdown();
         for waiter in waiters {
             assert_eq!(waiter.join().unwrap(), Err(ServeError::ShuttingDown));
         }

@@ -5,7 +5,7 @@
 //! with relaxed atomics on every submission, and the supervisor writes
 //! it from its tick loop. A shard that looks Healthy but fails between
 //! the check and the push still resolves every ticket through the
-//! engine's terminal-completion guarantees.
+//! shard's terminal-completion guarantees.
 
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicU8, Ordering};
 use std::time::{Duration, Instant};

@@ -3,22 +3,22 @@
 //! The paper's Tool 4 exports trained ANNs for deployment; this crate is
 //! the deployment side (DESIGN.md §8): it loads
 //! [`neural::export::ExportedNetwork`] artifacts into immutable
-//! [`neural::plan::FrozenPlan`]s and serves predictions through a bounded
-//! submission queue drained by a pool of worker threads.
+//! [`neural::plan::FrozenPlan`]s and serves predictions through one
+//! public entry point, the [`Router`].
 //!
 //! * [`ModelRegistry`] — models keyed by name + version, loadable from a
 //!   [`datastore::Store`] collection, hot-swappable: publishing a new
 //!   version atomically replaces the plan while requests already in
 //!   flight finish on the plan they resolved at submit time (no request
 //!   ever observes a torn model).
-//! * [`Engine`] — bounded queue + workers. The queue applies explicit
-//!   backpressure: when full, [`Engine::submit`] returns
-//!   [`SubmitError::QueueFull`] immediately instead of blocking.
-//! * [`Router`] — the sharded tier over N engines: routing, admission
-//!   control, shard supervision and rolling upgrades.
-//!   [`Router::submit_with_retry`] layers the same bounded
-//!   exponential-backoff idiom as `spectroai::recovery` on top of
-//!   transient rejections.
+//! * [`Router`] — the serving tier over N shards. Each shard is a
+//!   bounded queue drained by its own pool of worker threads; the router
+//!   adds routing, admission control, shard supervision and rolling
+//!   upgrades. Submission never blocks: a full queue is an immediate
+//!   [`SubmitError::QueueFull`], and [`Router::submit_with_retry`]
+//!   layers the same bounded exponential-backoff idiom as
+//!   `spectroai::recovery` on top of transient rejections. One shard is
+//!   the plain batched server.
 //! * micro-batching — each worker coalesces queued requests that resolved
 //!   to the same plan into one contiguous input block (bounded by
 //!   `max_batch` and a `max_linger` wait) and runs it through the plan's
@@ -26,10 +26,10 @@
 //!   scratch arena: no allocation on the steady-state hot path. Served
 //!   outputs are tolerance-gated (max-abs-error ≤ 1e-4) against
 //!   sequential [`neural::Network::predict`], the one forward reference.
-//! * [`ServeMetrics`] — atomic counters plus `obs` log-linear
+//! * metrics — per-shard atomic counters plus `obs` log-linear
 //!   histograms for latency (p50/p95/p99) and batch sizes, snapshotted
-//!   into a serializable [`MetricsReport`]; the router merges the
-//!   per-shard histograms into one tier-wide report. The engine also emits
+//!   into a serializable [`MetricsReport`]; [`Router::report`] merges the
+//!   per-shard histograms into one tier-wide report. Workers also emit
 //!   `serve.batch`/`serve.request` spans and a `serve.queue_depth` gauge
 //!   whenever an `obs::Collector` is installed (see the workspace `obs`
 //!   crate and `serve_load --trace`).
@@ -41,7 +41,7 @@
 //! use neural::export::ExportedNetwork;
 //! use neural::spec::{LayerSpec, NetworkSpec};
 //! use neural::Activation;
-//! use serve::{Engine, ModelRegistry, Request, ServeConfig};
+//! use serve::{ModelRegistry, Request, Router, RouterConfig};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let spec = NetworkSpec::new(4).layer(LayerSpec::Dense {
@@ -53,13 +53,15 @@
 //!
 //! let registry = Arc::new(ModelRegistry::new());
 //! registry.publish("demo", 1, &exported)?;
-//! let engine = Engine::start(registry, ServeConfig::default())?;
+//! let config = RouterConfig { shards: 1, ..RouterConfig::default() };
+//! let router = Router::start(registry, config)?;
 //!
-//! let ticket = engine.submit(Request::new("demo", vec![0.1, 0.2, 0.3, 0.4]))?;
+//! let ticket = router.submit(Request::new("demo", vec![0.1, 0.2, 0.3, 0.4]))?;
 //! let prediction = ticket.wait()?;
 //! let expected = net.predict(&[0.1, 0.2, 0.3, 0.4]);
 //! assert!(neural::kernels::max_abs_divergence(&prediction.output, &expected) <= 1e-4);
-//! engine.shutdown();
+//! assert_eq!(router.report().total.requests_completed, 1);
+//! router.shutdown();
 //! # Ok(())
 //! # }
 //! ```
@@ -75,9 +77,9 @@ mod registry;
 mod router;
 mod shard;
 
-pub use engine::{Engine, Prediction, Request, RetryPolicy, ServeConfig, Ticket};
+pub use engine::{Prediction, Request, RetryPolicy, ServeConfig, Ticket};
 pub use health::HealthState;
-pub use metrics::{MetricsReport, ServeMetrics};
+pub use metrics::MetricsReport;
 pub use registry::ModelRegistry;
 pub use router::{
     AdmissionConfig, Router, RouterConfig, RouterReport, ShardReport, SupervisorConfig, SwapReport,
@@ -88,7 +90,7 @@ use std::fmt;
 use neural::NeuralError;
 
 /// Why a submission was not accepted. Submission errors are immediate —
-/// [`Engine::submit`] never blocks the caller.
+/// [`Router::submit`] never blocks the caller.
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub enum SubmitError {
@@ -98,7 +100,7 @@ pub enum SubmitError {
         /// The queue's configured capacity.
         capacity: usize,
     },
-    /// The engine is shutting down and accepts no new work.
+    /// The shard is shutting down (or down) and accepts no new work.
     ShuttingDown,
     /// No model with this name (and version, if one was requested) is
     /// published.
@@ -141,7 +143,7 @@ impl fmt::Display for SubmitError {
             SubmitError::QueueFull { capacity } => {
                 write!(f, "submission queue full (capacity {capacity})")
             }
-            SubmitError::ShuttingDown => write!(f, "engine is shutting down"),
+            SubmitError::ShuttingDown => write!(f, "shard is shutting down"),
             SubmitError::UnknownModel { name, version } => match version {
                 Some(v) => write!(f, "unknown model {name} v{v}"),
                 None => write!(f, "unknown model {name}"),
@@ -179,13 +181,13 @@ pub enum ServeError {
     },
     /// The request sat past its deadline before a worker reached it.
     DeadlineExceeded,
-    /// The engine shut down before the request was executed.
+    /// The serving tier shut down before the request was executed.
     ShuttingDown,
     /// Compiling or executing the model failed.
     Neural(NeuralError),
     /// Loading from a datastore failed.
     Store(String),
-    /// The OS refused to spawn a worker thread at engine start.
+    /// The OS refused to spawn a worker thread at shard start.
     WorkerSpawn(String),
     /// The worker serving this request died before completing it; the
     /// request was resolved by the crash-completion path.
@@ -220,7 +222,7 @@ impl fmt::Display for ServeError {
                 None => write!(f, "unknown model {name}"),
             },
             ServeError::DeadlineExceeded => write!(f, "request deadline exceeded"),
-            ServeError::ShuttingDown => write!(f, "engine shut down before execution"),
+            ServeError::ShuttingDown => write!(f, "serving tier shut down before execution"),
             ServeError::Neural(err) => write!(f, "model error: {err}"),
             ServeError::Store(msg) => write!(f, "store error: {msg}"),
             ServeError::WorkerSpawn(msg) => write!(f, "failed to spawn worker: {msg}"),

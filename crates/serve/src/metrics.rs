@@ -13,28 +13,28 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
-use obs::{Counter, Gauge, Histogram, HistogramSnapshot};
+use obs::{Counter, Histogram, HistogramSnapshot};
 use serde::{Deserialize, Serialize};
 
-/// Live engine counters. All updates are single atomic operations — no
-/// lock sits on the request hot path. Snapshot with
-/// [`ServeMetrics::report`].
+/// Live per-shard counters. All updates are single atomic operations —
+/// no lock sits on the request hot path. Snapshot with
+/// [`ServeMetrics::report`]; callers outside the crate read them through
+/// [`crate::Router::report`].
 ///
-/// In the sharded tier each shard owns one `ServeMetrics` that survives
-/// engine restarts, and every request records its terminal outcome on
+/// Each shard owns one `ServeMetrics` that survives worker-pool
+/// restarts, and every request records its terminal outcome on
 /// the metrics of the shard that *admitted* it — so per-shard
 /// conservation (`submitted` equals `completed + failed + timed_out +
 /// drained + in-flight`) holds even when the supervisor re-routes a
 /// failed shard's queue to a sibling.
 #[derive(Debug, Default)]
-pub struct ServeMetrics {
+pub(crate) struct ServeMetrics {
     submitted: Counter,
     rejected: Counter,
     failed: Counter,
     timed_out: Counter,
     drained: Counter,
     queue_high_water: Counter,
-    queue_depth: Gauge,
     batch_sizes: Histogram,
     latency: Histogram,
     /// EWMA of micro-batch wall time in µs (α = 1/5), feeding the
@@ -44,7 +44,7 @@ pub struct ServeMetrics {
 
 impl ServeMetrics {
     /// Fresh, all-zero metrics.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
@@ -67,7 +67,6 @@ impl ServeMetrics {
 
     pub(crate) fn record_queue_depth(&self, depth: usize) {
         self.queue_high_water.record_max(depth as u64);
-        self.queue_depth.set(depth as f64);
         obs::gauge_set("serve.queue_depth", depth as f64);
     }
 
@@ -88,45 +87,16 @@ impl ServeMetrics {
         self.latency.observe(us);
     }
 
-    /// Requests accepted so far.
-    pub fn submitted(&self) -> u64 {
-        self.submitted.get()
-    }
-
-    /// Requests rejected with queue-full backpressure.
-    pub fn rejected(&self) -> u64 {
-        self.rejected.get()
-    }
-
-    /// Requests completed successfully.
-    pub fn completed(&self) -> u64 {
-        self.latency.count()
-    }
-
-    /// Requests that ended with a terminal error.
-    pub fn failed(&self) -> u64 {
+    /// Requests that ended with a terminal error (the supervisor's
+    /// circuit breaker reads the per-tick delta).
+    pub(crate) fn failed(&self) -> u64 {
         self.failed.get()
-    }
-
-    /// Requests that sat past their deadline.
-    pub fn timed_out(&self) -> u64 {
-        self.timed_out.get()
-    }
-
-    /// Most recently observed queue depth.
-    pub fn queue_depth(&self) -> f64 {
-        self.queue_depth.get()
-    }
-
-    /// Requests drained with a terminal [`crate::ServeError::ShuttingDown`].
-    pub fn drained(&self) -> u64 {
-        self.drained.get()
     }
 
     /// Requests admitted but not yet terminally resolved. Derived from
     /// the counters, so it is exact once the shard quiesces (the drain
     /// step of a rolling swap polls it down to zero).
-    pub fn in_flight(&self) -> u64 {
+    pub(crate) fn in_flight(&self) -> u64 {
         let terminal = self.latency.count()
             + self.failed.get()
             + self.timed_out.get()
@@ -135,17 +105,17 @@ impl ServeMetrics {
     }
 
     /// EWMA of micro-batch wall time in µs (zero until the first batch).
-    pub fn batch_ewma_us(&self) -> u64 {
+    pub(crate) fn batch_ewma_us(&self) -> u64 {
         self.batch_ewma_us.load(Ordering::Relaxed)
     }
 
     /// Snapshot of the latency histogram (for cross-shard aggregation).
-    pub fn latency_snapshot(&self) -> HistogramSnapshot {
+    pub(crate) fn latency_snapshot(&self) -> HistogramSnapshot {
         self.latency.snapshot()
     }
 
     /// Snapshots every counter into a serializable report.
-    pub fn report(&self) -> MetricsReport {
+    pub(crate) fn report(&self) -> MetricsReport {
         let batch = self.batch_sizes.snapshot();
         let mut report = MetricsReport {
             requests_submitted: self.submitted.get(),
@@ -167,7 +137,8 @@ impl ServeMetrics {
     }
 }
 
-/// A point-in-time, serializable snapshot of [`ServeMetrics`].
+/// A point-in-time, serializable snapshot of one shard's counters, or
+/// of the whole tier's (see [`crate::RouterReport`]).
 ///
 /// Percentiles are conservative upper bounds from the log-linear bucket
 /// histogram (a p95 of `1151` means "95% of requests finished within
@@ -377,7 +348,6 @@ mod tests {
         assert_eq!(report.batches, 2);
         assert_eq!(report.mean_batch_size, 3.0);
         assert_eq!(report.queue_depth_high_water, 7);
-        assert_eq!(m.queue_depth(), 3.0);
         // EWMA warms to the first batch, then blends 4:1.
         assert_eq!(m.batch_ewma_us(), (100 * 4 + 200) / 5);
         // submitted(2) minus terminal failed(1)+timed_out(1)+drained(1) — saturates at zero.

@@ -1,7 +1,6 @@
 //! Bounded submission queue with backpressure and batch-forming pops.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -72,7 +71,6 @@ pub(crate) struct BoundedQueue {
     state: Mutex<QueueState>,
     not_empty: Condvar,
     capacity: usize,
-    high_water: AtomicUsize,
 }
 
 impl BoundedQueue {
@@ -84,7 +82,6 @@ impl BoundedQueue {
             }),
             not_empty: Condvar::new(),
             capacity,
-            high_water: AtomicUsize::new(0),
         }
     }
 
@@ -111,7 +108,6 @@ impl BoundedQueue {
         state.requests.push_back(request);
         let depth = state.requests.len();
         drop(state);
-        self.high_water.fetch_max(depth, Ordering::Relaxed);
         self.not_empty.notify_one();
         Ok(depth)
     }
@@ -171,11 +167,6 @@ impl BoundedQueue {
     /// Removes and returns everything still queued (shutdown cleanup).
     pub fn drain(&self) -> Vec<PendingRequest> {
         self.state.lock().requests.drain(..).collect()
-    }
-
-    /// Highest depth the queue ever reached.
-    pub fn high_water(&self) -> usize {
-        self.high_water.load(Ordering::Relaxed)
     }
 
     /// Current queue depth (one brief lock; used by admission control,
@@ -263,7 +254,6 @@ mod tests {
             "backpressure must be immediate, took {:?}",
             started.elapsed()
         );
-        assert_eq!(queue.high_water(), 2);
     }
 
     #[test]

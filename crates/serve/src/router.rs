@@ -1,12 +1,13 @@
 //! Sharded serving tier: routing, admission control, shard supervision,
 //! and zero-drop rolling upgrades (DESIGN.md §12).
 //!
-//! A [`Router`] runs N independent [`crate::Engine`] shards over one
-//! shared [`ModelRegistry`]. Submissions hash by model name (plus a
-//! rotation counter for spread) onto healthy shards; a supervisor
-//! thread watches each shard for dead workers (panics) and stalled
-//! batches, fails the shard over — re-routing its queued requests to
-//! healthy siblings — and restarts it with exponential backoff.
+//! A [`Router`] runs N independent shards — each a bounded queue drained
+//! by its own worker pool — over one shared [`ModelRegistry`].
+//! Submissions hash by model name (plus a rotation counter for spread)
+//! onto healthy shards; a supervisor thread watches each shard for dead
+//! workers (panics) and stalled batches, fails the shard over —
+//! re-routing its queued requests to healthy siblings — and restarts it
+//! with exponential backoff.
 //!
 //! The conservation invariant the chaos tests pin down: every admitted
 //! request reaches exactly one terminal outcome (completed, failed,
@@ -32,7 +33,17 @@ use crate::registry::ModelRegistry;
 use crate::shard::Shard;
 use crate::{ServeError, SubmitError};
 
+/// Longest a rolling swap waits for one shard's in-flight requests to
+/// drain before aborting the upgrade; also the canary's deadline.
+const SWAP_DRAIN_TIMEOUT: Duration = Duration::from_secs(5);
+
 /// Admission-control limits applied before a request reaches any queue.
+///
+/// Admission is always deadline-aware: a request whose estimated
+/// queue-plus-execution time on a shard already exceeds its deadline
+/// skips that shard, and is rejected with
+/// [`SubmitError::WouldMissDeadline`] if no shard can make it, instead
+/// of timing out in queue.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AdmissionConfig {
     /// Cap on requests in flight across all shards; beyond it
@@ -41,11 +52,6 @@ pub struct AdmissionConfig {
     /// Per-shard in-flight cap; a shard at its cap is skipped in favour
     /// of siblings.
     pub max_shard_in_flight: u64,
-    /// Reject requests whose estimated queue-plus-execution time
-    /// already exceeds their deadline
-    /// ([`SubmitError::WouldMissDeadline`]) instead of letting them
-    /// time out in queue.
-    pub deadline_aware: bool,
 }
 
 impl Default for AdmissionConfig {
@@ -53,7 +59,6 @@ impl Default for AdmissionConfig {
         Self {
             max_in_flight: 100_000,
             max_shard_in_flight: 50_000,
-            deadline_aware: true,
         }
     }
 }
@@ -94,17 +99,14 @@ impl Default for SupervisorConfig {
 /// Configuration for a [`Router`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct RouterConfig {
-    /// Number of independent engine shards (≥ 1).
+    /// Number of independent shards (≥ 1).
     pub shards: usize,
-    /// Per-shard engine configuration.
+    /// Per-shard worker-pool, queue and batching configuration.
     pub engine: ServeConfig,
     /// Admission-control limits.
     pub admission: AdmissionConfig,
     /// Supervision and failover tuning.
     pub supervisor: SupervisorConfig,
-    /// Longest a rolling swap waits for one shard's in-flight requests
-    /// to drain before aborting the upgrade.
-    pub swap_drain_timeout: Duration,
 }
 
 impl Default for RouterConfig {
@@ -114,7 +116,6 @@ impl Default for RouterConfig {
             engine: ServeConfig::default(),
             admission: AdmissionConfig::default(),
             supervisor: SupervisorConfig::default(),
-            swap_drain_timeout: Duration::from_secs(5),
         }
     }
 }
@@ -170,8 +171,8 @@ struct RouterInner {
     fault_plan: Option<Arc<FaultPlan>>,
     /// Per-shard model-version pins driving rolling upgrades: a pinned
     /// shard serves `pins[model][shard]` for requests that do not carry
-    /// their own version. Lock order: `pins` before `engine` (taken
-    /// inside shard submission).
+    /// their own version. Lock order: `pins` before the shard's `pool`
+    /// (taken inside shard submission).
     pins: RwLock<BTreeMap<String, Vec<Option<u32>>>>,
     /// Serializes rolling swaps. Lock order: `swap_gate` before `pins`.
     swap_gate: Mutex<()>,
@@ -183,9 +184,9 @@ struct RouterInner {
     shed: AtomicU64,
 }
 
-/// Sharded serving front-end: per-model hash routing over supervised
-/// [`crate::Engine`] shards, with admission control and rolling
-/// upgrades.
+/// The serving front-end and its one public entry point: per-model hash
+/// routing over supervised shards, with admission control and rolling
+/// upgrades. A one-shard router is the plain batched server.
 pub struct Router {
     inner: Arc<RouterInner>,
     supervisor: Option<JoinHandle<()>>,
@@ -201,7 +202,7 @@ impl std::fmt::Debug for Router {
 }
 
 impl Router {
-    /// Starts `config.shards` engine shards plus the supervisor thread.
+    /// Starts `config.shards` shards plus the supervisor thread.
     ///
     /// # Errors
     ///
@@ -294,9 +295,8 @@ impl Router {
     /// Routes a request onto a healthy shard. Never blocks.
     ///
     /// Admission control runs first: the global in-flight cap
-    /// ([`SubmitError::Overloaded`]), then per-shard caps and — when
-    /// [`AdmissionConfig::deadline_aware`] is set — a queue-delay
-    /// estimate against the request deadline
+    /// ([`SubmitError::Overloaded`]), then per-shard caps and a
+    /// queue-delay estimate against the request deadline
     /// ([`SubmitError::WouldMissDeadline`]). Shard choice starts from a
     /// hash of the model name and rotates; shards that are Down,
     /// cordoned, circuit-broken, at capacity, or predicted to miss the
@@ -307,7 +307,14 @@ impl Router {
     /// Model errors ([`SubmitError::UnknownModel`],
     /// [`SubmitError::ShapeMismatch`]) return immediately; otherwise the
     /// most specific admission error across the shard sweep.
-    pub fn submit(&self, request: Request) -> Result<Ticket, SubmitError> {
+    pub fn submit(&self, mut request: Request) -> Result<Ticket, SubmitError> {
+        self.try_submit(&mut request)
+    }
+
+    /// [`Router::submit`] on a borrowed request: the input moves into a
+    /// shard queue only on success, so a bounced request is still whole
+    /// for the next shard or the next retry.
+    fn try_submit(&self, request: &mut Request) -> Result<Ticket, SubmitError> {
         let inner = &self.inner;
         let admission = &inner.config.admission;
         let in_flight: u64 = inner
@@ -347,19 +354,17 @@ impl Router {
                 over_cap = Some((shard_in_flight, admission.max_shard_in_flight));
                 continue;
             }
-            if admission.deadline_aware {
-                let estimated_us = estimate_wait_us(shard, &inner.config.engine);
-                if estimated_us > deadline_us {
-                    would_miss = Some((estimated_us, deadline_us));
-                    continue;
-                }
+            let estimated_us = shard.estimate_wait_us();
+            if estimated_us > deadline_us {
+                would_miss = Some((estimated_us, deadline_us));
+                continue;
             }
             let pin = inner
                 .pins
                 .read()
                 .get(&request.model)
                 .and_then(|pins| pins.get(shard.id).copied().flatten());
-            match shard.submit_pinned(request.clone(), pin) {
+            match shard.submit(request, pin) {
                 Ok(ticket) => return Ok(ticket),
                 Err(err @ (SubmitError::UnknownModel { .. } | SubmitError::ShapeMismatch { .. })) => {
                     return Err(err)
@@ -395,13 +400,13 @@ impl Router {
     /// The last [`SubmitError`] once the attempt budget is exhausted.
     pub fn submit_with_retry(
         &self,
-        request: Request,
+        mut request: Request,
         policy: RetryPolicy,
     ) -> Result<Ticket, SubmitError> {
         let attempts = policy.max_attempts.max(1);
         let mut attempt = 1;
         loop {
-            match self.submit(request.clone()) {
+            match self.try_submit(&mut request) {
                 Ok(ticket) => return Ok(ticket),
                 Err(
                     err @ (SubmitError::QueueFull { .. }
@@ -422,7 +427,7 @@ impl Router {
     /// Zero-drop rolling upgrade: moves every shard's pin for `model`
     /// to `version`, one shard at a time — cordon (router stops picking
     /// the shard), drain (wait for its in-flight count to reach zero),
-    /// pin, canary (one real request through the engine must come back
+    /// pin, canary (one real request through the shard must come back
     /// healthy *on the new version*), uncordon. At most one shard is
     /// cordoned at any moment, so capacity never drops by more than one
     /// shard, and no in-flight request is dropped or served by the old
@@ -433,9 +438,8 @@ impl Router {
     /// [`ServeError::UnknownModel`] if `model`/`version` is not
     /// published; [`ServeError::Store`] if the (injected) registry load
     /// fails; [`ServeError::CanaryFailed`] if a shard does not drain in
-    /// [`RouterConfig::swap_drain_timeout`] or its canary fails — the
-    /// shard's pin rolls back and it is uncordoned, shards already
-    /// swapped stay on the new version.
+    /// five seconds or its canary fails — the shard's pin rolls back and
+    /// it is uncordoned, shards already swapped stay on the new version.
     pub fn rolling_swap(&self, model: &str, version: u32) -> Result<SwapReport, ServeError> {
         let inner = &self.inner;
         let _gate = inner.swap_gate.lock();
@@ -455,22 +459,22 @@ impl Router {
         let mut swapped = 0;
         for shard in &inner.shards {
             shard.health.cordon();
-            if !wait_drained(shard, inner.config.swap_drain_timeout) {
+            if !wait_drained(shard, SWAP_DRAIN_TIMEOUT) {
                 shard.health.uncordon();
                 return Err(ServeError::CanaryFailed {
                     model: model.to_string(),
                     version,
                     reason: format!(
                         "shard {} did not drain within {:?}",
-                        shard.id, inner.config.swap_drain_timeout
+                        shard.id, SWAP_DRAIN_TIMEOUT
                     ),
                 });
             }
             let previous = set_pin(inner, model, shard.id, Some(version));
-            let canary = Request::new(model, vec![0.0; input_len])
-                .with_deadline(inner.config.swap_drain_timeout);
+            let mut canary =
+                Request::new(model, vec![0.0; input_len]).with_deadline(SWAP_DRAIN_TIMEOUT);
             let canary_result = shard
-                .submit_pinned(canary, Some(version))
+                .submit(&mut canary, Some(version))
                 .map_err(|err| format!("canary submit: {err}"))
                 .and_then(|ticket| ticket.wait().map_err(|err| format!("canary wait: {err}")));
             match canary_result {
@@ -567,18 +571,6 @@ fn hash_model(model: &str) -> usize {
         hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
     }
     hash as usize
-}
-
-/// Queue-delay estimate for admission control: batches already queued
-/// ahead plus this request's own batch, each at the shard's EWMA batch
-/// wall time. Zero until the shard has executed its first batch.
-fn estimate_wait_us(shard: &Shard, engine: &ServeConfig) -> u64 {
-    let ewma = shard.metrics().batch_ewma_us();
-    if ewma == 0 {
-        return 0;
-    }
-    let batches_ahead = (shard.queue_len() / engine.max_batch.max(1)) as u64 + 1;
-    batches_ahead.saturating_mul(ewma)
 }
 
 fn set_pin(inner: &RouterInner, model: &str, shard: usize, version: Option<u32>) -> Option<u32> {
@@ -830,7 +822,6 @@ mod tests {
                     ..AdmissionConfig::default()
                 },
                 supervisor: quiet_supervisor(),
-                ..RouterConfig::default()
             },
         )
         .unwrap();
@@ -865,7 +856,6 @@ mod tests {
                     ..AdmissionConfig::default()
                 },
                 supervisor: quiet_supervisor(),
-                ..RouterConfig::default()
             },
         )
         .unwrap();

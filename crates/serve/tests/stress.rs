@@ -1,7 +1,8 @@
-//! Concurrency stress tests for the serving engine: many producers
-//! against a deliberately small queue, verifying conservation (no request
-//! lost or double-completed), backpressure accounting that matches the
-//! obs counters, and a clean shutdown drain.
+//! Concurrency stress tests for the serving tier: many producers against
+//! a deliberately small queue, verifying conservation (no request lost
+//! or double-completed), backpressure accounting that matches the obs
+//! counters, and a clean shutdown drain. Most run on a one-shard
+//! [`Router`], the plain batched server.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -10,7 +11,7 @@ use std::time::Duration;
 use neural::plan::FrozenPlan;
 use neural::spec::{LayerSpec, NetworkSpec};
 use neural::Activation;
-use serve::{Engine, ModelRegistry, Request, ServeConfig, SubmitError, Ticket};
+use serve::{ModelRegistry, Request, Router, RouterConfig, ServeConfig, SubmitError, Ticket};
 
 const INPUT: usize = 4;
 const OUTPUT: usize = 8;
@@ -32,34 +33,40 @@ fn registry() -> Arc<ModelRegistry> {
     registry
 }
 
+fn one_shard(engine: ServeConfig) -> Router {
+    Router::start(
+        registry(),
+        RouterConfig {
+            shards: 1,
+            engine,
+            ..RouterConfig::default()
+        },
+    )
+    .expect("start router")
+}
+
 #[test]
 fn producers_against_tiny_queue_lose_nothing() {
-    // The obs collector is installed for the whole run so the engine's
-    // backpressure counter can be cross-checked against ServeMetrics.
+    // The obs collector is installed for the whole run so the shard's
+    // backpressure counter can be cross-checked against its report.
     let obs_guard = obs::install(obs::Collector::new());
 
     const PRODUCERS: usize = 8;
     const PER_PRODUCER: usize = 300;
-    let engine = Arc::new(
-        Engine::start(
-            registry(),
-            ServeConfig {
-                workers: 2,
-                queue_capacity: 4, // tiny on purpose: constant contention
-                max_batch: 4,
-                max_linger: Duration::from_micros(50),
-                default_deadline: Duration::from_secs(60),
-            },
-        )
-        .expect("start engine"),
-    );
+    let router = Arc::new(one_shard(ServeConfig {
+        workers: 2,
+        queue_capacity: 4, // tiny on purpose: constant contention
+        max_batch: 4,
+        max_linger: Duration::from_micros(50),
+        default_deadline: Duration::from_secs(60),
+    }));
 
     let accepted = Arc::new(AtomicU64::new(0));
     let rejected = Arc::new(AtomicU64::new(0));
     let completed = Arc::new(AtomicU64::new(0));
     let mut producers = Vec::new();
     for p in 0..PRODUCERS {
-        let engine = Arc::clone(&engine);
+        let router = Arc::clone(&router);
         let accepted = Arc::clone(&accepted);
         let rejected = Arc::clone(&rejected);
         let completed = Arc::clone(&completed);
@@ -67,7 +74,7 @@ fn producers_against_tiny_queue_lose_nothing() {
             let input = vec![p as f32; INPUT];
             let mut tickets: Vec<Ticket> = Vec::new();
             for _ in 0..PER_PRODUCER {
-                match engine.submit(Request::new("m", input.clone())) {
+                match router.submit(Request::new("m", input.clone())) {
                     Ok(ticket) => {
                         accepted.fetch_add(1, Ordering::SeqCst);
                         tickets.push(ticket);
@@ -103,8 +110,8 @@ fn producers_against_tiny_queue_lose_nothing() {
     assert!(accepted > 0, "some requests must get through");
     assert!(rejected > 0, "a 4-deep queue under 8 producers must bounce");
 
-    // Engine metrics agree with the ground-truth counts...
-    let report = engine.metrics().report();
+    // The tier's report agrees with the ground-truth counts...
+    let report = router.report().total;
     assert_eq!(report.requests_submitted, accepted);
     assert_eq!(report.requests_rejected, rejected);
     assert_eq!(report.requests_completed, completed);
@@ -122,8 +129,8 @@ fn producers_against_tiny_queue_lose_nothing() {
         "obs backpressure counter must match QueueFull accounting"
     );
 
-    if let Ok(engine) = Arc::try_unwrap(engine) {
-        engine.shutdown();
+    if let Ok(router) = Arc::try_unwrap(router) {
+        router.shutdown();
     }
 }
 
@@ -132,21 +139,17 @@ fn shutdown_drains_without_losing_outstanding_tickets() {
     // Installing serializes this test with the other obs-observing tests
     // in this binary so their counter assertions see only their own runs.
     let _obs_guard = obs::install(obs::Collector::new());
-    let engine = Engine::start(
-        registry(),
-        ServeConfig {
-            workers: 2,
-            queue_capacity: 1024,
-            max_batch: 8,
-            max_linger: Duration::from_micros(50),
-            default_deadline: Duration::from_secs(60),
-        },
-    )
-    .expect("start engine");
+    let router = one_shard(ServeConfig {
+        workers: 2,
+        queue_capacity: 1024,
+        max_batch: 8,
+        max_linger: Duration::from_micros(50),
+        default_deadline: Duration::from_secs(60),
+    });
 
     let tickets: Vec<Ticket> = (0..200)
         .map(|_| {
-            engine
+            router
                 .submit(Request::new("m", vec![0.25; INPUT]))
                 .expect("queue is large enough")
         })
@@ -154,7 +157,7 @@ fn shutdown_drains_without_losing_outstanding_tickets() {
     // Shut down with requests still in flight: workers drain the queue
     // before exiting, so every ticket must resolve — served normally or
     // (only if a worker never saw it) with a clean ShuttingDown.
-    engine.shutdown();
+    router.shutdown();
 
     let mut served = 0usize;
     for ticket in tickets {
@@ -181,24 +184,20 @@ fn batched_scratch_is_reused_with_zero_hot_path_allocations_after_warmup() {
     let obs_guard = obs::install(obs::Collector::new());
 
     const MAX_BATCH: usize = 8;
-    let engine = Engine::start(
-        registry(),
-        ServeConfig {
-            workers: 1, // a single worker so one arena sees every batch
-            queue_capacity: 256,
-            max_batch: MAX_BATCH,
-            // Generous linger so a burst of MAX_BATCH submissions
-            // coalesces into one full-width batch.
-            max_linger: Duration::from_millis(5),
-            default_deadline: Duration::from_secs(60),
-        },
-    )
-    .expect("start engine");
+    let router = one_shard(ServeConfig {
+        workers: 1, // a single worker so one arena sees every batch
+        queue_capacity: 256,
+        max_batch: MAX_BATCH,
+        // Generous linger so a burst of MAX_BATCH submissions
+        // coalesces into one full-width batch.
+        max_linger: Duration::from_millis(5),
+        default_deadline: Duration::from_secs(60),
+    });
 
-    let wave = |engine: &Engine| {
+    let wave = |router: &Router| {
         let tickets: Vec<Ticket> = (0..MAX_BATCH)
             .map(|_| {
-                engine
+                router
                     .submit(Request::new("m", vec![0.5; INPUT]))
                     .expect("queue has room")
             })
@@ -210,9 +209,9 @@ fn batched_scratch_is_reused_with_zero_hot_path_allocations_after_warmup() {
     };
 
     // Warm-up: enough full-width waves that the arena has covered the
-    // largest batch the engine will ever form.
+    // largest batch the worker will ever form.
     for _ in 0..10 {
-        wave(&engine);
+        wave(&router);
     }
     let grows_after_warmup = obs_guard.collector().counter("neural.scratch_grow").get();
     assert!(
@@ -222,14 +221,14 @@ fn batched_scratch_is_reused_with_zero_hot_path_allocations_after_warmup() {
 
     // Steady state: many more waves, zero further growth.
     for _ in 0..30 {
-        wave(&engine);
+        wave(&router);
     }
     let grows_after_steady = obs_guard.collector().counter("neural.scratch_grow").get();
     assert_eq!(
         grows_after_steady, grows_after_warmup,
         "steady-state batches must reuse the warm scratch arena, not reallocate"
     );
-    engine.shutdown();
+    router.shutdown();
 }
 
 #[test]
