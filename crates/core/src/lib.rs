@@ -20,9 +20,10 @@
 //!   export;
 //! * [`provenance`] — recording every pipeline artifact in the
 //!   [`datastore`] with full parent lineage;
-//! * [`recovery`] — a retry/backoff stage runner and graceful
-//!   degradation for unattended pipeline runs (see
-//!   [`pipeline::ms::MsPipeline::run_with_recovery`]).
+//! * [`recovery`] — the retry/backoff stage runner every MS run goes
+//!   through ([`pipeline::ms::MsPipeline::run`] is
+//!   [`pipeline::ms::MsPipeline::run_with_recovery`] with one attempt per
+//!   stage), with graceful degradation for unattended runs.
 //!
 //! # Quickstart
 //!

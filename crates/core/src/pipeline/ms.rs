@@ -21,13 +21,13 @@ use ms_sim::simulate::{LabeledSpectra, TrainingSimulator};
 use neural::guard::{GuardConfig, GuardedTrainer, RecoveryEvent};
 use neural::optim::OptimizerSpec;
 use neural::spec::{LayerSpec, NetworkSpec};
-use neural::train::{Dataset, TrainConfig, Trainer};
+use neural::train::{Dataset, TrainConfig};
 use neural::{Activation, Loss, Network};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use spectrum::UniformAxis;
 
-use crate::recovery::StageRunner;
+use crate::recovery::{RetryPolicy, StageRunner};
 use crate::PipelineError;
 
 /// The three activation choices the paper sweeps in Figure 5: hidden
@@ -192,12 +192,11 @@ pub struct MsRunReport {
     /// Substance order of the per-substance vectors.
     pub substances: Vec<String>,
     /// Calibration samples per mixture actually used. Equals the
-    /// configured count unless
-    /// [`MsPipeline::run_with_recovery`] degraded the campaign after
+    /// configured count unless the pipeline degraded the campaign after
     /// repeated characterization failures.
     pub calibration_samples_used: usize,
-    /// Training-guard rollbacks performed during Tool 4 (always empty
-    /// for the unguarded [`MsPipeline::run`]).
+    /// Training-guard rollbacks performed during Tool 4 (empty for a
+    /// clean run).
     pub training_recovery: Vec<RecoveryEvent>,
 }
 
@@ -208,8 +207,8 @@ pub struct MsPipeline {
 }
 
 impl MsPipeline {
-    /// Smallest calibration campaign (samples per mixture) that
-    /// [`MsPipeline::run_with_recovery`] degrades to before giving up.
+    /// Smallest calibration campaign (samples per mixture) the pipeline
+    /// degrades to before giving up.
     pub const MIN_CALIBRATION_SAMPLES: usize = 2;
 
     /// Creates a pipeline after validating the configuration.
@@ -234,11 +233,6 @@ impl MsPipeline {
             }
         }
         Ok(Self { config })
-    }
-
-    /// The configuration.
-    pub fn config(&self) -> &MsPipelineConfig {
-        &self.config
     }
 
     /// The paper's Table 1 topology for `input_len` spectral points and
@@ -284,100 +278,35 @@ impl MsPipeline {
     /// Runs Tools 1–4 end to end against `prototype` and evaluates the
     /// result on fresh measured data.
     ///
+    /// This is [`MsPipeline::run_with_recovery`] with a one-attempt
+    /// [`StageRunner`] and no fault plan: no stage is retried, and a clean
+    /// run trains bit-identically to a plain [`neural::train::Trainer`].
+    /// The recovery that needs no retry budget still applies: a failing
+    /// calibration + characterization stage is rerun with half the
+    /// samples per mixture (down to
+    /// [`MsPipeline::MIN_CALIBRATION_SAMPLES`]), and a diverging training
+    /// batch is rolled back to the last checkpoint with the learning rate
+    /// backed off.
+    ///
     /// # Errors
     ///
-    /// Propagates toolchain, training and evaluation errors.
+    /// Returns [`PipelineError::Stage`] naming the stage that failed and
+    /// wrapping its error.
     pub fn run(&self, prototype: &mut MmsPrototype) -> Result<MsRunReport, PipelineError> {
-        let _run_span = obs::span!("pipeline.ms.run");
-        // 1. Calibration campaign (known mixtures, repeated measurements).
-        let calibration = run_calibration_campaign(
-            prototype,
-            self.config.calibration_samples_per_mixture,
-        )?;
-        // Re-measure on the pipeline's axis if it differs from the
-        // prototype's native one ("missing values would be interpolated
-        // when the resolution was changed").
-        let calibration: Vec<_> = calibration
-            .into_iter()
-            .map(|mut s| {
-                if s.spectrum.axis() != &self.config.axis {
-                    s.spectrum = s.spectrum.resampled(&self.config.axis);
-                }
-                s
-            })
-            .collect();
-
-        // 2. Tool 2: estimate the instrument.
-        let characterizer = Characterizer::new(GasLibrary::standard(), Some("He".into()));
-        let characterization = characterizer.characterize(&calibration)?;
-
-        // 3. Tools 1+3: labelled simulated training data.
-        let simulator = TrainingSimulator::new(
-            characterization.model.clone(),
-            GasLibrary::standard(),
-            self.config.substances.clone(),
-            self.config.axis,
-        )?;
-        let mut rng = ChaCha8Rng::seed_from_u64(self.config.seed);
-        let simulated = simulator.generate_dataset(self.config.training_spectra, &mut rng)?;
-
-        // 4. Tool 4: 80/20 split and training.
-        let dataset = Dataset::new(simulated.inputs_f32(), simulated.labels_f32())?;
-        let (train, validation) = dataset.split(0.8)?;
-        let spec = Self::table1_spec(
-            self.config.axis.len(),
-            self.config.substances.len(),
-            self.config.activations,
-        );
-        let mut network = spec.build(self.config.seed)?;
-        let train_config = TrainConfig {
-            epochs: self.config.epochs,
-            batch_size: self.config.batch_size,
-            optimizer: OptimizerSpec::Adam {
-                lr: self.config.learning_rate,
-            },
-            loss: Loss::Mae,
-            shuffle: true,
-            seed: self.config.seed,
-            restore_best: true,
-            stop_at_val_loss: self.config.target_validation_mae,
-        };
-        let history = Trainer::new(train_config).fit(&mut network, &train, Some(&validation))?;
-
-        // 5. Simulated-validation quality.
-        let per_substance_validation = validation.per_output_mae(&mut network);
-        let validation_mae = per_substance_validation.iter().sum::<f64>()
-            / per_substance_validation.len() as f64;
-
-        // 6. Fresh measured evaluation campaign.
-        let measured =
-            run_evaluation_campaign(prototype, self.config.evaluation_samples_per_mixture)?;
-        let measured = self.resample_labeled(measured);
-        let (measured_mae, per_substance_measured) =
-            evaluate_on(&mut network, &measured)?;
-
-        Ok(MsRunReport {
-            characterization,
-            spec,
-            network,
-            history,
-            validation_mae,
-            per_substance_validation,
-            measured_mae,
-            per_substance_measured,
-            substances: self.config.substances.clone(),
-            calibration_samples_used: self.config.calibration_samples_per_mixture,
-            training_recovery: Vec::new(),
-        })
+        let mut runner = StageRunner::new(RetryPolicy {
+            max_attempts: 1,
+            ..RetryPolicy::default()
+        });
+        self.run_with_recovery(prototype, &mut runner)
     }
 
-    /// Fault-tolerant variant of [`MsPipeline::run`]: every stage runs
-    /// under `runner`'s retry/backoff policy, training runs under a
-    /// divergence guard with checkpoint rollback, and a calibration +
-    /// characterization stage that keeps failing across its whole retry
-    /// budget degrades gracefully — the campaign is retried with half the
-    /// samples per mixture (Figure 6's axis, floor of
-    /// [`MsPipeline::MIN_CALIBRATION_SAMPLES`]) before giving up.
+    /// Runs the MS toolflow with every stage under `runner`'s
+    /// retry/backoff policy and training under a divergence guard with
+    /// checkpoint rollback. A calibration + characterization stage that
+    /// keeps failing across its whole retry budget degrades gracefully —
+    /// the campaign is retried with half the samples per mixture
+    /// (Figure 6's axis, floor of [`MsPipeline::MIN_CALIBRATION_SAMPLES`])
+    /// before giving up.
     ///
     /// If the runner carries a [`faultsim::FaultPlan`], it is shared with
     /// the training guard so NaN-batch injection exercises rollback.
@@ -385,19 +314,22 @@ impl MsPipeline {
     /// # Errors
     ///
     /// Returns [`PipelineError::Stage`] once a stage exhausts retries
-    /// (and, for calibration, all degradation levels), or
-    /// [`PipelineError::Neural`] if guarded training diverges beyond
-    /// recovery.
+    /// (and, for calibration, all degradation levels); a training run
+    /// that diverges beyond recovery fails the `train` stage.
     pub fn run_with_recovery(
         &self,
         prototype: &mut MmsPrototype,
         runner: &mut StageRunner,
     ) -> Result<MsRunReport, PipelineError> {
+        let _run_span = obs::span!("pipeline.ms.run");
         // 1.+2. Calibration + characterization, with graceful degradation.
         let mut samples = self.config.calibration_samples_per_mixture;
         let (characterization, calibration_samples_used) = loop {
             let result = runner.run("calibration", || {
                 let calibration = run_calibration_campaign(prototype, samples)?;
+                // Re-measure on the pipeline's axis if it differs from the
+                // prototype's native one ("missing values would be
+                // interpolated when the resolution was changed").
                 let calibration: Vec<_> = calibration
                     .into_iter()
                     .map(|mut s| {

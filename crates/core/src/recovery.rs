@@ -9,11 +9,14 @@
 //! [`faultsim::FaultPlan`] so the recovery path is tested rather than
 //! hoped for.
 //!
-//! [`crate::pipeline::ms::MsPipeline::run_with_recovery`] builds on this
-//! runner and adds graceful degradation: when the calibration +
-//! characterization stage keeps failing even across retries, it falls
-//! back to a smaller calibration campaign (fewer samples per mixture —
-//! walking down Figure 6's sample-count axis) instead of aborting.
+//! The MS pipeline's one stage sequence,
+//! [`crate::pipeline::ms::MsPipeline::run_with_recovery`], runs on this
+//! runner; [`crate::pipeline::ms::MsPipeline::run`] is that sequence with
+//! a one-attempt runner and no fault plan. The sequence adds graceful
+//! degradation: when the calibration + characterization stage keeps
+//! failing even across retries, it falls back to a smaller calibration
+//! campaign (fewer samples per mixture — walking down Figure 6's
+//! sample-count axis) instead of aborting.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -87,11 +90,6 @@ impl StageRunner {
     pub fn with_fault_plan(mut self, plan: Arc<FaultPlan>) -> Self {
         self.plan = Some(plan);
         self
-    }
-
-    /// The retry policy.
-    pub fn policy(&self) -> &RetryPolicy {
-        &self.policy
     }
 
     /// The fault plan, if any (shared with e.g. the training guard).

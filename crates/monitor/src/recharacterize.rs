@@ -80,7 +80,8 @@ pub struct RecharacterizeConfig {
     pub val_spectra: usize,
     /// Training epochs.
     pub epochs: usize,
-    /// Training batch size.
+    /// Training batch size (zero fails the retrain with
+    /// `NeuralError::InvalidSpec`).
     pub batch_size: usize,
     /// Publish gate: reject candidates whose validation MAE exceeds
     /// this (or whose outputs are non-finite).

@@ -1,12 +1,14 @@
 //! Fault-tolerant training: divergence guards, checkpoint/rollback with
 //! learning-rate backoff, and deterministic save/resume.
 //!
-//! [`GuardedTrainer`] wraps the plain [`crate::train::Trainer`] loop with
-//! a recovery layer:
+//! [`GuardedTrainer`] runs the same epoch loop and epoch driver as
+//! [`crate::train::Trainer::fit`] (so a clean run is bit-identical to it
+//! and records the same `train.*` spans and gauges) and adds a recovery
+//! layer around them:
 //!
-//! * **Divergence detection** — every batch loss is checked for
-//!   non-finite values and (optionally) an explosion threshold, and the
-//!   accumulated gradient norm can be bounded before each optimizer step.
+//! * **Divergence detection** — besides the non-finite check every run
+//!   makes, batch losses can be bounded by an explosion threshold, and
+//!   the accumulated gradient norm before each optimizer step.
 //! * **Checkpoint / rollback** — weights, optimizer state and history are
 //!   snapshotted on a configurable epoch cadence; on divergence the run
 //!   rolls back to the last good checkpoint and retries with the learning
@@ -35,8 +37,8 @@ use std::sync::Arc;
 use faultsim::FaultPlan;
 use serde::{Deserialize, Serialize};
 
-use crate::optim::{Optimizer, OptimizerState};
-use crate::train::{Dataset, History, TrainConfig};
+use crate::optim::OptimizerState;
+use crate::train::{Checks, Dataset, Divergence, History, Progress, TrainConfig, Trainer};
 use crate::{Network, NeuralError};
 
 /// Divergence-guard and checkpoint policy.
@@ -129,6 +131,21 @@ pub struct Checkpoint {
 }
 
 impl Checkpoint {
+    /// Snapshots `network` and the run's `progress`.
+    fn of(network: &Network, progress: &Progress) -> Self {
+        Self {
+            epochs_done: progress.epochs_done,
+            weights: network.export_weights(),
+            optimizer: progress.optimizer.export_state(),
+            learning_rate: progress.optimizer.learning_rate(),
+            train_loss: progress.history.train_loss.clone(),
+            val_loss: progress.history.val_loss.clone(),
+            best_epoch: progress.history.best_epoch,
+            best_val: progress.best_val,
+            best_weights: progress.best_weights.clone(),
+        }
+    }
+
     /// Atomically writes the checkpoint as JSON (`path.tmp` + rename), so
     /// an interrupted save never leaves a truncated checkpoint behind.
     ///
@@ -167,35 +184,16 @@ pub struct GuardedOutcome {
     pub history: History,
     /// Every rollback the guard performed, in order.
     pub recovery: Vec<RecoveryEvent>,
-    /// Number of snapshots taken (periodic plus the final one).
-    pub checkpoints_taken: usize,
     /// Snapshot of the finished run — resume from here to train further,
     /// or persist it with [`Checkpoint::save`].
     pub checkpoint: Checkpoint,
-}
-
-struct EpochDivergence {
-    batch: usize,
-    cause: DivergenceCause,
-}
-
-struct RunState {
-    epochs_done: usize,
-    optimizer: Box<dyn Optimizer>,
-    history: History,
-    best_val: Option<f32>,
-    best_weights: Option<Vec<Vec<Vec<f32>>>>,
-    retries: usize,
-    recovery: Vec<RecoveryEvent>,
-    checkpoint: Checkpoint,
-    checkpoints_taken: usize,
 }
 
 /// A [`crate::train::Trainer`] with divergence guards and
 /// checkpoint/rollback recovery.
 #[derive(Debug, Clone)]
 pub struct GuardedTrainer {
-    config: TrainConfig,
+    trainer: Trainer,
     guard: GuardConfig,
     plan: Option<Arc<FaultPlan>>,
 }
@@ -220,7 +218,7 @@ impl GuardedTrainer {
             )));
         }
         Ok(Self {
-            config,
+            trainer: Trainer::new(config),
             guard,
             plan: None,
         })
@@ -233,21 +231,12 @@ impl GuardedTrainer {
         self
     }
 
-    /// The training configuration.
-    pub fn config(&self) -> &TrainConfig {
-        &self.config
-    }
-
-    /// The guard configuration.
-    pub fn guard(&self) -> &GuardConfig {
-        &self.guard
-    }
-
     /// Trains `network` for the configured number of epochs, recovering
     /// from divergence by checkpoint rollback + learning-rate backoff.
     ///
     /// # Errors
     ///
+    /// [`NeuralError::InvalidSpec`] if `batch_size` is zero;
     /// [`NeuralError::ShapeMismatch`] on dataset/network mismatch;
     /// [`NeuralError::TrainingDiverged`] once
     /// [`GuardConfig::max_retries`] rollbacks have been exhausted.
@@ -257,9 +246,8 @@ impl GuardedTrainer {
         train: &Dataset,
         validation: Option<&Dataset>,
     ) -> Result<GuardedOutcome, NeuralError> {
-        self.check_shapes(network, train)?;
-        let state = self.fresh_state(network);
-        self.run(network, train, validation, state, self.config.epochs, true)
+        let until = self.trainer.config.epochs;
+        self.run(network, train, validation, None, until, true)
     }
 
     /// Trains for `stop_after` epochs only, simulating an interrupted
@@ -276,10 +264,8 @@ impl GuardedTrainer {
         validation: Option<&Dataset>,
         stop_after: usize,
     ) -> Result<GuardedOutcome, NeuralError> {
-        self.check_shapes(network, train)?;
-        let state = self.fresh_state(network);
-        let until = stop_after.min(self.config.epochs);
-        self.run(network, train, validation, state, until, false)
+        let until = stop_after.min(self.trainer.config.epochs);
+        self.run(network, train, validation, None, until, false)
     }
 
     /// Continues a run from `checkpoint` to the configured epoch count,
@@ -297,12 +283,79 @@ impl GuardedTrainer {
         validation: Option<&Dataset>,
         checkpoint: &Checkpoint,
     ) -> Result<GuardedOutcome, NeuralError> {
-        self.check_shapes(network, train)?;
+        let until = self.trainer.config.epochs;
+        self.run(network, train, validation, Some(checkpoint), until, true)
+    }
+
+    /// Runs the shared epoch driver from a fresh start or from `resumed`,
+    /// one checkpoint interval at a time: snapshots at each interval
+    /// start and rolls back on divergence.
+    fn run(
+        &self,
+        network: &mut Network,
+        train: &Dataset,
+        validation: Option<&Dataset>,
+        resumed: Option<&Checkpoint>,
+        until: usize,
+        restore_best: bool,
+    ) -> Result<GuardedOutcome, NeuralError> {
+        let mut progress = self.trainer.start(network, train)?;
+        let mut checkpoint = match resumed {
+            Some(checkpoint) => {
+                progress = self.restore(network, checkpoint)?;
+                checkpoint.clone()
+            }
+            None => Checkpoint::of(network, &progress),
+        };
+        let checks = Checks {
+            max_loss: self.guard.max_loss,
+            max_grad_norm: self.guard.max_grad_norm,
+            plan: self.plan.as_deref(),
+        };
+        let every = self.guard.checkpoint_every;
+        let mut recovery = Vec::new();
+        while progress.epochs_done < until {
+            let done = progress.epochs_done;
+            if done.is_multiple_of(every) {
+                checkpoint = Checkpoint::of(network, &progress);
+            }
+            let end = until.min((done / every + 1) * every);
+            match self
+                .trainer
+                .drive(network, train, validation, &mut progress, end, checks)
+            {
+                Ok(true) => break,
+                Ok(false) => {}
+                Err(divergence) => {
+                    progress = self.rollback(network, &checkpoint, &mut recovery, divergence)?;
+                }
+            }
+        }
+
+        // Final snapshot of the running state (pre best-restore), so the
+        // outcome's checkpoint resumes exactly where this run stopped.
+        let checkpoint = Checkpoint::of(network, &progress);
+        if restore_best {
+            self.trainer.restore_best(network, &progress)?;
+        }
+        Ok(GuardedOutcome {
+            history: progress.history,
+            recovery,
+            checkpoint,
+        })
+    }
+
+    /// Restores `network` and the run's progress from `checkpoint`.
+    fn restore(
+        &self,
+        network: &mut Network,
+        checkpoint: &Checkpoint,
+    ) -> Result<Progress, NeuralError> {
         network.import_weights(&checkpoint.weights)?;
-        let mut optimizer = self.config.optimizer.build();
+        let mut optimizer = self.trainer.config.optimizer.build();
         optimizer.import_state(&checkpoint.optimizer)?;
         optimizer.set_learning_rate(checkpoint.learning_rate);
-        let state = RunState {
+        Ok(Progress {
             epochs_done: checkpoint.epochs_done,
             optimizer,
             history: History {
@@ -312,290 +365,44 @@ impl GuardedTrainer {
             },
             best_val: checkpoint.best_val,
             best_weights: checkpoint.best_weights.clone(),
-            retries: 0,
-            recovery: Vec::new(),
-            checkpoint: checkpoint.clone(),
-            checkpoints_taken: 0,
-        };
-        self.run(network, train, validation, state, self.config.epochs, true)
-    }
-
-    fn check_shapes(&self, network: &Network, train: &Dataset) -> Result<(), NeuralError> {
-        if train.input_width() != network.input_len() {
-            return Err(NeuralError::ShapeMismatch {
-                expected: network.input_len(),
-                actual: train.input_width(),
-            });
-        }
-        if train.target_width() != network.output_len() {
-            return Err(NeuralError::ShapeMismatch {
-                expected: network.output_len(),
-                actual: train.target_width(),
-            });
-        }
-        Ok(())
-    }
-
-    fn fresh_state(&self, network: &Network) -> RunState {
-        let optimizer = self.config.optimizer.build();
-        let checkpoint = Checkpoint {
-            epochs_done: 0,
-            weights: network.export_weights(),
-            optimizer: optimizer.export_state(),
-            learning_rate: optimizer.learning_rate(),
-            train_loss: Vec::new(),
-            val_loss: Vec::new(),
-            best_epoch: None,
-            best_val: None,
-            best_weights: None,
-        };
-        RunState {
-            epochs_done: 0,
-            optimizer,
-            history: History {
-                train_loss: Vec::new(),
-                val_loss: Vec::new(),
-                best_epoch: None,
-            },
-            best_val: None,
-            best_weights: None,
-            retries: 0,
-            recovery: Vec::new(),
-            checkpoint,
-            checkpoints_taken: 0,
-        }
-    }
-
-    fn snapshot(&self, network: &Network, state: &RunState) -> Checkpoint {
-        Checkpoint {
-            epochs_done: state.epochs_done,
-            weights: network.export_weights(),
-            optimizer: state.optimizer.export_state(),
-            learning_rate: state.optimizer.learning_rate(),
-            train_loss: state.history.train_loss.clone(),
-            val_loss: state.history.val_loss.clone(),
-            best_epoch: state.history.best_epoch,
-            best_val: state.best_val,
-            best_weights: state.best_weights.clone(),
-        }
-    }
-
-    fn run(
-        &self,
-        network: &mut Network,
-        train: &Dataset,
-        validation: Option<&Dataset>,
-        mut state: RunState,
-        until: usize,
-        restore_best: bool,
-    ) -> Result<GuardedOutcome, NeuralError> {
-        while state.epochs_done < until {
-            if state.epochs_done.is_multiple_of(self.guard.checkpoint_every) {
-                state.checkpoint = self.snapshot(network, &state);
-                state.checkpoints_taken += 1;
-            }
-            let epoch = state.epochs_done;
-            match self.run_epoch(network, &mut state.optimizer, train, epoch) {
-                Ok(mean_loss) => {
-                    state.history.train_loss.push(mean_loss);
-                }
-                Err(divergence) => {
-                    self.rollback(
-                        network,
-                        &mut state,
-                        epoch,
-                        Some(divergence.batch),
-                        divergence.cause,
-                    )?;
-                    continue;
-                }
-            }
-
-            let mut stop_early = false;
-            if let Some(val) = validation {
-                let v = val.evaluate(network, self.config.loss);
-                if !v.is_finite() {
-                    // The pushed train loss belongs to the diverged epoch;
-                    // rollback restores the checkpointed history anyway.
-                    self.rollback(
-                        network,
-                        &mut state,
-                        epoch,
-                        None,
-                        DivergenceCause::NonFiniteValidation,
-                    )?;
-                    continue;
-                }
-                state.history.val_loss.push(v);
-                let improved = state.best_val.is_none_or(|b| v < b);
-                if improved {
-                    state.best_val = Some(v);
-                    state.best_weights = Some(network.export_weights());
-                    state.history.best_epoch = Some(epoch);
-                }
-                if let Some(target) = self.config.stop_at_val_loss {
-                    if v <= target {
-                        stop_early = true;
-                    }
-                }
-            }
-            state.epochs_done += 1;
-            if stop_early {
-                break;
-            }
-        }
-
-        // Final snapshot of the running state (pre best-restore), so the
-        // outcome's checkpoint resumes exactly where this run stopped.
-        state.checkpoint = self.snapshot(network, &state);
-        state.checkpoints_taken += 1;
-
-        if restore_best && self.config.restore_best {
-            if let Some(weights) = &state.best_weights {
-                network.import_weights(weights)?;
-            }
-        }
-        Ok(GuardedOutcome {
-            history: state.history,
-            recovery: state.recovery,
-            checkpoints_taken: state.checkpoints_taken,
-            checkpoint: state.checkpoint,
         })
     }
 
-    fn run_epoch(
-        &self,
-        network: &mut Network,
-        optimizer: &mut Box<dyn Optimizer>,
-        train: &Dataset,
-        epoch: usize,
-    ) -> Result<f32, EpochDivergence> {
-        let data = if self.config.shuffle {
-            train.shuffled(self.config.seed.wrapping_add(epoch as u64))
-        } else {
-            train.clone()
-        };
-        let mut epoch_loss = 0.0f64;
-        let mut processed = 0usize;
-        let mut batch_idx = 0usize;
-        while processed < data.len() {
-            let end = (processed + self.config.batch_size).min(data.len());
-            let poisoned = self
-                .plan
-                .as_deref()
-                .is_some_and(|p| p.poison_batch(epoch, batch_idx));
-            network.zero_grads();
-            for i in processed..end {
-                let value = if poisoned && i == processed {
-                    let nan_input = vec![f32::NAN; data.input_width()];
-                    network.train_step(&nan_input, &data.targets()[i], self.config.loss)
-                } else {
-                    network.train_step(&data.inputs()[i], &data.targets()[i], self.config.loss)
-                };
-                if !value.is_finite() {
-                    return Err(EpochDivergence {
-                        batch: batch_idx,
-                        cause: DivergenceCause::NonFiniteLoss,
-                    });
-                }
-                if let Some(limit) = self.guard.max_loss {
-                    if value > limit {
-                        return Err(EpochDivergence {
-                            batch: batch_idx,
-                            cause: DivergenceCause::LossExplosion { limit },
-                        });
-                    }
-                }
-                epoch_loss += f64::from(value);
-            }
-            if let Some(limit) = self.guard.max_grad_norm {
-                let norm = network.grad_norm();
-                if !norm.is_finite() || norm > limit {
-                    return Err(EpochDivergence {
-                        batch: batch_idx,
-                        cause: DivergenceCause::GradientExplosion { limit },
-                    });
-                }
-            }
-            network.apply_gradients(optimizer.as_mut(), end - processed);
-            processed = end;
-            batch_idx += 1;
-        }
-        Ok((epoch_loss / data.len() as f64) as f32)
-    }
-
+    /// Rolls back to `checkpoint` with the learning rate backed off, or
+    /// fails once the retry budget is spent.
     fn rollback(
         &self,
         network: &mut Network,
-        state: &mut RunState,
-        epoch: usize,
-        batch: Option<usize>,
-        cause: DivergenceCause,
-    ) -> Result<(), NeuralError> {
-        if state.retries >= self.guard.max_retries {
+        checkpoint: &Checkpoint,
+        recovery: &mut Vec<RecoveryEvent>,
+        divergence: Divergence,
+    ) -> Result<Progress, NeuralError> {
+        if recovery.len() >= self.guard.max_retries {
             return Err(NeuralError::TrainingDiverged {
-                epoch,
-                retries: state.retries,
-                recovery: state.recovery.clone(),
+                epoch: divergence.epoch,
+                retries: recovery.len(),
+                recovery: std::mem::take(recovery),
             });
         }
-        state.retries += 1;
-        let checkpoint = &state.checkpoint;
-        network.import_weights(&checkpoint.weights)?;
-        let mut optimizer = self.config.optimizer.build();
-        optimizer.import_state(&checkpoint.optimizer)?;
+        let mut progress = self.restore(network, checkpoint)?;
         let lr = checkpoint.learning_rate * self.guard.lr_backoff;
-        optimizer.set_learning_rate(lr);
-        state.optimizer = optimizer;
-        state.history = History {
-            train_loss: checkpoint.train_loss.clone(),
-            val_loss: checkpoint.val_loss.clone(),
-            best_epoch: checkpoint.best_epoch,
-        };
-        state.best_val = checkpoint.best_val;
-        state.best_weights = checkpoint.best_weights.clone();
-        state.epochs_done = checkpoint.epochs_done;
-        state.recovery.push(RecoveryEvent {
-            epoch,
-            batch,
-            cause,
+        progress.optimizer.set_learning_rate(lr);
+        recovery.push(RecoveryEvent {
+            epoch: divergence.epoch,
+            batch: divergence.batch,
+            cause: divergence.cause,
             rolled_back_to: checkpoint.epochs_done,
             learning_rate: lr,
         });
-        Ok(())
+        Ok(progress)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spec::{LayerSpec, NetworkSpec};
-    use crate::{Activation, Loss};
-
-    fn linear_dataset(n: usize) -> Dataset {
-        let inputs: Vec<Vec<f32>> = (0..n)
-            .map(|i| {
-                let a = (i % 10) as f32 / 10.0;
-                let b = ((i / 10) % 10) as f32 / 10.0;
-                vec![a, b]
-            })
-            .collect();
-        let targets = inputs
-            .iter()
-            .map(|v| vec![0.5 * v[0] + 0.2 * v[1]])
-            .collect();
-        Dataset::new(inputs, targets).unwrap()
-    }
-
-    fn small_net() -> Network {
-        NetworkSpec::new(2)
-            .layer(LayerSpec::Dense {
-                units: 1,
-                activation: Activation::Linear,
-            })
-            .build(1)
-            .unwrap()
-    }
+    use crate::train::tests::{linear_dataset, small_net};
+    use crate::Loss;
 
     fn config(epochs: usize) -> TrainConfig {
         TrainConfig {
@@ -633,6 +440,23 @@ mod tests {
             ..GuardConfig::default()
         };
         assert!(GuardedTrainer::new(config(1), bad).is_err());
+    }
+
+    #[test]
+    fn zero_batch_size_is_a_typed_error() {
+        let data = linear_dataset(10);
+        let mut net = small_net();
+        let config = TrainConfig {
+            batch_size: 0,
+            ..config(3)
+        };
+        let result = GuardedTrainer::new(config, guard())
+            .unwrap()
+            .fit(&mut net, &data, None);
+        assert!(
+            matches!(result, Err(NeuralError::InvalidSpec(_))),
+            "{result:?}"
+        );
     }
 
     #[test]

@@ -28,7 +28,8 @@ pub trait Optimizer: std::fmt::Debug + Send {
     /// # Errors
     ///
     /// Returns [`NeuralError::InvalidWeights`] if `state` belongs to a
-    /// different optimizer kind.
+    /// different optimizer kind or its per-slot moment tensors disagree in
+    /// length.
     fn import_state(&mut self, state: &OptimizerState) -> Result<(), NeuralError>;
 }
 
@@ -233,6 +234,17 @@ impl Optimizer for Adam {
                         "adam state has {} first moments but {} second moments",
                         first_moments.len(),
                         second_moments.len()
+                    )));
+                }
+                if let Some(slot) = first_moments
+                    .iter()
+                    .zip(second_moments)
+                    .position(|(m, v)| m.len() != v.len())
+                {
+                    return Err(NeuralError::InvalidWeights(format!(
+                        "adam state slot {slot} has {} first moments but {} second moments",
+                        first_moments[slot].len(),
+                        second_moments[slot].len()
                     )));
                 }
                 self.t = *step;

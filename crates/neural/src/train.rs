@@ -4,12 +4,21 @@
 //! and test portions (§III.A.2), whole-run training "without user
 //! interaction", validation tracking, and best-network selection by a
 //! quality criterion.
+//!
+//! There is one epoch loop (shuffle → batches → `train_step` → divergence
+//! checks → optimizer step) and one epoch driver around it (validation,
+//! best-epoch tracking, early stop, best-weight restore). [`Trainer::fit`]
+//! runs them with no guards; [`crate::guard::GuardedTrainer`] runs them
+//! between checkpoints and rolls back on divergence.
 
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
-use crate::optim::OptimizerSpec;
+use faultsim::FaultPlan;
+
+use crate::guard::DivergenceCause;
+use crate::optim::{Optimizer, OptimizerSpec};
 use crate::{Loss, Network, NeuralError};
 
 /// A supervised dataset of flat `f32` samples.
@@ -116,13 +125,20 @@ impl Dataset {
 
     /// A copy with samples shuffled by `seed`.
     pub fn shuffled(&self, seed: u64) -> Dataset {
-        let mut order: Vec<usize> = (0..self.len()).collect();
-        let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        order.shuffle(&mut rng);
+        let order = self.order(Some(seed));
         Dataset {
             inputs: order.iter().map(|&i| self.inputs[i].clone()).collect(),
             targets: order.iter().map(|&i| self.targets[i].clone()).collect(),
         }
+    }
+
+    /// Sample indices, permuted by `seed` if one is given.
+    fn order(&self, seed: Option<u64>) -> Vec<usize> {
+        let mut order: Vec<usize> = (0..self.len()).collect();
+        if let Some(seed) = seed {
+            order.shuffle(&mut ChaCha8Rng::seed_from_u64(seed));
+        }
+        order
     }
 
     /// Mean loss of `network` over the dataset (evaluation mode).
@@ -223,18 +239,41 @@ impl History {
 /// Runs the training loop.
 #[derive(Debug, Clone)]
 pub struct Trainer {
-    config: TrainConfig,
+    pub(crate) config: TrainConfig,
+}
+
+/// Where a run stands between epochs: what the epoch driver reads and
+/// writes, and what a [`crate::guard::Checkpoint`] captures.
+pub(crate) struct Progress {
+    pub(crate) epochs_done: usize,
+    pub(crate) optimizer: Box<dyn Optimizer>,
+    pub(crate) history: History,
+    pub(crate) best_val: Option<f32>,
+    pub(crate) best_weights: Option<Vec<Vec<Vec<f32>>>>,
+}
+
+/// Divergence checks beyond the always-on non-finite loss check, plus
+/// the fault-injection hook. The plain trainer leaves them all unset.
+#[derive(Debug, Default, Clone, Copy)]
+pub(crate) struct Checks<'a> {
+    pub(crate) max_loss: Option<f32>,
+    pub(crate) max_grad_norm: Option<f32>,
+    pub(crate) plan: Option<&'a FaultPlan>,
+}
+
+/// A divergence the epoch driver stopped at. The network and the
+/// [`Progress`] are left mid-epoch: the caller fails or rolls back.
+pub(crate) struct Divergence {
+    pub(crate) epoch: usize,
+    /// Batch index within the epoch (`None` for validation).
+    pub(crate) batch: Option<usize>,
+    pub(crate) cause: DivergenceCause,
 }
 
 impl Trainer {
     /// Creates a trainer with the given configuration.
     pub fn new(config: TrainConfig) -> Self {
         Self { config }
-    }
-
-    /// The configuration.
-    pub fn config(&self) -> &TrainConfig {
-        &self.config
     }
 
     /// Trains `network` on `train`, optionally tracking `validation`.
@@ -246,15 +285,42 @@ impl Trainer {
     ///
     /// # Errors
     ///
-    /// Returns [`NeuralError::ShapeMismatch`] if the dataset widths do not
-    /// match the network, or [`NeuralError::Diverged`] if a non-finite
-    /// loss appears.
+    /// Returns [`NeuralError::InvalidSpec`] if `batch_size` is zero,
+    /// [`NeuralError::ShapeMismatch`] if the dataset widths do not match
+    /// the network, or [`NeuralError::Diverged`] if a non-finite loss
+    /// appears.
     pub fn fit(
         &self,
         network: &mut Network,
         train: &Dataset,
         validation: Option<&Dataset>,
     ) -> Result<History, NeuralError> {
+        let mut progress = self.start(network, train)?;
+        self.drive(
+            network,
+            train,
+            validation,
+            &mut progress,
+            self.config.epochs,
+            Checks::default(),
+        )
+        .map_err(|d| NeuralError::Diverged { epoch: d.epoch })?;
+        self.restore_best(network, &progress)?;
+        Ok(progress.history)
+    }
+
+    /// Validates a run of `network` on `train` and returns the progress of
+    /// a fresh one: the entry of every training run, plain or guarded.
+    pub(crate) fn start(
+        &self,
+        network: &Network,
+        train: &Dataset,
+    ) -> Result<Progress, NeuralError> {
+        if self.config.batch_size == 0 {
+            return Err(NeuralError::InvalidSpec(
+                "batch_size must be at least 1".into(),
+            ));
+        }
         if train.input_width() != network.input_len() {
             return Err(NeuralError::ShapeMismatch {
                 expected: network.input_len(),
@@ -267,85 +333,141 @@ impl Trainer {
                 actual: train.target_width(),
             });
         }
-        let mut optimizer = self.config.optimizer.build();
-        let mut history = History {
-            train_loss: Vec::with_capacity(self.config.epochs),
-            val_loss: Vec::new(),
-            best_epoch: None,
-        };
-        let mut best: Option<(f32, Vec<Vec<Vec<f32>>>)> = None;
-        obs::gauge_set(
-            "train.lr",
-            f64::from(match self.config.optimizer {
-                OptimizerSpec::Sgd { lr, .. } => lr,
-                OptimizerSpec::Adam { lr } => lr,
-            }),
-        );
+        Ok(Progress {
+            epochs_done: 0,
+            optimizer: self.config.optimizer.build(),
+            history: History {
+                train_loss: Vec::with_capacity(self.config.epochs),
+                val_loss: Vec::new(),
+                best_epoch: None,
+            },
+            best_val: None,
+            best_weights: None,
+        })
+    }
 
-        for epoch in 0..self.config.epochs {
+    /// The epoch driver: trains until `progress.epochs_done` reaches
+    /// `until`, validating, tracking the best epoch and keeping its
+    /// weights after each one. Returns `Ok(true)` if the validation
+    /// target stopped the run early.
+    pub(crate) fn drive(
+        &self,
+        network: &mut Network,
+        train: &Dataset,
+        validation: Option<&Dataset>,
+        progress: &mut Progress,
+        until: usize,
+        checks: Checks<'_>,
+    ) -> Result<bool, Divergence> {
+        obs::gauge_set("train.lr", f64::from(progress.optimizer.learning_rate()));
+        while progress.epochs_done < until {
+            let epoch = progress.epochs_done;
             let _epoch_span = obs::span!("train.epoch");
-            let data = if self.config.shuffle {
-                train.shuffled(self.config.seed.wrapping_add(epoch as u64))
-            } else {
-                train.clone()
-            };
-            let mut epoch_loss = 0.0f64;
-            let mut processed = 0usize;
-            while processed < data.len() {
-                let _batch_span = obs::span!("train.batch");
-                let end = (processed + self.config.batch_size).min(data.len());
-                network.zero_grads();
-                for i in processed..end {
-                    let value =
-                        network.train_step(&data.inputs[i], &data.targets[i], self.config.loss);
-                    if !value.is_finite() {
-                        return Err(NeuralError::Diverged { epoch });
-                    }
-                    epoch_loss += value as f64;
-                }
-                network.apply_gradients(optimizer.as_mut(), end - processed);
-                processed = end;
-            }
-            let mean_loss = (epoch_loss / data.len() as f64) as f32;
-            history.train_loss.push(mean_loss);
+            let mean_loss =
+                self.epoch(network, progress.optimizer.as_mut(), train, epoch, checks)?;
+            progress.history.train_loss.push(mean_loss);
+            progress.epochs_done += 1;
             obs::gauge_set("train.loss", f64::from(mean_loss));
 
             if let Some(val) = validation {
                 let v = val.evaluate(network, self.config.loss);
                 if !v.is_finite() {
-                    return Err(NeuralError::Diverged { epoch });
+                    return Err(Divergence {
+                        epoch,
+                        batch: None,
+                        cause: DivergenceCause::NonFiniteValidation,
+                    });
                 }
-                history.val_loss.push(v);
+                progress.history.val_loss.push(v);
                 obs::gauge_set("train.val_loss", f64::from(v));
-                let improved = best.as_ref().is_none_or(|(b, _)| v < *b);
-                if improved {
-                    best = Some((v, network.export_weights()));
-                    history.best_epoch = Some(epoch);
+                if progress.best_val.is_none_or(|b| v < b) {
+                    progress.best_val = Some(v);
+                    progress.best_weights = Some(network.export_weights());
+                    progress.history.best_epoch = Some(epoch);
                 }
-                if let Some(target) = self.config.stop_at_val_loss {
-                    if v <= target {
-                        break;
+                if self.config.stop_at_val_loss.is_some_and(|t| v <= t) {
+                    return Ok(true);
+                }
+            }
+        }
+        Ok(false)
+    }
+
+    /// The epoch loop: one shuffled pass in mini-batches, checking every
+    /// sample loss (and, if set, the gradient norm) before each optimizer
+    /// step. Returns the mean training loss.
+    fn epoch(
+        &self,
+        network: &mut Network,
+        optimizer: &mut dyn Optimizer,
+        train: &Dataset,
+        epoch: usize,
+        checks: Checks<'_>,
+    ) -> Result<f32, Divergence> {
+        let seed = self.config.seed.wrapping_add(epoch as u64);
+        let order = train.order(self.config.shuffle.then_some(seed));
+        let mut epoch_loss = 0.0f64;
+        for (batch, indices) in order.chunks(self.config.batch_size).enumerate() {
+            let _batch_span = obs::span!("train.batch");
+            let diverged = |cause| Divergence {
+                epoch,
+                batch: Some(batch),
+                cause,
+            };
+            // A poisoned batch feeds NaN inputs in place of its first sample.
+            let poison = checks
+                .plan
+                .is_some_and(|p| p.poison_batch(epoch, batch))
+                .then(|| vec![f32::NAN; train.input_width()]);
+            network.zero_grads();
+            for (k, &i) in indices.iter().enumerate() {
+                let input = match &poison {
+                    Some(nan) if k == 0 => nan,
+                    _ => &train.inputs[i],
+                };
+                let value = network.train_step(input, &train.targets[i], self.config.loss);
+                if !value.is_finite() {
+                    return Err(diverged(DivergenceCause::NonFiniteLoss));
+                }
+                if let Some(limit) = checks.max_loss {
+                    if value > limit {
+                        return Err(diverged(DivergenceCause::LossExplosion { limit }));
                     }
                 }
+                epoch_loss += f64::from(value);
             }
+            if let Some(limit) = checks.max_grad_norm {
+                let norm = network.grad_norm();
+                if !norm.is_finite() || norm > limit {
+                    return Err(diverged(DivergenceCause::GradientExplosion { limit }));
+                }
+            }
+            network.apply_gradients(optimizer, indices.len());
         }
+        Ok((epoch_loss / train.len() as f64) as f32)
+    }
 
-        if self.config.restore_best {
-            if let Some((_, weights)) = best {
-                network.import_weights(&weights)?;
-            }
+    /// Loads the best validation epoch's weights into `network`, if
+    /// `restore_best` is set and one was tracked.
+    pub(crate) fn restore_best(
+        &self,
+        network: &mut Network,
+        progress: &Progress,
+    ) -> Result<(), NeuralError> {
+        match &progress.best_weights {
+            Some(weights) if self.config.restore_best => network.import_weights(weights),
+            _ => Ok(()),
         }
-        Ok(history)
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::spec::{LayerSpec, NetworkSpec};
     use crate::Activation;
 
-    fn linear_dataset(n: usize) -> Dataset {
+    pub(crate) fn linear_dataset(n: usize) -> Dataset {
         // y = 0.5 a + 0.2 b
         let inputs: Vec<Vec<f32>> = (0..n)
             .map(|i| {
@@ -361,7 +483,7 @@ mod tests {
         Dataset::new(inputs, targets).unwrap()
     }
 
-    fn small_net() -> Network {
+    pub(crate) fn small_net() -> Network {
         NetworkSpec::new(2)
             .layer(LayerSpec::Dense {
                 units: 1,
@@ -470,6 +592,21 @@ mod tests {
             .unwrap();
         let result = Trainer::new(TrainConfig::default()).fit(&mut wrong_net, &data, None);
         assert!(matches!(result, Err(NeuralError::ShapeMismatch { .. })));
+    }
+
+    #[test]
+    fn zero_batch_size_is_a_typed_error() {
+        let data = linear_dataset(10);
+        let mut net = small_net();
+        let config = TrainConfig {
+            batch_size: 0,
+            ..TrainConfig::default()
+        };
+        let result = Trainer::new(config).fit(&mut net, &data, None);
+        assert!(
+            matches!(result, Err(NeuralError::InvalidSpec(_))),
+            "{result:?}"
+        );
     }
 
     #[test]

@@ -6,10 +6,10 @@
 //! derives from `seed + epoch`, independent of interruption.
 
 use neural::guard::{Checkpoint, GuardConfig, GuardedTrainer};
-use neural::optim::OptimizerSpec;
+use neural::optim::{OptimizerSpec, OptimizerState};
 use neural::spec::{LayerSpec, NetworkSpec};
 use neural::train::{Dataset, TrainConfig};
-use neural::{Activation, Loss, Network};
+use neural::{Activation, Loss, Network, NeuralError};
 
 fn dataset() -> (Dataset, Dataset) {
     let inputs: Vec<Vec<f32>> = (0..120)
@@ -125,4 +125,38 @@ fn interruption_off_checkpoint_boundary_still_resumes_exactly() {
 
     assert_eq!(weight_bits(&reference), weight_bits(&interrupted));
     assert_eq!(full.history.train_loss, resumed.history.train_loss);
+}
+
+#[test]
+fn resume_rejects_checkpoint_with_truncated_second_moment() {
+    let (train, val) = dataset();
+    let mut net = network();
+    let partial = trainer(4)
+        .fit_interrupted(&mut net, &train, Some(&val), 2)
+        .unwrap();
+
+    // Truncate one Adam second-moment slot; its first moment keeps the
+    // full parameter length, so the slot counts still agree.
+    let mut tampered = partial.checkpoint.clone();
+    match &mut tampered.optimizer {
+        OptimizerState::Adam { second_moments, .. } => {
+            let slot = &mut second_moments[1];
+            assert!(slot.len() > 1);
+            slot.truncate(1);
+        }
+        other => panic!("expected Adam state, got {other:?}"),
+    }
+    let dir = std::env::temp_dir().join(format!("neural-truncated-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("truncated.json");
+    tampered.save(&path).unwrap();
+    let restored = Checkpoint::load(&path).unwrap();
+    std::fs::remove_dir_all(&dir).unwrap();
+    assert_eq!(restored, tampered, "JSON roundtrip must be exact");
+
+    let result = trainer(4).resume(&mut net, &train, Some(&val), &restored);
+    assert!(
+        matches!(result, Err(NeuralError::InvalidWeights(_))),
+        "{result:?}"
+    );
 }
