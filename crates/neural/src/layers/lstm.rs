@@ -12,6 +12,11 @@ use crate::init::Init;
 use crate::layers::{import_into, Layer, LayerSummary};
 use crate::{Activation, NeuralError};
 
+/// Timesteps per input-projection tile: one 256-bit vector of `f32`.
+const LANES: usize = 8;
+/// Gate rows per input-projection tile; `4·units` is always a multiple.
+const ROWS: usize = 4;
+
 /// An LSTM over a fixed-length sequence, returning the last hidden state.
 ///
 /// Input layout: `timesteps × features`, flattened time-major
@@ -94,6 +99,54 @@ impl Lstm {
     fn sigmoid(x: f32) -> f32 {
         1.0 / (1.0 + (-x).exp())
     }
+
+    /// `W x_t` for every timestep, laid out `t * 4·units + row`, in one
+    /// pass over `W`.
+    ///
+    /// The input is transposed to `features × LANES`, one lane per
+    /// timestep with zero-padded tail lanes, and the gate rows are tiled
+    /// `ROWS` at a time, so a tile runs `ROWS × LANES` independent
+    /// accumulators instead of one latency-bound chain. Each accumulator
+    /// still starts at `0.0` and adds `w·x` in ascending feature order
+    /// with a separate multiply and add: the same IEEE operations as a
+    /// per-row dot product.
+    fn input_projections(&self, input: &[f32]) -> Vec<f32> {
+        let d = self.features;
+        let rows = 4 * self.units;
+        let t_max = self.timesteps;
+        let mut lanes = vec![[0.0f32; LANES]; t_max.div_ceil(LANES) * d];
+        for (t, x_t) in input.chunks_exact(d).enumerate() {
+            let block = &mut lanes[(t / LANES) * d..(t / LANES + 1) * d];
+            for (lane, &x) in block.iter_mut().zip(x_t) {
+                lane[t % LANES] = x;
+            }
+        }
+        let mut wx = vec![0.0f32; t_max * rows];
+        // `4·units` rows always split into whole tiles.
+        for (tile, w_tile) in self.w.chunks_exact(ROWS * d).enumerate() {
+            let (w0, rest) = w_tile.split_at(d);
+            let (w1, rest) = rest.split_at(d);
+            let (w2, w3) = rest.split_at(d);
+            for (block, x_block) in lanes.chunks_exact(d).enumerate() {
+                let mut acc = [[0.0f32; LANES]; ROWS];
+                for ((((x, &a), &b), &c), &e) in x_block.iter().zip(w0).zip(w1).zip(w2).zip(w3) {
+                    for l in 0..LANES {
+                        acc[0][l] += a * x[l];
+                        acc[1][l] += b * x[l];
+                        acc[2][l] += c * x[l];
+                        acc[3][l] += e * x[l];
+                    }
+                }
+                let steps = wx.chunks_exact_mut(rows).skip(block * LANES).take(LANES);
+                for (l, wx_t) in steps.enumerate() {
+                    for (slot, acc_r) in wx_t[tile * ROWS..(tile + 1) * ROWS].iter_mut().zip(&acc) {
+                        *slot = acc_r[l];
+                    }
+                }
+            }
+        }
+        wx
+    }
 }
 
 impl Layer for Lstm {
@@ -112,30 +165,31 @@ impl Layer for Lstm {
     fn forward(&mut self, input: &[f32], _training: bool) -> Vec<f32> {
         assert_eq!(input.len(), self.input_len(), "lstm input length");
         let h = self.units;
-        let d = self.features;
         let t_max = self.timesteps;
         self.cached_input = input.to_vec();
         self.cached_gates = vec![0.0; t_max * 4 * h];
         self.cached_cell = vec![0.0; t_max * h];
         self.cached_hidden = vec![0.0; t_max * h];
 
+        // W x_t does not depend on h, so it is computed for every timestep
+        // in one pass over W; each step continues its accumulators.
+        let wx = self.input_projections(input);
+        let mut z = vec![0.0f32; 4 * h];
         let mut h_prev = vec![0.0f32; h];
         let mut c_prev = vec![0.0f32; h];
-        for t in 0..t_max {
-            let x_t = &input[t * d..(t + 1) * d];
+        for (t, wx_t) in wx.chunks_exact(4 * h).enumerate() {
             // z = W x + U h_prev + b, z has 4h entries.
-            let mut z = self.b.clone();
-            for (row, slot) in z.iter_mut().enumerate() {
-                let wr = &self.w[row * d..(row + 1) * d];
-                let mut acc = 0.0f32;
-                for (wi, xi) in wr.iter().zip(x_t) {
-                    acc += wi * xi;
-                }
-                let ur = &self.u[row * h..(row + 1) * h];
+            for (((slot, &wx_row), ur), &b) in z
+                .iter_mut()
+                .zip(wx_t)
+                .zip(self.u.chunks_exact(h))
+                .zip(&self.b)
+            {
+                let mut acc = wx_row;
                 for (ui, hi) in ur.iter().zip(&h_prev) {
                     acc += ui * hi;
                 }
-                *slot += acc;
+                *slot = b + acc;
             }
             // Gates: [i, f, g, o].
             let gates = &mut self.cached_gates[t * 4 * h..(t + 1) * 4 * h];
@@ -166,14 +220,16 @@ impl Layer for Lstm {
         );
         let h = self.units;
         let d = self.features;
+        let rows = 4 * h;
         let t_max = self.timesteps;
-        let mut grad_in = vec![0.0f32; self.input_len()];
+
+        // Pass 1, the recurrence: every dz_t, grad_b, grad_u and dh_{t-1}.
+        // It touches U only, so W is left for one sweep below.
+        let mut dz = vec![0.0f32; t_max * rows];
         let mut dh = grad_output.to_vec();
         let mut dc = vec![0.0f32; h];
-        let mut dz = vec![0.0f32; 4 * h];
-
         for t in (0..t_max).rev() {
-            let gates = &self.cached_gates[t * 4 * h..(t + 1) * 4 * h];
+            let gates = &self.cached_gates[t * rows..(t + 1) * rows];
             let c_t = &self.cached_cell[t * h..(t + 1) * h];
             let (h_prev, c_prev): (&[f32], &[f32]) = if t == 0 {
                 (&[], &[])
@@ -183,6 +239,7 @@ impl Layer for Lstm {
                     &self.cached_cell[(t - 1) * h..t * h],
                 )
             };
+            let dz_t = &mut dz[t * rows..(t + 1) * rows];
             for j in 0..h {
                 let i_g = gates[j];
                 let f_g = gates[h + j];
@@ -195,37 +252,57 @@ impl Layer for Lstm {
                 let dg = dct * i_g;
                 let cp = if t == 0 { 0.0 } else { c_prev[j] };
                 let df = dct * cp;
-                dz[j] = di * i_g * (1.0 - i_g);
-                dz[h + j] = df * f_g * (1.0 - f_g);
-                dz[2 * h + j] = dg * (1.0 - g_g * g_g);
-                dz[3 * h + j] = do_g * o_g * (1.0 - o_g);
+                dz_t[j] = di * i_g * (1.0 - i_g);
+                dz_t[h + j] = df * f_g * (1.0 - f_g);
+                dz_t[2 * h + j] = dg * (1.0 - g_g * g_g);
+                dz_t[3 * h + j] = do_g * o_g * (1.0 - o_g);
                 dc[j] = dct * f_g;
             }
-            // Accumulate parameter gradients and propagate to x_t, h_{t-1}.
-            let x_t = &self.cached_input[t * d..(t + 1) * d];
             let mut dh_prev = vec![0.0f32; h];
-            for (row, &g) in dz.iter().enumerate() {
+            for (((&g, gb), gu), ur) in dz_t
+                .iter()
+                .zip(&mut self.grad_b)
+                .zip(self.grad_u.chunks_exact_mut(h))
+                .zip(self.u.chunks_exact(h))
+            {
                 if g == 0.0 {
                     continue;
                 }
-                self.grad_b[row] += g;
-                let gw = &mut self.grad_w[row * d..(row + 1) * d];
-                let gx = &mut grad_in[t * d..(t + 1) * d];
-                let wr_base = row * d;
-                for k in 0..d {
-                    gw[k] += g * x_t[k];
-                    gx[k] += g * self.w[wr_base + k];
-                }
-                if t > 0 {
-                    let gu = &mut self.grad_u[row * h..(row + 1) * h];
-                    let ur_base = row * h;
-                    for k in 0..h {
-                        gu[k] += g * h_prev[k];
-                        dh_prev[k] += g * self.u[ur_base + k];
-                    }
+                *gb += g;
+                // No h_{-1}: at t = 0 this zip is empty.
+                for (((gu_k, dh_k), &hp), &u) in gu.iter_mut().zip(&mut dh_prev).zip(h_prev).zip(ur)
+                {
+                    *gu_k += g * hp;
+                    *dh_k += g * u;
                 }
             }
             dh = dh_prev;
+        }
+
+        // Pass 2: one sweep over the rows of W. Each row walks t in
+        // descending order, which keeps every sum in the order of the
+        // per-timestep loop: grad_w over t descending, grad_in over rows.
+        let mut grad_in = vec![0.0f32; self.input_len()];
+        for (row, (wr, gw)) in self
+            .w
+            .chunks_exact(d)
+            .zip(self.grad_w.chunks_exact_mut(d))
+            .enumerate()
+        {
+            for t in (0..t_max).rev() {
+                let g = dz[t * rows + row];
+                if g == 0.0 {
+                    continue;
+                }
+                let x_t = &self.cached_input[t * d..(t + 1) * d];
+                for (gw_k, &x) in gw.iter_mut().zip(x_t) {
+                    *gw_k += g * x;
+                }
+                let gx = &mut grad_in[t * d..(t + 1) * d];
+                for (gx_k, &w) in gx.iter_mut().zip(wr) {
+                    *gx_k += g * w;
+                }
+            }
         }
         grad_in
     }
@@ -408,6 +485,183 @@ mod tests {
         let rev = layer.forward(&[-1.0, 0.5, 0.0, 1.0, 1.0, 0.0], false);
         let diff: f32 = fwd.iter().zip(&rev).map(|(a, b)| (a - b).abs()).sum();
         assert!(diff > 1e-4, "LSTM ignored sequence order");
+    }
+
+    /// The per-timestep, per-row loops the layer is checked against:
+    /// `W` is read once per timestep and every dot product is one chain.
+    fn textbook_forward(l: &mut Lstm, input: &[f32]) -> Vec<f32> {
+        let h = l.units;
+        let d = l.features;
+        let t_max = l.timesteps;
+        l.cached_input = input.to_vec();
+        l.cached_gates = vec![0.0; t_max * 4 * h];
+        l.cached_cell = vec![0.0; t_max * h];
+        l.cached_hidden = vec![0.0; t_max * h];
+
+        let mut h_prev = vec![0.0f32; h];
+        let mut c_prev = vec![0.0f32; h];
+        for t in 0..t_max {
+            let x_t = &input[t * d..(t + 1) * d];
+            // z = W x + U h_prev + b, z has 4h entries.
+            let mut z = l.b.clone();
+            for (row, slot) in z.iter_mut().enumerate() {
+                let wr = &l.w[row * d..(row + 1) * d];
+                let mut acc = 0.0f32;
+                for (wi, xi) in wr.iter().zip(x_t) {
+                    acc += wi * xi;
+                }
+                let ur = &l.u[row * h..(row + 1) * h];
+                for (ui, hi) in ur.iter().zip(&h_prev) {
+                    acc += ui * hi;
+                }
+                *slot += acc;
+            }
+            // Gates: [i, f, g, o].
+            let gates = &mut l.cached_gates[t * 4 * h..(t + 1) * 4 * h];
+            for j in 0..h {
+                let i_g = Lstm::sigmoid(z[j]);
+                let f_g = Lstm::sigmoid(z[h + j]);
+                let g_g = z[2 * h + j].tanh();
+                let o_g = Lstm::sigmoid(z[3 * h + j]);
+                gates[j] = i_g;
+                gates[h + j] = f_g;
+                gates[2 * h + j] = g_g;
+                gates[3 * h + j] = o_g;
+                let c = f_g * c_prev[j] + i_g * g_g;
+                l.cached_cell[t * h + j] = c;
+                l.cached_hidden[t * h + j] = o_g * c.tanh();
+            }
+            h_prev.copy_from_slice(&l.cached_hidden[t * h..(t + 1) * h]);
+            c_prev.copy_from_slice(&l.cached_cell[t * h..(t + 1) * h]);
+        }
+        h_prev
+    }
+
+    fn textbook_backward(l: &mut Lstm, grad_output: &[f32]) -> Vec<f32> {
+        let h = l.units;
+        let d = l.features;
+        let t_max = l.timesteps;
+        let mut grad_in = vec![0.0f32; l.input_len()];
+        let mut dh = grad_output.to_vec();
+        let mut dc = vec![0.0f32; h];
+        let mut dz = vec![0.0f32; 4 * h];
+
+        for t in (0..t_max).rev() {
+            let gates = &l.cached_gates[t * 4 * h..(t + 1) * 4 * h];
+            let c_t = &l.cached_cell[t * h..(t + 1) * h];
+            let (h_prev, c_prev): (&[f32], &[f32]) = if t == 0 {
+                (&[], &[])
+            } else {
+                (
+                    &l.cached_hidden[(t - 1) * h..t * h],
+                    &l.cached_cell[(t - 1) * h..t * h],
+                )
+            };
+            for j in 0..h {
+                let i_g = gates[j];
+                let f_g = gates[h + j];
+                let g_g = gates[2 * h + j];
+                let o_g = gates[3 * h + j];
+                let tanh_c = c_t[j].tanh();
+                let do_g = dh[j] * tanh_c;
+                let dct = dc[j] + dh[j] * o_g * (1.0 - tanh_c * tanh_c);
+                let di = dct * g_g;
+                let dg = dct * i_g;
+                let cp = if t == 0 { 0.0 } else { c_prev[j] };
+                let df = dct * cp;
+                dz[j] = di * i_g * (1.0 - i_g);
+                dz[h + j] = df * f_g * (1.0 - f_g);
+                dz[2 * h + j] = dg * (1.0 - g_g * g_g);
+                dz[3 * h + j] = do_g * o_g * (1.0 - o_g);
+                dc[j] = dct * f_g;
+            }
+            // Accumulate parameter gradients and propagate to x_t, h_{t-1}.
+            let x_t = &l.cached_input[t * d..(t + 1) * d];
+            let mut dh_prev = vec![0.0f32; h];
+            for (row, &g) in dz.iter().enumerate() {
+                if g == 0.0 {
+                    continue;
+                }
+                l.grad_b[row] += g;
+                let gw = &mut l.grad_w[row * d..(row + 1) * d];
+                let gx = &mut grad_in[t * d..(t + 1) * d];
+                let wr_base = row * d;
+                for k in 0..d {
+                    gw[k] += g * x_t[k];
+                    gx[k] += g * l.w[wr_base + k];
+                }
+                if t > 0 {
+                    let gu = &mut l.grad_u[row * h..(row + 1) * h];
+                    let ur_base = row * h;
+                    for k in 0..h {
+                        gu[k] += g * h_prev[k];
+                        dh_prev[k] += g * l.u[ur_base + k];
+                    }
+                }
+            }
+            dh = dh_prev;
+        }
+        grad_in
+    }
+
+    fn assert_bits_eq(what: &str, got: &[f32], want: &[f32]) {
+        assert_eq!(got.len(), want.len(), "{what} length");
+        for (i, (g, w)) in got.iter().zip(want).enumerate() {
+            assert_eq!(g.to_bits(), w.to_bits(), "{what}[{i}]: {g} vs textbook {w}");
+        }
+    }
+
+    #[test]
+    fn forward_and_backward_are_bit_identical_to_textbook_loops() {
+        use rand::Rng;
+        let mut draw = ChaCha8Rng::seed_from_u64(41);
+        // Roughly a quarter of the values are exact zeros, so inputs hit
+        // `0·w` products and upstream zeros drive whole gate rows of dz
+        // to zero (the skip path); forget rows at t = 0 are always zero.
+        let sparse = |n: usize, rng: &mut ChaCha8Rng| -> Vec<f32> {
+            (0..n)
+                .map(|_| {
+                    if rng.gen_bool(0.25) {
+                        0.0
+                    } else {
+                        rng.gen_range(-2.0f32..2.0)
+                    }
+                })
+                .collect()
+        };
+        // Timesteps cross the 8-lane tile; features include odd counts.
+        let shapes = [
+            (1, 1, 1),
+            (1, 3, 7),
+            (5, 7, 7),
+            (8, 1, 32),
+            (9, 13, 33),
+            (16, 5, 1),
+            (16, 11, 33),
+            (9, 4, 32),
+            (5, 1700, 32),
+        ];
+        for (t, d, h) in shapes {
+            let mut fast = Lstm::new(t, d, h, &mut draw).unwrap();
+            let mut textbook = fast.clone();
+            for step in 0..3 {
+                let input = sparse(t * d, &mut draw);
+                let upstream = sparse(h, &mut draw);
+                let ctx = format!("T={t} D={d} H={h} step {step}");
+                let out = fast.forward(&input, true);
+                assert_bits_eq(
+                    &format!("{ctx} output"),
+                    &out,
+                    &textbook_forward(&mut textbook, &input),
+                );
+                let grad_in = fast.backward(&upstream);
+                let want_in = textbook_backward(&mut textbook, &upstream);
+                assert_bits_eq(&format!("{ctx} grad_in"), &grad_in, &want_in);
+                assert_bits_eq(&format!("{ctx} grad_w"), &fast.grad_w, &textbook.grad_w);
+                assert_bits_eq(&format!("{ctx} grad_u"), &fast.grad_u, &textbook.grad_u);
+                assert_bits_eq(&format!("{ctx} grad_b"), &fast.grad_b, &textbook.grad_b);
+            }
+        }
     }
 
     #[test]
