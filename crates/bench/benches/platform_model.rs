@@ -1,6 +1,6 @@
 //! Table 2 regenerated as a Criterion benchmark: the analytical platform
-//! model evaluated for the four Jetson targets, plus the cost of deriving
-//! the workload from a freshly built Table 1 network.
+//! model evaluated for the four Jetson targets for a freshly built
+//! Table 1 network, plus the cost of building that network.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -13,7 +13,7 @@ fn platform_estimates(c: &mut Criterion) {
     let network = MsPipeline::table1_spec(397, MS_TASK_SUBSTANCES.len(), ActivationChoice::paper_best())
         .build(0)
         .expect("network");
-    let workload = Workload::from_network("table1", &network);
+    let workload = Workload::new("table1", network.macs_per_inference(), network.param_count());
 
     let mut group = c.benchmark_group("table2_model");
     for device in Device::jetson_presets() {
@@ -23,10 +23,6 @@ fn platform_estimates(c: &mut Criterion) {
         });
     }
     group.finish();
-
-    c.bench_function("workload_from_network", |b| {
-        b.iter(|| black_box(Workload::from_network("table1", black_box(&network))))
-    });
 }
 
 fn network_build(c: &mut Criterion) {

@@ -1,4 +1,4 @@
-//! Open-loop arrival processes for load generation.
+//! Open-loop arrival process for load generation.
 //!
 //! A closed-loop driver (submit, wait, submit again) can never overload
 //! the system it measures: its arrival rate degrades in lock-step with
@@ -8,218 +8,48 @@
 //! server keeps up, which is what exposes backpressure, deadline misses
 //! and admission-control behaviour.
 //!
-//! Three seeded, fully deterministic processes are provided:
-//!
-//! * [`ArrivalProcess::poisson`] — memoryless arrivals with exponential
-//!   interarrival gaps, the classic M/·/· driver;
-//! * [`ArrivalProcess::bursty`] — a two-state Markov-modulated Poisson
-//!   process alternating quiet and burst phases (geometric phase
-//!   lengths), modelling reaction events that bunch measurements;
-//! * [`ArrivalProcess::diurnal`] — a sinusoidally rate-modulated Poisson
-//!   process, modelling slow load swings across a campaign (the
-//!   "diurnal" pattern compressed onto a bench-scale period).
-//!
-//! All timestamps are in virtual microseconds from the process start;
-//! drivers map them onto a wall clock (or a simulated tick) themselves,
-//! so the process stays usable from deterministic tests.
+//! [`ArrivalProcess::poisson`] is a seeded, fully deterministic
+//! homogeneous Poisson process: memoryless arrivals with exponential
+//! interarrival gaps, the classic M/·/· driver. Timestamps are in virtual
+//! microseconds from the process start; drivers map them onto a wall
+//! clock (or a simulated tick) themselves, so the process stays usable
+//! from deterministic tests.
 
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
-/// Which modulation the process applies on top of Poisson arrivals.
-#[derive(Debug, Clone, PartialEq)]
-enum Modulation {
-    /// Constant rate.
-    None,
-    /// Two-state Markov-modulated Poisson process.
-    Bursty {
-        /// Rate multiplier while in the burst phase.
-        burst_factor: f64,
-        /// Mean arrivals per burst phase (geometric).
-        mean_burst_len: f64,
-        /// Mean arrivals per quiet phase (geometric).
-        mean_quiet_len: f64,
-        /// Whether the process is currently in a burst phase.
-        in_burst: bool,
-        /// Arrivals remaining in the current phase.
-        remaining_in_phase: u64,
-    },
-    /// Sinusoidal rate modulation with the given period.
-    Diurnal {
-        /// Peak-rate multiplier at the top of the cycle (>= 1).
-        peak_factor: f64,
-        /// Cycle period in virtual microseconds.
-        period_us: f64,
-    },
-}
-
 /// A seeded open-loop arrival process yielding monotone virtual
 /// timestamps (microseconds since process start).
-///
-/// Implements [`Iterator`] over arrival timestamps; the stream is
-/// infinite, so bound it with `.take(n)` or [`ArrivalProcess::schedule`].
 #[derive(Debug, Clone)]
 pub struct ArrivalProcess {
     rng: ChaCha8Rng,
-    /// Base arrival rate in arrivals per virtual second.
-    base_rate_per_sec: f64,
-    modulation: Modulation,
+    /// Arrival rate in arrivals per virtual second.
+    rate_per_sec: f64,
     /// Virtual clock: timestamp of the most recent arrival.
     clock_us: f64,
-    arrivals: u64,
 }
 
 impl ArrivalProcess {
     /// A homogeneous Poisson process at `rate_per_sec` arrivals per
     /// virtual second. Rates are clamped to a tiny positive floor so a
-    /// zero rate cannot stall the iterator forever.
+    /// zero rate cannot stall a driver forever.
     pub fn poisson(seed: u64, rate_per_sec: f64) -> Self {
         Self {
             rng: ChaCha8Rng::seed_from_u64(seed),
-            base_rate_per_sec: rate_per_sec.max(1e-9),
-            modulation: Modulation::None,
+            rate_per_sec: rate_per_sec.max(1e-9),
             clock_us: 0.0,
-            arrivals: 0,
-        }
-    }
-
-    /// A two-state Markov-modulated Poisson process: quiet phases at
-    /// `rate_per_sec`, burst phases at `rate_per_sec * burst_factor`,
-    /// with geometrically distributed phase lengths of the given means
-    /// (in arrivals). Starts quiet.
-    pub fn bursty(
-        seed: u64,
-        rate_per_sec: f64,
-        burst_factor: f64,
-        mean_burst_len: f64,
-        mean_quiet_len: f64,
-    ) -> Self {
-        Self {
-            rng: ChaCha8Rng::seed_from_u64(seed),
-            base_rate_per_sec: rate_per_sec.max(1e-9),
-            modulation: Modulation::Bursty {
-                burst_factor: burst_factor.max(1.0),
-                mean_burst_len: mean_burst_len.max(1.0),
-                mean_quiet_len: mean_quiet_len.max(1.0),
-                in_burst: false,
-                remaining_in_phase: 0,
-            },
-            clock_us: 0.0,
-            arrivals: 0,
-        }
-    }
-
-    /// A sinusoidally rate-modulated Poisson process: the instantaneous
-    /// rate swings between `rate_per_sec` (trough) and
-    /// `rate_per_sec * peak_factor` (crest) over `period_us` virtual
-    /// microseconds.
-    pub fn diurnal(seed: u64, rate_per_sec: f64, peak_factor: f64, period_us: f64) -> Self {
-        Self {
-            rng: ChaCha8Rng::seed_from_u64(seed),
-            base_rate_per_sec: rate_per_sec.max(1e-9),
-            modulation: Modulation::Diurnal {
-                peak_factor: peak_factor.max(1.0),
-                period_us: period_us.max(1.0),
-            },
-            clock_us: 0.0,
-            arrivals: 0,
-        }
-    }
-
-    /// Arrivals generated so far.
-    pub fn arrivals(&self) -> u64 {
-        self.arrivals
-    }
-
-    /// Virtual timestamp of the most recent arrival (µs).
-    pub fn clock_us(&self) -> f64 {
-        self.clock_us
-    }
-
-    /// The instantaneous rate (arrivals per virtual second) at the
-    /// current clock, after modulation.
-    pub fn current_rate_per_sec(&mut self) -> f64 {
-        match &mut self.modulation {
-            Modulation::None => self.base_rate_per_sec,
-            Modulation::Bursty {
-                burst_factor,
-                in_burst,
-                ..
-            } => {
-                if *in_burst {
-                    self.base_rate_per_sec * *burst_factor
-                } else {
-                    self.base_rate_per_sec
-                }
-            }
-            Modulation::Diurnal {
-                peak_factor,
-                period_us,
-            } => {
-                let phase = (self.clock_us / *period_us) * std::f64::consts::TAU;
-                let swing = (1.0 - phase.cos()) / 2.0; // 0 at trough, 1 at crest
-                self.base_rate_per_sec * (1.0 + (*peak_factor - 1.0) * swing)
-            }
         }
     }
 
     /// Advances the process and returns the next arrival's virtual
     /// timestamp in microseconds. Timestamps are strictly increasing.
     pub fn next_arrival_us(&mut self) -> f64 {
-        self.advance_phase();
-        let rate = self.current_rate_per_sec();
         // Exponential gap via inverse transform; 1 - U keeps the argument
         // in (0, 1] so ln() stays finite.
         let u: f64 = self.rng.gen();
-        let gap_secs = -(1.0 - u).ln() / rate;
+        let gap_secs = -(1.0 - u).ln() / self.rate_per_sec;
         self.clock_us += (gap_secs * 1e6).max(1e-3);
-        self.arrivals += 1;
         self.clock_us
-    }
-
-    /// The first `n` arrival timestamps (µs), as a schedule a driver can
-    /// replay against a wall clock.
-    pub fn schedule(&mut self, n: usize) -> Vec<f64> {
-        (0..n).map(|_| self.next_arrival_us()).collect()
-    }
-
-    /// For the bursty modulation: draw a new phase when the current one
-    /// is exhausted.
-    fn advance_phase(&mut self) {
-        if let Modulation::Bursty {
-            mean_burst_len,
-            mean_quiet_len,
-            in_burst,
-            remaining_in_phase,
-            ..
-        } = &mut self.modulation
-        {
-            if *remaining_in_phase == 0 {
-                *in_burst = !*in_burst;
-                let mean = if *in_burst {
-                    *mean_burst_len
-                } else {
-                    *mean_quiet_len
-                };
-                // Geometric phase length via inverse transform, >= 1.
-                let u: f64 = self.rng.gen();
-                let len = (-(1.0 - u).ln() * mean).ceil();
-                *remaining_in_phase = if len.is_finite() && len >= 1.0 {
-                    len as u64
-                } else {
-                    1
-                };
-            }
-            *remaining_in_phase -= 1;
-        }
-    }
-}
-
-impl Iterator for ArrivalProcess {
-    type Item = f64;
-
-    fn next(&mut self) -> Option<f64> {
-        Some(self.next_arrival_us())
     }
 }
 
@@ -227,38 +57,33 @@ impl Iterator for ArrivalProcess {
 mod tests {
     use super::*;
 
+    fn schedule(seed: u64, rate_per_sec: f64, n: usize) -> Vec<f64> {
+        let mut process = ArrivalProcess::poisson(seed, rate_per_sec);
+        (0..n).map(|_| process.next_arrival_us()).collect()
+    }
+
     #[test]
     fn poisson_is_seed_deterministic() {
-        let a = ArrivalProcess::poisson(7, 1000.0).schedule(100);
-        let b = ArrivalProcess::poisson(7, 1000.0).schedule(100);
-        let c = ArrivalProcess::poisson(8, 1000.0).schedule(100);
+        let a = schedule(7, 1000.0, 100);
+        let b = schedule(7, 1000.0, 100);
+        let c = schedule(8, 1000.0, 100);
         assert_eq!(a, b);
         assert_ne!(a, c);
     }
 
     #[test]
     fn timestamps_strictly_increase() {
-        for process in [
-            ArrivalProcess::poisson(1, 5000.0),
-            ArrivalProcess::bursty(2, 2000.0, 10.0, 20.0, 50.0),
-            ArrivalProcess::diurnal(3, 1000.0, 4.0, 50_000.0),
-        ] {
-            let mut process = process;
-            let mut last = 0.0;
-            for _ in 0..500 {
-                let t = process.next_arrival_us();
-                assert!(t > last, "non-monotone arrival {t} after {last}");
-                assert!(t.is_finite());
-                last = t;
-            }
-            assert_eq!(process.arrivals(), 500);
+        let mut last = 0.0;
+        for t in schedule(1, 5000.0, 500) {
+            assert!(t > last, "non-monotone arrival {t} after {last}");
+            assert!(t.is_finite());
+            last = t;
         }
     }
 
     #[test]
     fn poisson_mean_rate_is_close() {
-        let mut process = ArrivalProcess::poisson(11, 1000.0);
-        let schedule = process.schedule(20_000);
+        let schedule = schedule(11, 1000.0, 20_000);
         let elapsed_secs = schedule.last().copied().unwrap_or(0.0) / 1e6;
         let rate = schedule.len() as f64 / elapsed_secs;
         assert!(
@@ -268,38 +93,28 @@ mod tests {
     }
 
     #[test]
-    fn bursty_has_higher_variance_than_poisson() {
-        let cv2 = |schedule: &[f64]| {
-            let gaps: Vec<f64> = schedule.windows(2).map(|w| w[1] - w[0]).collect();
-            let mean = gaps.iter().sum::<f64>() / gaps.len() as f64;
-            let var = gaps.iter().map(|g| (g - mean) * (g - mean)).sum::<f64>() / gaps.len() as f64;
-            var / (mean * mean)
-        };
-        let poisson = ArrivalProcess::poisson(5, 1000.0).schedule(20_000);
-        let bursty = ArrivalProcess::bursty(5, 1000.0, 20.0, 50.0, 50.0).schedule(20_000);
-        let (p, b) = (cv2(&poisson), cv2(&bursty));
-        // Poisson gaps have CV^2 ~ 1; the MMPP must be over-dispersed.
-        assert!((p - 1.0).abs() < 0.2, "poisson cv^2 {p}");
-        assert!(b > 1.5 * p, "bursty cv^2 {b} vs poisson {p}");
-    }
-
-    #[test]
-    fn diurnal_rate_swings_across_the_period() {
-        let mut process = ArrivalProcess::diurnal(9, 1000.0, 5.0, 1_000_000.0);
-        // At clock 0 (trough) the rate is the base rate.
-        assert!((process.current_rate_per_sec() - 1000.0).abs() < 1e-9);
-        // Walk the clock to mid-period: the rate must be near the peak.
-        while process.clock_us() < 500_000.0 {
-            process.next_arrival_us();
-        }
-        let mid = process.current_rate_per_sec();
-        assert!(mid > 4500.0, "mid-period rate {mid}");
-    }
-
-    #[test]
-    fn iterator_and_schedule_agree() {
-        let from_iter: Vec<f64> = ArrivalProcess::poisson(13, 700.0).take(50).collect();
-        let from_schedule = ArrivalProcess::poisson(13, 700.0).schedule(50);
-        assert_eq!(from_iter, from_schedule);
+    fn monitor_loop_background_stream_is_pinned() {
+        // The seed and rate `monitor_loop` draws its background traffic
+        // from; a changed RNG draw order would move its schedule.
+        let pinned: [u64; 16] = [
+            0x407202b81617c79a,
+            0x407c4dd4ca84f334,
+            0x40839873bbe3c3de,
+            0x40928da36b144ef0,
+            0x4095345898c9e060,
+            0x409987bbe629ebb4,
+            0x40a252587647c89c,
+            0x40a38fa3706db8be,
+            0x40a475001d969d33,
+            0x40a71ecfb821a64e,
+            0x40a9b835df057b9b,
+            0x40acd14107ef26bc,
+            0x40b12fb828a3e097,
+            0x40b2882f1cedaa93,
+            0x40b3b588fd7a4cf1,
+            0x40b4c54ea906bdac,
+        ];
+        let drawn: Vec<u64> = schedule(97, 2_000.0, 16).iter().map(|t| t.to_bits()).collect();
+        assert_eq!(drawn, pinned);
     }
 }

@@ -24,7 +24,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use bench::arrival::ArrivalProcess;
-use bench::{banner, pick, write_csv, TraceSession};
+use bench::{banner, merge_into_bench_json, pick, write_csv, TraceSession};
 use chem::Mixture;
 use datastore::Store;
 use faultsim::FaultPlan;
@@ -331,8 +331,7 @@ fn main() {
         "router_failovers": router_report.failovers,
     });
     let out = repo_root().join("BENCH_serve.json");
-    let merged = merge_into_bench_json(&out, "monitor_loop", payload);
-    std::fs::write(&out, merged).expect("write BENCH_serve.json");
+    merge_into_bench_json(&out, serde_json::json!({ "monitor_loop": payload }));
     println!("wrote {} (monitor_loop section)", out.display());
 
     let rows: Vec<String> = report
@@ -360,27 +359,6 @@ fn main() {
         &rows,
     );
     println!("wrote {}", csv.display());
-}
-
-/// Sets `key` in the existing `BENCH_serve.json` object (other benches'
-/// sections survive); starts a fresh object when the file is missing or
-/// not a JSON object.
-fn merge_into_bench_json(
-    path: &std::path::Path,
-    key: &str,
-    payload: serde_json::Value,
-) -> String {
-    let mut doc = std::fs::read_to_string(path)
-        .ok()
-        .and_then(|text| serde_json::from_str::<serde_json::Value>(&text).ok())
-        .and_then(|value| match value {
-            serde_json::Value::Object(map) => Some(map),
-            _ => None,
-        })
-        .unwrap_or_default();
-    doc.insert(key.to_string(), payload);
-    serde_json::to_string_pretty(&serde_json::Value::Object(doc))
-        .expect("serialize merged report")
 }
 
 /// Parses the chrome-trace profile and asserts the loop's spans landed:

@@ -1,38 +1,33 @@
-//! Load-drives the `serve` inference tier with the Table-1 MS network.
+//! Load-drives the `serve` inference tier with the Table-1 MS network
+//! and hosts the serving tier's CI gates.
 //!
 //! Deploys a trained-shape network through the core deploy stage into a
-//! datastore, loads it into a `serve::ModelRegistry`, then fires a
-//! synthetic request stream at a `serve::Router`. Compares throughput
-//! against the single-thread sequential baseline and the analytical
-//! platform model, and writes the numbers to `BENCH_serve.json` (+ a CSV
-//! series in `target/experiments/`).
+//! datastore, loads it into a `serve::ModelRegistry`, then submits a
+//! synthetic request stream to a `serve::Router` and writes the numbers
+//! to `BENCH_serve.json`. The gates, each of which fails the run:
 //!
-//! Sequential `Network::predict` is the one forward reference: every
-//! served output must stay within `1e-4` max-abs-error of it. Per-layer
-//! kernel timings from an instrumented single-thread probe batch of 32
-//! land in the JSON as `kernel_timings`; their per-sample sum against the
-//! per-sample sequential time is `kernel_speedup`, which must stay ≥ 4×.
+//! * every served output stays within `1e-4` max-abs-error of
+//!   sequential `Network::predict`, the one forward reference;
+//! * `kernel_speedup` — the per-sample sum of per-layer kernel timings
+//!   from an instrumented single-thread probe batch of 32, against the
+//!   per-sample sequential time — stays ≥ 4×;
+//! * a span-wrapped predict with no collector installed stays within 5%
+//!   of the bare call (median of 21 interleaved trials);
+//! * `--gate-baseline PATH`: the run drops no more than 25% against a
+//!   committed `BENCH_serve.json`;
+//! * `--trace PATH`: the chrome-trace profile nests `serve.request`
+//!   spans inside `serve.batch` spans.
 //!
 //! `--smoke` runs a small request count for CI and skips the
 //! speedup-vs-sequential assertion (shared runners have unpredictable
 //! scheduling); the default and `SPECTROAI_FULL=1` scales assert that
 //! the tier beats the sequential baseline.
 //!
-//! `--shards N` spreads the tier over N supervised shards (default one;
-//! supervisor, admission control, failover); `--chaos`
-//! additionally injects a worker panic and a batch stall mid-run via
-//! `faultsim` and asserts the tier loses no request: the supervisor
-//! fails the shard over, restarts it, and every submission reaches a
-//! terminal outcome (conservation). The JSON gains the per-shard and
-//! failover counters.
-//!
-//! `--arrival <poisson|bursty|diurnal>` switches the driver from the
-//! closed loop (front-load everything, then wait) to an *open-loop*
-//! arrival process (`bench::arrival`): requests are submitted on a
-//! seeded schedule independent of completions, so backpressure and
-//! admission control face a workload that does not politely slow down.
-//! Shed submissions (queue-full / admission rejections) are counted, and
-//! the conservation check becomes offered = served + shed.
+//! `--shards N` spreads the tier over N supervised shards (default one);
+//! `--chaos` additionally injects a worker panic and a batch stall
+//! mid-run via `faultsim` and asserts the tier loses no request: the
+//! supervisor fails the shard over, restarts it, and every submission
+//! reaches a terminal outcome (conservation). Any other argument exits 2.
 
 #![forbid(unsafe_code)]
 
@@ -40,16 +35,14 @@ use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use bench::arrival::ArrivalProcess;
-use bench::{banner, pick, write_csv, TraceSession};
+use bench::{banner, merge_into_bench_json, pick, TraceSession};
 use datastore::Store;
 use faultsim::FaultPlan;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use neural::kernels::{max_abs_divergence, Scratch};
 use serve::{
-    ModelRegistry, Request, RetryPolicy, Router, RouterConfig, ServeConfig, SubmitError,
-    SupervisorConfig, Ticket,
+    ModelRegistry, Request, RetryPolicy, Router, RouterConfig, ServeConfig, SupervisorConfig,
 };
 use spectroai::pipeline::deploy::deploy_network;
 use spectroai::pipeline::ms::{ActivationChoice, MsPipeline};
@@ -62,125 +55,145 @@ const TOLERANCE: f32 = 1e-4;
 /// Samples per batch in the single-thread kernel timing probe.
 const PROBE_BATCH: usize = 32;
 
-/// `--shards N` from argv, if present.
-fn shards_arg() -> Option<usize> {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == "--shards")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|n| n.parse().ok())
+/// The command line. `--trace PATH` is accepted here and read by
+/// [`TraceSession::from_args`].
+struct Args {
+    smoke: bool,
+    chaos: bool,
+    shards: Option<usize>,
+    gate_baseline: Option<PathBuf>,
 }
 
-/// `--arrival <kind>` from argv, if present.
-fn arrival_arg() -> Option<String> {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == "--arrival")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
+/// Parses argv, exiting 2 on any argument not listed in the module doc
+/// so that a stale invocation cannot run a different experiment than
+/// its caller asked for.
+fn parse_args() -> Args {
+    let mut args = Args {
+        smoke: false,
+        chaos: false,
+        shards: None,
+        gate_baseline: None,
+    };
+    let mut argv = std::env::args().skip(1);
+    while let Some(arg) = argv.next() {
+        let mut value = || {
+            argv.next()
+                .unwrap_or_else(|| usage(&format!("{arg} requires a value")))
+        };
+        match arg.as_str() {
+            "--smoke" => args.smoke = true,
+            "--chaos" => args.chaos = true,
+            "--shards" => {
+                let n = value();
+                match n.parse() {
+                    Ok(shards) if shards > 0 => args.shards = Some(shards),
+                    _ => usage(&format!("--shards {n:?}: expected a count >= 1")),
+                }
+            }
+            "--gate-baseline" => args.gate_baseline = Some(PathBuf::from(value())),
+            "--trace" => {
+                value();
+            }
+            _ => usage(&format!("unknown argument {arg:?}")),
+        }
+    }
+    args
 }
 
-/// `--gate-baseline <path>` from argv: a committed `BENCH_serve.json`
-/// to regression-gate this run against. Loaded before the run starts
-/// (this binary overwrites `BENCH_serve.json` on exit, so the baseline
-/// must be read first — CI stashes the checked-out copy).
-fn gate_baseline_arg() -> Option<(PathBuf, serde_json::Value)> {
-    let args: Vec<String> = std::env::args().collect();
-    let path = args
-        .iter()
-        .position(|a| a == "--gate-baseline")
-        .and_then(|i| args.get(i + 1))
-        .map(PathBuf::from)?;
+fn usage(problem: &str) -> ! {
+    eprintln!(
+        "serve_load: {problem}\n\
+         usage: serve_load [--smoke] [--chaos] [--shards N] [--gate-baseline PATH] [--trace PATH]"
+    );
+    std::process::exit(2);
+}
+
+/// The figure the BENCH regression gate compares against, read from a
+/// committed `BENCH_serve.json`.
+struct Baseline {
+    path: PathBuf,
+    /// Whether the baseline ran the same scale and shard count, without
+    /// chaos.
+    same_mode: bool,
+    committed: f64,
+}
+
+/// The field the gate compares: raw `served_rps` in the same mode,
+/// `kernel_speedup` across modes.
+fn gate_metric(same_mode: bool) -> &'static str {
+    if same_mode {
+        "served_rps"
+    } else {
+        "kernel_speedup"
+    }
+}
+
+/// Reads the `--gate-baseline` file before the run starts (this binary
+/// overwrites `BENCH_serve.json` on exit, so CI stashes the checked-out
+/// copy). Raw req/s is only comparable at the same scale and shard
+/// count (smoke vs full differ in request count and therefore warm-up
+/// share); across modes the gate uses `kernel_speedup` (single-thread
+/// batch-32 kernels vs sequential `Network::predict`, both per sample,
+/// so host speed *and* core count normalize away). Exits 2 when the
+/// file is unreadable, not JSON, or lacks the figure.
+fn load_baseline(path: PathBuf, smoke: bool, shards: usize) -> Baseline {
     let text = std::fs::read_to_string(&path).unwrap_or_else(|e| {
         eprintln!("--gate-baseline {}: {e}", path.display());
         std::process::exit(2);
     });
-    let doc = serde_json::from_str(&text).unwrap_or_else(|e| {
+    let doc: serde_json::Value = serde_json::from_str(&text).unwrap_or_else(|e| {
         eprintln!("--gate-baseline {}: invalid JSON: {e}", path.display());
         std::process::exit(2);
     });
-    Some((path, doc))
-}
-
-/// The BENCH regression gate: served throughput must stay within 25%
-/// of the committed baseline. Raw req/s is compared only when the
-/// baseline ran the same scale and shard count (smoke vs full differ in
-/// request count and therefore warm-up share); across mismatched modes
-/// the gate falls back to `kernel_speedup` (single-thread batch-32
-/// kernels vs sequential `Network::predict`, both per sample, so host
-/// speed *and* core count normalize away), then to `speedup`
-/// (served/sequential) when the baseline predates that field.
-fn bench_regression_gate(
-    baseline: &(PathBuf, serde_json::Value),
-    smoke: bool,
-    shards: usize,
-    served_rps: f64,
-    speedup: f64,
-    kernel_speedup: f64,
-) {
-    const MAX_DROP: f64 = 0.25;
-    let (path, doc) = baseline;
     let same_mode = doc["smoke"].as_bool() == Some(smoke)
         && doc["shards"].as_u64() == Some(shards as u64)
-        && doc["chaos"].as_bool() == Some(false)
-        && doc["arrival"].is_null();
-    let (metric, current, committed) = if same_mode {
-        ("served_rps", served_rps, doc["served_rps"].as_f64())
-    } else if let Some(committed) = doc["kernel_speedup"].as_f64() {
-        ("kernel_speedup", kernel_speedup, Some(committed))
-    } else {
-        ("speedup", speedup, doc["speedup"].as_f64())
+        && doc["chaos"].as_bool() == Some(false);
+    let metric = gate_metric(same_mode);
+    let Some(committed) = doc[metric].as_f64() else {
+        eprintln!("--gate-baseline {}: no {metric} field to gate on", path.display());
+        std::process::exit(2);
     };
-    let Some(committed) = committed else {
-        eprintln!(
-            "--gate-baseline {}: no {metric} field; skipping regression gate",
-            path.display()
-        );
-        return;
+    Baseline {
+        path,
+        same_mode,
+        committed,
+    }
+}
+
+/// The BENCH regression gate: the baseline's figure must not drop by
+/// more than 25%.
+fn bench_regression_gate(baseline: &Baseline, served_rps: f64, kernel_speedup: f64) {
+    const MAX_DROP: f64 = 0.25;
+    let (metric, committed) = (gate_metric(baseline.same_mode), baseline.committed);
+    let current = if baseline.same_mode {
+        served_rps
+    } else {
+        kernel_speedup
     };
     let ratio = current / committed;
     println!(
         "gate:       {metric} {current:.2} vs committed {committed:.2} \
          (ratio {ratio:.3}, floor {:.3}{})",
         1.0 - MAX_DROP,
-        if same_mode { "" } else { ", mode-normalized" }
+        if baseline.same_mode { "" } else { ", mode-normalized" }
     );
     assert!(
         ratio >= 1.0 - MAX_DROP,
         "BENCH regression gate: {metric} dropped more than {:.0}% vs {} \
          ({current:.2} vs {committed:.2}, ratio {ratio:.3})",
         MAX_DROP * 100.0,
-        path.display()
+        baseline.path.display()
     );
 }
 
-/// Builds the requested open-loop process at a rate the serving tier can
-/// sustain (anchored to the measured sequential baseline, so quick and
-/// full scales both finish promptly).
-fn arrival_process(kind: &str, sequential_rps: f64, n_requests: usize) -> ArrivalProcess {
-    let base = (sequential_rps * 0.6).max(500.0);
-    match kind {
-        "poisson" => ArrivalProcess::poisson(97, base),
-        "bursty" => ArrivalProcess::bursty(97, base * 0.4, 6.0, 40.0, 80.0),
-        "diurnal" => {
-            // Two full cycles across the run's nominal span.
-            let span_us = n_requests as f64 / base * 1e6;
-            ArrivalProcess::diurnal(97, base * 0.4, 4.0, (span_us / 2.0).max(10_000.0))
-        }
-        other => {
-            eprintln!("unknown --arrival kind {other:?}; expected poisson|bursty|diurnal");
-            std::process::exit(2);
-        }
-    }
-}
-
 fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
-    let chaos = std::env::args().any(|a| a == "--chaos");
-    let arrival = arrival_arg();
+    let args = parse_args();
+    let (smoke, chaos) = (args.smoke, args.chaos);
+    let shards = args.shards.unwrap_or(if chaos { 4 } else { 1 });
     // Read the committed baseline up front — this run overwrites it.
-    let gate_baseline = gate_baseline_arg();
-    let shards = shards_arg().unwrap_or(if chaos { 4 } else { 1 });
+    let gate_baseline = args
+        .gate_baseline
+        .map(|path| load_baseline(path, smoke, shards));
     banner(
         "serve_load — batched inference serving on the Table-1 MS network",
         "paper §III.A.2 Table 1 (deployed via Tool 4)",
@@ -292,15 +305,7 @@ fn main() {
     // run (spans + queue-depth gauge from the engine's obs hooks).
     let trace = TraceSession::from_args();
 
-    let process = arrival
-        .as_deref()
-        .map(|kind| arrival_process(kind, sequential_rps, n_requests));
-    if let Some(kind) = &arrival {
-        println!("arrival:    open-loop {kind} process (seeded, rate anchored to baseline)");
-    }
-    let outcome = serve_tier(
-        &registry, &inputs, &expected, &config, shards, chaos, retry, process,
-    );
+    let outcome = serve_tier(&registry, &inputs, &expected, &config, shards, chaos, retry);
     if let Some(trace_path) = trace.finish() {
         validate_trace(&trace_path);
     }
@@ -324,7 +329,7 @@ fn main() {
          {speedup:.2}x sequential)"
     );
     if let Some(baseline) = &gate_baseline {
-        bench_regression_gate(baseline, smoke, shards, served_rps, speedup, kernel_speedup);
+        bench_regression_gate(baseline, served_rps, kernel_speedup);
     }
     println!(
         "batching:   {} batches, mean size {:.2}, largest {}, queue high-water {}",
@@ -348,29 +353,6 @@ fn main() {
         router.shed,
         outcome.crashed,
     );
-    if let Some(kind) = &arrival {
-        // Open-loop gates: every offered request reached a terminal fate
-        // (served or explicitly shed — never silently lost), and the
-        // driver kept to its schedule.
-        assert_eq!(
-            outcome.offered,
-            n_requests,
-            "open-loop driver must offer the whole schedule"
-        );
-        assert_eq!(
-            outcome.served + outcome.shed + outcome.crashed,
-            outcome.offered,
-            "open-loop conservation: served {} + shed {} + crashed {} != offered {}",
-            outcome.served,
-            outcome.shed,
-            outcome.crashed,
-            outcome.offered
-        );
-        println!(
-            "open-loop:  {kind} offered {} served {} shed {} (max schedule lag {:.0}us)",
-            outcome.offered, outcome.served, outcome.shed, outcome.behind_max_us
-        );
-    }
     if chaos {
         // The chaos acceptance gates: zero lost requests (conservation),
         // the supervisor actually failed over and restarted the shard,
@@ -393,7 +375,7 @@ fn main() {
         );
         println!("chaos:      conservation holds ({terminal}/{} terminal)", report.requests_submitted);
     }
-    if !smoke && !chaos && arrival.is_none() {
+    if !smoke && !chaos {
         assert!(
             speedup > 1.0,
             "multi-worker batched serving should beat the sequential baseline \
@@ -401,30 +383,12 @@ fn main() {
         );
     }
 
-    // Close the loop against the analytical platform model.
-    let workload = platform::Workload::from_network("table1-ms", &network);
-    let device = platform::Device::desktop_i7_cpu();
-    let fit = platform::overlay::compare_measured(
-        &device,
-        &workload,
-        n_requests as u64,
-        served_seconds,
-    );
-    println!(
-        "model fit:  modelled {:.3}s vs measured {:.3}s on {} — ratio {:.2}",
-        fit.modelled_seconds, fit.measured_seconds, device.name, fit.ratio
-    );
-
     let router_json = serde_json::to_value(router).expect("serialize router report");
     let json = serde_json::json!({
         "bench": "serve_load",
         "smoke": smoke,
         "shards": shards,
         "chaos": chaos,
-        "arrival": arrival,
-        "offered": outcome.offered,
-        "served": outcome.served,
-        "shed": outcome.shed,
         "failovers": router.failovers,
         "restarts": router.restarts,
         "router": router_json,
@@ -447,45 +411,13 @@ fn main() {
         "tolerance": TOLERANCE,
         "kernel_timings": kernel_timings,
         "metrics": report,
-        "model_fit": fit,
     });
     let out = repo_root().join("BENCH_serve.json");
-    // Carry a monitor_loop section forward if that bench wrote first, so
-    // the two publishers can run in either order.
-    let mut json = json;
-    let previous = std::fs::read_to_string(&out)
-        .ok()
-        .and_then(|text| serde_json::from_str::<serde_json::Value>(&text).ok())
-        .and_then(|doc| match doc {
-            serde_json::Value::Object(mut map) => map.remove("monitor_loop"),
-            _ => None,
-        });
-    if let (Some(section), serde_json::Value::Object(map)) = (previous, &mut json) {
-        map.insert("monitor_loop".to_string(), section);
-    }
-    let pretty = serde_json::to_string_pretty(&json).expect("serialize report");
-    std::fs::write(&out, pretty).expect("write BENCH_serve.json");
+    merge_into_bench_json(&out, json);
     println!("wrote {}", out.display());
-
-    let csv = write_csv(
-        "serve_load.csv",
-        "requests,workers,max_batch,shards,sequential_rps,served_rps,speedup,\
-         kernel_speedup,p50_us,p95_us,p99_us,mean_batch",
-        &[format!(
-            "{n_requests},{},{},{shards},{sequential_rps:.1},{served_rps:.1},{speedup:.3},\
-             {kernel_speedup:.3},{},{},{},{:.2}",
-            config.workers,
-            config.max_batch,
-            report.latency_p50_us,
-            report.latency_p95_us,
-            report.latency_p99_us,
-            report.mean_batch_size
-        )],
-    );
-    println!("wrote {}", csv.display());
 }
 
-/// What one serving run produced, regardless of which tier served it.
+/// What one serving run produced.
 struct RunOutcome {
     served_seconds: f64,
     report: serve::MetricsReport,
@@ -496,68 +428,6 @@ struct RunOutcome {
     /// Requests resolved with `WorkerCrashed` (chaos runs only).
     crashed: usize,
     router: serve::RouterReport,
-    /// Requests the driver offered (== the full schedule).
-    offered: usize,
-    /// Requests that completed with a prediction.
-    served: usize,
-    /// Open-loop submissions rejected by backpressure/admission control.
-    shed: usize,
-    /// Worst lag of the open-loop driver behind its schedule (µs).
-    behind_max_us: f64,
-}
-
-/// What the open-loop pacing stage produced: accepted tickets tagged
-/// with their input index, plus shed/lag accounting.
-struct OpenLoopDrive {
-    tickets: Vec<(usize, Ticket)>,
-    shed: usize,
-    behind_max_us: f64,
-}
-
-/// Replays a seeded arrival schedule against the wall clock, submitting
-/// each request at its scheduled instant regardless of completions.
-/// Backpressure rejections are shed (counted, not retried) — the open
-/// loop never slows down for the server.
-fn drive_open_loop(
-    submit: &dyn Fn(Request) -> Result<Ticket, SubmitError>,
-    inputs: &[Vec<f32>],
-    mut process: ArrivalProcess,
-) -> OpenLoopDrive {
-    let started = Instant::now();
-    let mut tickets = Vec::with_capacity(inputs.len());
-    let mut shed = 0usize;
-    let mut behind_max_us = 0f64;
-    for (index, x) in inputs.iter().enumerate() {
-        let due_us = process.next_arrival_us();
-        loop {
-            let elapsed_us = started.elapsed().as_secs_f64() * 1e6;
-            if elapsed_us >= due_us {
-                behind_max_us = behind_max_us.max(elapsed_us - due_us);
-                break;
-            }
-            let gap_us = due_us - elapsed_us;
-            if gap_us > 300.0 {
-                std::thread::sleep(Duration::from_micros((gap_us - 200.0) as u64));
-            } else {
-                std::hint::spin_loop();
-            }
-        }
-        match submit(Request::new("table1-ms", x.clone())) {
-            Ok(ticket) => tickets.push((index, ticket)),
-            Err(
-                SubmitError::QueueFull { .. }
-                | SubmitError::Overloaded { .. }
-                | SubmitError::WouldMissDeadline { .. }
-                | SubmitError::NoHealthyShard,
-            ) => shed += 1,
-            Err(err) => panic!("open-loop submit must not fail structurally: {err}"),
-        }
-    }
-    OpenLoopDrive {
-        tickets,
-        shed,
-        behind_max_us,
-    }
 }
 
 /// Times each batched kernel of `plan` on an instrumented 32-sample
@@ -631,7 +501,6 @@ fn kernel_timing_probe(
 /// `chaos`, a deterministic fault plan panics a worker in shard 0 and
 /// stalls a batch in shard 1 mid-run; the supervisor must fail both
 /// shards over and restart them while every ticket still resolves.
-#[allow(clippy::too_many_arguments)]
 fn serve_tier(
     registry: &Arc<ModelRegistry>,
     inputs: &[Vec<f32>],
@@ -640,7 +509,6 @@ fn serve_tier(
     shards: usize,
     chaos: bool,
     retry: RetryPolicy,
-    arrival: Option<ArrivalProcess>,
 ) -> RunOutcome {
     let router_config = RouterConfig {
         shards,
@@ -668,43 +536,27 @@ fn serve_tier(
         .expect("start sharded router");
 
     let started = Instant::now();
-    let (tickets, shed, behind_max_us) = match arrival {
-        Some(process) => {
-            let drive = drive_open_loop(&|req| router.submit(req), inputs, process);
-            (drive.tickets, drive.shed, drive.behind_max_us)
-        }
-        None => (
-            inputs
-                .iter()
-                .enumerate()
-                .map(|(i, x)| {
-                    (
-                        i,
-                        router
-                            .submit_with_retry(Request::new("table1-ms", x.clone()), retry)
-                            .expect("submission should succeed within the retry budget"),
-                    )
-                })
-                .collect::<Vec<(usize, Ticket)>>(),
-            0,
-            0.0,
-        ),
-    };
+    let tickets: Vec<_> = inputs
+        .iter()
+        .map(|x| {
+            router
+                .submit_with_retry(Request::new("table1-ms", x.clone()), retry)
+                .expect("submission should succeed within the retry budget")
+        })
+        .collect();
     let mut mismatches = 0usize;
     let mut max_batch_seen = 0usize;
     let mut crashed = 0usize;
-    let mut served = 0usize;
     let mut max_err = 0.0f32;
-    for (index, ticket) in tickets {
+    for (ticket, expected) in tickets.into_iter().zip(expected) {
         match ticket.wait() {
             Ok(prediction) => {
-                let err = max_abs_divergence(&prediction.output, &expected[index]);
+                let err = max_abs_divergence(&prediction.output, expected);
                 max_err = max_err.max(err);
                 if err > TOLERANCE {
                     mismatches += 1;
                 }
                 max_batch_seen = max_batch_seen.max(prediction.batch_size);
-                served += 1;
             }
             Err(serve::ServeError::WorkerCrashed) if chaos => crashed += 1,
             Err(err) => panic!("request must not fail outside injected faults: {err}"),
@@ -741,10 +593,6 @@ fn serve_tier(
         max_err,
         crashed,
         router: report,
-        offered: inputs.len(),
-        served,
-        shed,
-        behind_max_us,
     }
 }
 

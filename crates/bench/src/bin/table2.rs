@@ -29,7 +29,11 @@ fn main() {
     let network = MsPipeline::table1_spec(397, MS_TASK_SUBSTANCES.len(), ActivationChoice::paper_best())
         .build(0)
         .expect("network");
-    let workload = Workload::from_network("table1-net", &network);
+    let workload = Workload::new(
+        "table1-net",
+        network.macs_per_inference(),
+        network.param_count(),
+    );
     println!(
         "workload: {} parameters, {:.3} M MACs/inference, {} samples\n",
         workload.parameters,

@@ -10,7 +10,7 @@
 pub mod arrival;
 
 use std::io::Write;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 /// Returns `true` when paper-scale workloads were requested via
 /// `SPECTROAI_FULL=1`.
@@ -49,6 +49,35 @@ pub fn write_csv(name: &str, header: &str, rows: &[String]) -> PathBuf {
         writeln!(file, "{row}").expect("write row");
     }
     path
+}
+
+/// Merges the top-level entries of `sections` into the JSON object
+/// stored at `path` and writes it back pretty-printed. Entries of the
+/// file that `sections` does not name survive, so `serve_load` and
+/// `monitor_loop` can publish into the same `BENCH_serve.json` in either
+/// order. A missing file, or one that is not a JSON object, starts a
+/// fresh object.
+///
+/// # Panics
+///
+/// Panics if `sections` is not a JSON object, or on I/O failure (harness
+/// binaries want loud failures).
+pub fn merge_into_bench_json(path: &Path, sections: serde_json::Value) {
+    let serde_json::Value::Object(sections) = sections else {
+        panic!("BENCH sections must be a JSON object");
+    };
+    let mut doc = std::fs::read_to_string(path)
+        .ok()
+        .and_then(|text| serde_json::from_str::<serde_json::Value>(&text).ok())
+        .and_then(|value| match value {
+            serde_json::Value::Object(map) => Some(map),
+            _ => None,
+        })
+        .unwrap_or_default();
+    doc.extend(sections);
+    let pretty = serde_json::to_string_pretty(&serde_json::Value::Object(doc))
+        .expect("serialize merged report");
+    std::fs::write(path, pretty).expect("write BENCH report");
 }
 
 /// Prints a banner naming the experiment and its scale.
@@ -106,11 +135,6 @@ impl TraceSession {
         Self::default()
     }
 
-    /// Whether a trace is being collected.
-    pub fn is_tracing(&self) -> bool {
-        self.active.is_some()
-    }
-
     /// Writes the chrome-trace JSON (if tracing) and uninstalls the
     /// collector. Returns the output path when a profile was written.
     ///
@@ -139,7 +163,7 @@ impl Drop for TraceSession {
 }
 
 /// Serializes the collector's journal as chrome-trace JSON to `path`.
-fn write_profile(path: &std::path::Path, guard: &obs::InstallGuard) -> std::io::Result<()> {
+fn write_profile(path: &Path, guard: &obs::InstallGuard) -> std::io::Result<()> {
     let json = guard.collector().chrome_trace();
     let dropped = guard.collector().journal_dropped();
     std::fs::write(path, json)?;
@@ -166,6 +190,18 @@ mod tests {
         if !full_scale() {
             assert_eq!(pick(1, 2), 1);
         }
+    }
+
+    #[test]
+    fn merge_into_bench_json_keeps_other_sections() {
+        let path = std::env::temp_dir().join(format!("bench-merge-{}.json", std::process::id()));
+        std::fs::write(&path, "[1]").unwrap();
+        merge_into_bench_json(&path, serde_json::json!({ "a": 1, "b": 2 }));
+        merge_into_bench_json(&path, serde_json::json!({ "b": 3, "c": 4 }));
+        let doc: serde_json::Value =
+            serde_json::from_str(&std::fs::read_to_string(&path).unwrap()).unwrap();
+        std::fs::remove_file(&path).unwrap();
+        assert_eq!(doc, serde_json::json!({ "a": 1, "b": 3, "c": 4 }));
     }
 
     #[test]

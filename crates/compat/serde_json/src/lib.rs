@@ -201,7 +201,7 @@ mod tests {
 
     #[test]
     fn compact_output_matches_expectations() {
-        let v = json!({"b": 1, "a": [true, null, "x"], "f": 0.5});
+        let v = json!({"b": 1, "a": json!([true, json!(null), "x"]), "f": 0.5});
         assert_eq!(
             to_string(&v).unwrap(),
             r#"{"a":[true,null,"x"],"b":1,"f":0.5}"#

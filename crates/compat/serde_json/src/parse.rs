@@ -6,10 +6,16 @@ use serde::{Number, Value};
 
 use crate::Error;
 
+/// Deepest array/object nesting accepted. Each level costs a stack frame
+/// of the recursive descent, so unbounded input depth would overflow the
+/// stack and abort the process instead of returning an error.
+const MAX_DEPTH: usize = 128;
+
 pub(crate) fn parse(text: &str) -> Result<Value, Error> {
     let mut parser = Parser {
         bytes: text.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     parser.skip_ws();
     let value = parser.value()?;
@@ -23,6 +29,8 @@ pub(crate) fn parse(text: &str) -> Result<Value, Error> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -64,12 +72,24 @@ impl<'a> Parser<'a> {
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
             Some(b'"') => Ok(Value::String(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             Some(c) => Err(self.err(&format!("unexpected character `{}`", c as char))),
             None => Err(self.err("unexpected end of input")),
         }
+    }
+
+    /// Parses one array or object one level deeper, failing once the
+    /// input nests deeper than [`MAX_DEPTH`].
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Value, Error>) -> Result<Value, Error> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(&format!("nesting deeper than {MAX_DEPTH}")));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn array(&mut self) -> Result<Value, Error> {
@@ -255,6 +275,28 @@ mod tests {
     fn parses_unicode_escapes() {
         let v = parse(r#""Aé😀""#).unwrap();
         assert_eq!(v, "Aé😀");
+    }
+
+    #[test]
+    fn pathological_nesting_is_an_error_not_a_stack_overflow() {
+        for opener in ["[", "{\"a\":"] {
+            let err = parse(&opener.repeat(200_000)).unwrap_err();
+            assert!(
+                err.to_string().contains("nesting deeper than 128 at byte"),
+                "{err}"
+            );
+        }
+    }
+
+    #[test]
+    fn nesting_limit_is_128_levels() {
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(parse(&nested(128)).is_ok());
+        let err = parse(&nested(129)).unwrap_err();
+        assert_eq!(err.to_string(), "nesting deeper than 128 at byte 128");
+        let object = |depth: usize| format!("{}1{}", "{\"a\":".repeat(depth), "}".repeat(depth));
+        assert!(parse(&object(128)).is_ok());
+        assert!(parse(&object(129)).is_err());
     }
 
     #[test]

@@ -112,7 +112,7 @@ pub fn export_for_embedded(
     device: &platform::Device,
 ) -> Result<EmbeddedArtifact, PipelineError> {
     let exported = ExportedNetwork::from_network(spec, network, name);
-    let workload = platform::Workload::from_network(name, network);
+    let workload = platform::Workload::new(name, network.macs_per_inference(), network.param_count());
     let per_sample = platform::estimate(device, &workload, 1);
     let json = exported.to_json()?;
     Ok(EmbeddedArtifact {

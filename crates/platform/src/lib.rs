@@ -231,15 +231,6 @@ impl Workload {
             parameters,
         }
     }
-
-    /// Derives the workload of a trained network.
-    pub fn from_network(name: impl Into<String>, network: &neural::Network) -> Self {
-        Self {
-            name: name.into(),
-            macs_per_inference: network.macs_per_inference(),
-            parameters: network.param_count(),
-        }
-    }
 }
 
 /// The result of an execution estimate.
@@ -373,21 +364,6 @@ mod tests {
             "per-spectrum {}",
             run.seconds
         );
-    }
-
-    #[test]
-    fn workload_from_network_matches_param_count() {
-        use neural::spec::{LayerSpec, NetworkSpec};
-        let net = NetworkSpec::new(8)
-            .layer(LayerSpec::Dense {
-                units: 4,
-                activation: neural::Activation::Linear,
-            })
-            .build(1)
-            .unwrap();
-        let w = Workload::from_network("n", &net);
-        assert_eq!(w.parameters, 8 * 4 + 4);
-        assert_eq!(w.macs_per_inference, (8 * 4 + 4) as u64);
     }
 
     #[test]

@@ -183,44 +183,6 @@ impl SoftGpu {
     }
 }
 
-/// How well the analytical model predicted a real serving run: the
-/// modelled wall-clock for the same device/workload/sample count next to
-/// the measured one.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ModelFit {
-    /// Seconds the analytical [`crate::estimate`] predicts.
-    pub modelled_seconds: f64,
-    /// Seconds the serving engine actually took.
-    pub measured_seconds: f64,
-    /// `measured / modelled` — above 1 the model is optimistic
-    /// (dispatch, queueing and memory traffic it does not see), below 1
-    /// it is pessimistic.
-    pub ratio: f64,
-}
-
-/// Compares a measured serving run against the analytical model for the
-/// same `device`/`workload`/`n_samples`. The measurement side only needs
-/// a wall-clock (e.g. derived from a `serve::Router::report` snapshot:
-/// `total.requests_completed` samples over the driving loop's elapsed
-/// time), so the platform model stays decoupled from the serving tier.
-pub fn compare_measured(
-    device: &Device,
-    workload: &Workload,
-    n_samples: u64,
-    measured_seconds: f64,
-) -> ModelFit {
-    let modelled = crate::estimate(device, workload, n_samples);
-    ModelFit {
-        modelled_seconds: modelled.seconds,
-        measured_seconds,
-        ratio: if modelled.seconds > 0.0 {
-            measured_seconds / modelled.seconds
-        } else {
-            f64::INFINITY
-        },
-    }
-}
-
 /// Why a spectral fit could not be computed. Produced at the boundary so
 /// downstream consumers (e.g. a drift detector averaging fit scores) never
 /// see a NaN or a division by a zero-area window.
@@ -266,8 +228,7 @@ impl fmt::Display for FitError {
 impl std::error::Error for FitError {}
 
 /// How well a measured spectrum matches the modelled (noiseless) render
-/// of the same mixture — the *shape* counterpart of [`ModelFit`]'s
-/// wall-clock comparison.
+/// of the same mixture.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct SpectralFit {
     /// Total-variation distance between the two area-normalized spectra,
@@ -324,17 +285,6 @@ pub fn spectral_fit(modelled: &[f64], measured: &[f64]) -> Result<SpectralFit, F
         distance,
         score: 1.0 - distance,
     })
-}
-
-impl ModelFit {
-    /// Whether every field of the fit is finite — callers feeding fit
-    /// ratios into running statistics must check this at the boundary
-    /// (a zero-second model estimate yields an infinite ratio).
-    pub fn is_finite(&self) -> bool {
-        self.modelled_seconds.is_finite()
-            && self.measured_seconds.is_finite()
-            && self.ratio.is_finite()
-    }
 }
 
 #[cfg(test)]
@@ -396,18 +346,6 @@ mod tests {
         assert_eq!(small.pe_count(), 16);
         let ratio = large.sustained_macs_per_sec() / small.sustained_macs_per_sec();
         assert!((ratio - 4.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn model_fit_ratio_reads_measured_over_modelled() {
-        let device = arm_neon_baseline();
-        let workload = matmul_workload();
-        let modelled = crate::estimate(&device, &workload, 500);
-        let fit = compare_measured(&device, &workload, 500, modelled.seconds * 2.0);
-        assert!((fit.ratio - 2.0).abs() < 1e-9, "ratio {}", fit.ratio);
-        assert_eq!(fit.modelled_seconds, modelled.seconds);
-        let exact = compare_measured(&device, &workload, 500, modelled.seconds);
-        assert!((exact.ratio - 1.0).abs() < 1e-9);
     }
 
     #[test]
@@ -480,24 +418,6 @@ mod tests {
         // A moderate shape change lands strictly inside (0, 1).
         let shifted = spectral_fit(&[0.0, 1.0, 4.0, 1.0, 0.0], &[0.0, 0.5, 3.0, 2.5, 0.0]).unwrap();
         assert!(shifted.distance > 0.0 && shifted.distance < 1.0);
-    }
-
-    #[test]
-    fn model_fit_finiteness_guard() {
-        let device = arm_neon_baseline();
-        let workload = matmul_workload();
-        let fit = compare_measured(&device, &workload, 500, 1.0);
-        assert!(fit.is_finite());
-        // Zero-work workload => zero modelled seconds => infinite ratio,
-        // caught by the boundary guard instead of poisoning statistics.
-        let degenerate = compare_measured(&device, &Workload::new("empty", 0, 0), 500, 1.0);
-        assert!(!degenerate.is_finite());
-        let nan = ModelFit {
-            modelled_seconds: 1.0,
-            measured_seconds: f64::NAN,
-            ratio: f64::NAN,
-        };
-        assert!(!nan.is_finite());
     }
 
     #[test]

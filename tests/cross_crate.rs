@@ -63,7 +63,7 @@ fn platform_workload_derives_from_real_networks() {
     let net = MsPipeline::table1_spec(397, 8, ActivationChoice::paper_best())
         .build(1)
         .unwrap();
-    let workload = Workload::from_network("table1", &net);
+    let workload = Workload::new("table1", net.macs_per_inference(), net.param_count());
     assert!(workload.macs_per_inference > 1_000_000);
     assert_eq!(workload.parameters, net.param_count());
     let run = estimate(&Device::jetson_nano_gpu(), &workload, 21_600);
