@@ -133,8 +133,7 @@ impl NmrComponent {
     ///
     /// # Errors
     ///
-    /// Returns [`SpectrumError::InvalidPeak`] if `broaden` is not strictly
-    /// positive.
+    /// Same as [`NmrComponent::render_into`].
     pub fn render(
         &self,
         axis: &UniformAxis,
@@ -142,30 +141,59 @@ impl NmrComponent {
         shift_ppm: f64,
         broaden: f64,
     ) -> Result<ContinuousSpectrum, SpectrumError> {
+        let mut out = ContinuousSpectrum::zeros(*axis);
+        self.render_into(
+            axis,
+            concentration,
+            shift_ppm,
+            broaden,
+            out.intensities_mut(),
+        )?;
+        Ok(out)
+    }
+
+    /// [`NmrComponent::render`] into a caller-owned buffer: overwrites
+    /// `out` (one sample per axis point) with the rendered component,
+    /// bit for bit as `render` returns it.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SpectrumError::InvalidPeak`] if `broaden` is not strictly
+    /// positive and finite, or `shift_ppm` or `concentration` is not
+    /// finite, and [`SpectrumError::ShapeMismatch`] if `out` does not have
+    /// one sample per axis point.
+    pub fn render_into(
+        &self,
+        axis: &UniformAxis,
+        concentration: f64,
+        shift_ppm: f64,
+        broaden: f64,
+        out: &mut [f64],
+    ) -> Result<(), SpectrumError> {
         if !(broaden.is_finite() && broaden > 0.0) {
             return Err(SpectrumError::InvalidPeak(format!(
                 "broadening factor {broaden} must be positive"
             )));
         }
-        let mut out = ContinuousSpectrum::zeros(*axis);
+        if !(shift_ppm.is_finite() && concentration.is_finite()) {
+            return Err(SpectrumError::InvalidPeak(format!(
+                "shift {shift_ppm} and concentration {concentration} must be finite"
+            )));
+        }
+        if out.len() != axis.len() {
+            return Err(SpectrumError::ShapeMismatch {
+                left: axis.len(),
+                right: out.len(),
+            });
+        }
+        out.fill(0.0);
         for peak in &self.peaks {
             let shape = PeakShape::lorentz_gauss(peak.fwhm_ppm * broaden, peak.eta)?;
             let center = peak.center_ppm + shift_ppm;
             let amplitude = concentration * peak.area;
-            let support = shape.support_radius();
-            let lo = axis.position_of(center - support).floor().max(0.0) as usize;
-            let hi = (axis.position_of(center + support).ceil() as isize)
-                .clamp(0, axis.len() as isize - 1) as usize;
-            if lo > hi {
-                continue;
-            }
-            let samples = out.intensities_mut();
-            for (idx, slot) in samples.iter_mut().enumerate().take(hi + 1).skip(lo) {
-                let x = axis.value_at(idx);
-                *slot += amplitude * shape.evaluate(x - center);
-            }
+            shape.accumulate(axis, center, amplitude, out);
         }
-        Ok(out)
+        Ok(())
     }
 }
 
@@ -302,6 +330,133 @@ mod tests {
         let comps = lithiation_components();
         assert!(comps[0].render(&axis(), 1.0, 0.0, 0.0).is_err());
         assert!(comps[0].render(&axis(), 1.0, 0.0, -1.0).is_err());
+    }
+
+    #[test]
+    fn non_finite_shift_or_concentration_rejected() {
+        let comps = lithiation_components();
+        let ax = axis();
+        for (conc, shift) in [
+            (f64::NAN, 0.0),
+            (f64::INFINITY, 0.0),
+            (1.0, f64::NAN),
+            (1.0, f64::NEG_INFINITY),
+        ] {
+            assert!(
+                matches!(
+                    comps[1].render(&ax, conc, shift, 1.0),
+                    Err(SpectrumError::InvalidPeak(_))
+                ),
+                "conc {conc}, shift {shift}"
+            );
+        }
+    }
+
+    #[test]
+    fn render_into_rejects_wrong_buffer_length() {
+        let comps = lithiation_components();
+        let mut short = vec![0.0; 10];
+        assert!(matches!(
+            comps[0].render_into(&axis(), 1.0, 0.0, 1.0, &mut short),
+            Err(SpectrumError::ShapeMismatch { .. })
+        ));
+    }
+
+    /// The per-point loop `render` used before the segmented kernel,
+    /// frozen here so the kernel can be checked against it bit for bit.
+    fn textbook_render(
+        component: &NmrComponent,
+        axis: &UniformAxis,
+        concentration: f64,
+        shift_ppm: f64,
+        broaden: f64,
+    ) -> ContinuousSpectrum {
+        let mut out = ContinuousSpectrum::zeros(*axis);
+        for peak in component.peaks() {
+            let shape = PeakShape::lorentz_gauss(peak.fwhm_ppm * broaden, peak.eta).unwrap();
+            let center = peak.center_ppm + shift_ppm;
+            let amplitude = concentration * peak.area;
+            let support = shape.support_radius();
+            let lo = axis.position_of(center - support).floor().max(0.0) as usize;
+            let hi = (axis.position_of(center + support).ceil() as isize)
+                .clamp(0, axis.len() as isize - 1) as usize;
+            if lo > hi {
+                continue;
+            }
+            let samples = out.intensities_mut();
+            for (idx, slot) in samples.iter_mut().enumerate().take(hi + 1).skip(lo) {
+                let x = axis.value_at(idx);
+                *slot += amplitude * shape.evaluate(x - center);
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn render_is_bit_identical_to_textbook_loop() {
+        let custom = |name: &str, peaks: &[(f64, f64, f64, f64)]| {
+            let peaks = peaks
+                .iter()
+                .map(|&(c, a, w, e)| NmrPeak::new(c, a, w, e).unwrap())
+                .collect();
+            NmrComponent::new(Compound::new(name, "X", 1.0), peaks).unwrap()
+        };
+        let mut comps = lithiation_components();
+        // Pure Gaussian (5·FWHM support, all core) and pure Lorentzian.
+        comps.push(custom(
+            "gauss",
+            &[(1.3, 2.0, 0.05, 0.0), (7.7, 1.0, 0.2, 0.0)],
+        ));
+        comps.push(custom(
+            "lorentz",
+            &[(4.4, 1.0, 0.04, 1.0), (9.1, 3.0, 0.3, 1.0)],
+        ));
+        // Supports clipped at either axis edge, and peaks shifted past
+        // them (past the top edge `lo > hi`; past the bottom only index 0
+        // survives).
+        comps.push(custom(
+            "edges",
+            &[
+                (0.02, 1.0, 0.05, 0.6),
+                (11.97, 2.0, 0.06, 0.4),
+                (-2.0, 1.0, 0.01, 0.5),
+                (14.0, 1.0, 0.01, 0.5),
+                (0.0, 1.0, 0.002, 0.0),
+                (12.0, 1.0, 0.002, 0.0),
+            ],
+        ));
+        let ax = axis();
+        let mut out = vec![0.0; ax.len()];
+        let mut renders = 0;
+        for comp in &comps {
+            for shift in [-0.5, -0.06, -0.0137, 0.0, 0.021, 0.06, 0.3] {
+                for broaden in [0.7, 0.93, 1.0, 1.37, 1.6] {
+                    for conc in [0.0, 0.173, 1.0, 2.5] {
+                        let want = textbook_render(comp, &ax, conc, shift, broaden);
+                        // Stale contents must not leak through render_into.
+                        out.fill(renders as f64);
+                        comp.render_into(&ax, conc, shift, broaden, &mut out)
+                            .unwrap();
+                        let got = comp.render(&ax, conc, shift, broaden).unwrap();
+                        for (i, (&w, (&a, &b))) in want
+                            .intensities()
+                            .iter()
+                            .zip(out.iter().zip(got.intensities()))
+                            .enumerate()
+                        {
+                            assert!(
+                                w.to_bits() == a.to_bits() && w.to_bits() == b.to_bits(),
+                                "{} shift {shift} broaden {broaden} conc {conc} [{i}]: \
+                                 {a} / {b} vs textbook {w}",
+                                comp.name()
+                            );
+                        }
+                        renders += 1;
+                    }
+                }
+            }
+        }
+        assert_eq!(renders, comps.len() * 7 * 5 * 4);
     }
 
     #[test]

@@ -99,13 +99,10 @@ impl IhmAnalyzer {
                 "need at least one component model".into(),
             ));
         }
-        // partial_cmp keeps NaN bounds invalid (a bare `<`/`<=` would
-        // accept them).
-        use std::cmp::Ordering::{Equal, Greater};
-        if !matches!(config.max_shift.partial_cmp(&0.0), Some(Greater | Equal))
-            || config.broaden_bounds.0.partial_cmp(&0.0) != Some(Greater)
-            || config.broaden_bounds.0 > config.broaden_bounds.1
-        {
+        let (lo, hi) = config.broaden_bounds;
+        // Finite first, so the comparisons below never meet a NaN.
+        let finite = [config.max_shift, lo, hi].iter().all(|b| b.is_finite());
+        if !finite || config.max_shift < 0.0 || lo <= 0.0 || lo > hi {
             return Err(ChemometricsError::InvalidInput(
                 "invalid shift/broadening bounds".into(),
             ));
@@ -125,31 +122,6 @@ impl IhmAnalyzer {
     /// Component names in concentration order.
     pub fn component_names(&self) -> Vec<&str> {
         self.components.iter().map(|c| c.name()).collect()
-    }
-
-    /// Renders the unit-concentration basis for the given nonlinear
-    /// parameters (`theta = [shift_0, broaden_0, shift_1, ...]`) and
-    /// solves the non-negative least-squares problem for concentrations.
-    fn solve_linear(
-        &self,
-        data: &[f64],
-        theta: &[f64],
-    ) -> Result<(Vec<f64>, Vec<f64>), ChemometricsError> {
-        let n = self.axis.len();
-        let c = self.components.len();
-        let mut basis = Matrix::zeros(n, c);
-        for (j, component) in self.components.iter().enumerate() {
-            let shift = theta[2 * j];
-            let broaden = theta[2 * j + 1];
-            let rendered = component.render(&self.axis, 1.0, shift, broaden)?;
-            for (i, &v) in rendered.intensities().iter().enumerate() {
-                basis.set(i, j, v);
-            }
-        }
-        let conc = nnls(&basis, data, 8)?;
-        let model = basis.matvec(&conc);
-        let residuals: Vec<f64> = model.iter().zip(data).map(|(m, d)| m - d).collect();
-        Ok((conc, residuals))
     }
 
     /// Fits the hard model to `spectrum` and returns the recovered
@@ -182,8 +154,9 @@ impl IhmAnalyzer {
             ..self.config.lm.clone()
         };
 
+        let mut basis = BasisMemo::new(self, &data);
         let result = levenberg_marquardt(
-            |theta| match self.solve_linear(&data, theta) {
+            |theta| match basis.solve(theta) {
                 Ok((_, residuals)) => residuals,
                 // An invalid trial point (e.g. numerically broken basis)
                 // is penalized with huge residuals instead of aborting.
@@ -193,7 +166,7 @@ impl IhmAnalyzer {
             &options,
         )?;
 
-        let (concentrations, residuals) = self.solve_linear(&data, &result.parameters)?;
+        let (concentrations, residuals) = basis.solve(&result.parameters)?;
         let rms = (residuals.iter().map(|r| r * r).sum::<f64>() / residuals.len() as f64).sqrt();
         let shifts = (0..c).map(|j| result.parameters[2 * j]).collect();
         let broadenings = (0..c).map(|j| result.parameters[2 * j + 1]).collect();
@@ -204,6 +177,146 @@ impl IhmAnalyzer {
             residual_rms: rms,
             iterations: result.iterations,
         })
+    }
+}
+
+/// The unit-concentration basis of one fit, rendered column by column
+/// and reused across its residual evaluations.
+///
+/// Each component keeps two column slots, keyed by the exact bits of the
+/// `(shift, broaden)` they were rendered at. A Levenberg–Marquardt
+/// Jacobian probe moves one parameter off the base point, so it renders
+/// one column; a trial renders what it moved, and once accepted it is the
+/// next base.
+///
+/// Every solve copies its columns into a basis matrix and runs `nnls` on
+/// it, as rendering the whole basis afresh would, so the fit is
+/// bit-identical to re-rendering everything.
+struct BasisMemo<'a> {
+    analyzer: &'a IhmAnalyzer,
+    data: &'a [f64],
+    /// Slot `2k + s` (`s` = 0 or 1) holds a column of component `k`.
+    slots: Vec<Slot>,
+    /// Per component, the slot `s` of the base point's column: misses
+    /// render into the other slot, so the base's columns survive probes.
+    base: Vec<usize>,
+    /// Per component, the slot `s` the latest evaluation used.
+    latest: Vec<usize>,
+    /// Columns rendered so far.
+    renders: usize,
+}
+
+struct Slot {
+    key: Option<[u64; 2]>,
+    column: Vec<f64>,
+}
+
+impl<'a> BasisMemo<'a> {
+    fn new(analyzer: &'a IhmAnalyzer, data: &'a [f64]) -> Self {
+        let c = analyzer.components.len();
+        let slots = (0..2 * c)
+            .map(|_| Slot {
+                key: None,
+                column: vec![0.0; analyzer.axis.len()],
+            })
+            .collect();
+        Self {
+            analyzer,
+            data,
+            slots,
+            base: vec![0; c],
+            latest: vec![0; c],
+            renders: 0,
+        }
+    }
+
+    /// Whether the columns `choice` selects are closer to `theta` than
+    /// those `other` selects: more components matched whole, then more
+    /// parameters matched, then a smaller summed parameter distance.
+    fn closer(&self, choice: &[usize], other: &[usize], theta: &[f64]) -> bool {
+        let score = |choice: &[usize]| {
+            let (mut whole, mut params, mut distance) = (0, 0, 0.0);
+            for (k, &s) in choice.iter().enumerate() {
+                let Some(have) = self.slots[2 * k + s].key else {
+                    distance = f64::INFINITY;
+                    continue;
+                };
+                let mut same = 0;
+                for (&bits, &value) in have.iter().zip(&theta[2 * k..2 * k + 2]) {
+                    if bits == value.to_bits() {
+                        same += 1;
+                    } else {
+                        distance += (f64::from_bits(bits) - value).abs();
+                    }
+                }
+                whole += usize::from(same == 2);
+                params += same;
+            }
+            (whole, params, distance)
+        };
+        let (a, b) = (score(choice), score(other));
+        (a.0, a.1) > (b.0, b.1) || ((a.0, a.1) == (b.0, b.1) && a.2 < b.2)
+    }
+
+    /// Concentrations and residuals at `theta = [shift_0, broaden_0,
+    /// shift_1, ...]`: renders the missing unit-concentration columns and
+    /// solves the non-negative least-squares problem over them.
+    fn solve(&mut self, theta: &[f64]) -> Result<(Vec<f64>, Vec<f64>), ChemometricsError> {
+        let c = self.base.len();
+        let keys: Vec<[u64; 2]> = theta
+            .chunks_exact(2)
+            .map(|p| [p[0].to_bits(), p[1].to_bits()])
+            .collect();
+        // After an accepted step the latest point is the new base. A probe
+        // that lies as close to the latest point as to the base (the `-h`
+        // probe after the `+h` one) keeps the base.
+        if self.closer(&self.latest, &self.base, theta) {
+            self.base.clone_from(&self.latest);
+        }
+        for (k, key) in keys.iter().enumerate() {
+            let s = match (0..2).find(|&s| self.slots[2 * k + s].key == Some(*key)) {
+                Some(s) => s,
+                None => {
+                    let s = 1 - self.base[k];
+                    self.render(2 * k + s, theta[2 * k], theta[2 * k + 1], *key)?;
+                    s
+                }
+            };
+            self.latest[k] = s;
+        }
+
+        let mut basis = Matrix::zeros(self.data.len(), c);
+        for (j, &s) in self.latest.iter().enumerate() {
+            for (i, &v) in self.slots[2 * j + s].column.iter().enumerate() {
+                basis.set(i, j, v);
+            }
+        }
+        let conc = nnls(&basis, self.data, 8)?;
+        let model = basis.matvec(&conc);
+        let residuals = model.iter().zip(self.data).map(|(m, d)| m - d).collect();
+        Ok((conc, residuals))
+    }
+
+    /// Renders component `id / 2` at unit concentration into slot `id`.
+    fn render(
+        &mut self,
+        id: usize,
+        shift: f64,
+        broaden: f64,
+        key: [u64; 2],
+    ) -> Result<(), ChemometricsError> {
+        let slot = &mut self.slots[id];
+        slot.key = None;
+        self.analyzer.components[id / 2].render_into(
+            &self.analyzer.axis,
+            1.0,
+            shift,
+            broaden,
+            &mut slot.column,
+        )?;
+        slot.key = Some(key);
+        self.renders += 1;
+        Ok(())
     }
 }
 
@@ -291,6 +404,62 @@ mod tests {
         assert!(fit.concentrations.iter().all(|&c| c >= 0.0));
     }
 
+    /// Drives the memo through the evaluation pattern of a
+    /// Levenberg–Marquardt fit and checks how many columns each step
+    /// renders, and that every answer equals a cold memo's bit for bit.
+    #[test]
+    fn jacobian_probe_renders_one_column() {
+        let analyzer = IhmAnalyzer::new(lithiation_components(), axis()).unwrap();
+        let spec = mixture(
+            &[0.3, 0.3, 0.0, 0.2],
+            &[0.01, -0.02, 0.0, 0.03],
+            &[1.1, 0.9, 1.0, 1.2],
+        );
+        let data = spec.intensities().to_vec();
+        let mut memo = BasisMemo::new(&analyzer, &data);
+        let mut evaluate = |theta: &[f64], renders: usize| {
+            let before = memo.renders;
+            let got = memo.solve(theta).unwrap();
+            assert_eq!(memo.renders - before, renders, "renders at {theta:?}");
+            let want = BasisMemo::new(&analyzer, &data).solve(theta).unwrap();
+            for (g, w) in got.0.iter().chain(&got.1).zip(want.0.iter().chain(&want.1)) {
+                assert_eq!(g.to_bits(), w.to_bits(), "memo vs cold at {theta:?}");
+            }
+        };
+        let probe_all = |center: &[f64], evaluate: &mut dyn FnMut(&[f64], usize)| {
+            for j in 0..center.len() {
+                let h = 1e-4 * (1.0 + center[j].abs());
+                for sign in [1.0, -1.0] {
+                    let mut probe = center.to_vec();
+                    probe[j] += sign * h;
+                    evaluate(&probe, 1);
+                }
+            }
+        };
+        let mut center = vec![0.0, 1.0, 0.0, 1.0, 0.0, 1.0, 0.0, 1.0];
+        evaluate(&center, 4);
+        probe_all(&center, &mut evaluate);
+        // A rejected trial moves everything and leaves the base in place.
+        let rejected: Vec<f64> = center.iter().map(|p| p + 0.004).collect();
+        evaluate(&rejected, 4);
+        // Accepted trials: one parameter, one component, then all but the
+        // two components a zero concentration leaves untouched.
+        let mut moves = vec![vec![0.003, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]];
+        moves.push(vec![0.0, 0.0, -0.01, 0.05, 0.0, 0.0, 0.0, 0.0]);
+        moves.push(vec![0.002, -0.04, 0.001, 0.02, 0.0, 0.0, 0.0, 0.0]);
+        for step in moves {
+            let changed = step
+                .chunks(2)
+                .filter(|p| p.iter().any(|d| *d != 0.0))
+                .count();
+            center = center.iter().zip(&step).map(|(p, d)| p + d).collect();
+            evaluate(&center, changed);
+            probe_all(&center, &mut evaluate);
+        }
+        // The final solve at the accepted point renders nothing.
+        evaluate(&center, 0);
+    }
+
     #[test]
     fn rejects_wrong_axis() {
         let analyzer = IhmAnalyzer::new(lithiation_components(), axis()).unwrap();
@@ -307,6 +476,67 @@ mod tests {
             ..IhmConfig::default()
         };
         assert!(IhmAnalyzer::with_config(lithiation_components(), axis(), bad).is_err());
+    }
+
+    #[test]
+    fn rejects_non_finite_bounds() {
+        let configs = [
+            IhmConfig {
+                broaden_bounds: (0.7, f64::NAN),
+                ..IhmConfig::default()
+            },
+            IhmConfig {
+                broaden_bounds: (f64::NAN, 1.6),
+                ..IhmConfig::default()
+            },
+            IhmConfig {
+                broaden_bounds: (0.7, f64::INFINITY),
+                ..IhmConfig::default()
+            },
+            IhmConfig {
+                max_shift: f64::INFINITY,
+                ..IhmConfig::default()
+            },
+            IhmConfig {
+                max_shift: f64::NAN,
+                ..IhmConfig::default()
+            },
+        ];
+        for config in configs {
+            assert!(
+                matches!(
+                    IhmAnalyzer::with_config(lithiation_components(), axis(), config.clone()),
+                    Err(ChemometricsError::InvalidInput(_))
+                ),
+                "{config:?} accepted"
+            );
+        }
+    }
+
+    #[test]
+    fn nonsense_lm_options_are_rejected_not_fitted() {
+        let spec = mixture(&[0.35, 0.3, 0.25, 0.1], &[0.0; 4], &[1.0; 4]);
+        for lm in [
+            LmOptions {
+                jacobian_step: 0.0,
+                ..IhmConfig::default().lm
+            },
+            LmOptions {
+                initial_lambda: f64::NAN,
+                ..IhmConfig::default().lm
+            },
+        ] {
+            let config = IhmConfig {
+                lm,
+                ..IhmConfig::default()
+            };
+            let analyzer =
+                IhmAnalyzer::with_config(lithiation_components(), axis(), config).unwrap();
+            assert!(matches!(
+                analyzer.fit(&spec),
+                Err(ChemometricsError::InvalidInput(_))
+            ));
+        }
     }
 
     #[test]

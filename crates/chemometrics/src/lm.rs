@@ -61,10 +61,12 @@ pub struct LmResult {
 /// # Errors
 ///
 /// Returns [`ChemometricsError::InvalidInput`] if `initial` is empty, the
-/// residual function returns an empty vector, or bounds have the wrong
-/// length; singular normal equations are handled internally by raising
-/// the damping, but a persistently singular system yields
-/// [`ChemometricsError::NoConvergence`].
+/// residual function returns an empty vector, bounds have the wrong
+/// length, are NaN or cross (`lower > upper`), `jacobian_step` or
+/// `initial_lambda` is not finite and positive, or `cost_tolerance` is
+/// not finite and non-negative; singular normal equations are handled
+/// internally by raising the damping, but a persistently singular system
+/// yields [`ChemometricsError::NoConvergence`].
 pub fn levenberg_marquardt<F>(
     mut residuals: F,
     initial: &[f64],
@@ -86,6 +88,28 @@ where
                 initial.len()
             )));
         }
+    }
+    let positive = |x: f64| x.is_finite() && x > 0.0;
+    if !positive(options.jacobian_step) || !positive(options.initial_lambda) {
+        return Err(ChemometricsError::InvalidInput(format!(
+            "jacobian_step {} and initial_lambda {} must be finite and positive",
+            options.jacobian_step, options.initial_lambda
+        )));
+    }
+    if !(options.cost_tolerance.is_finite() && options.cost_tolerance >= 0.0) {
+        return Err(ChemometricsError::InvalidInput(format!(
+            "cost_tolerance {} must be finite and non-negative",
+            options.cost_tolerance
+        )));
+    }
+    let lower = &options.lower_bounds;
+    let upper = &options.upper_bounds;
+    if lower.iter().chain(upper).any(|b| b.is_nan())
+        || lower.iter().zip(upper).any(|(lo, hi)| lo > hi)
+    {
+        return Err(ChemometricsError::InvalidInput(
+            "bounds must not be NaN, and every lower bound must not exceed its upper bound".into(),
+        ));
     }
     let clamp = |p: &mut [f64]| {
         if !options.lower_bounds.is_empty() {
@@ -121,8 +145,8 @@ where
 
     for iter in 0..options.max_iterations {
         iterations = iter + 1;
-        // Numerical Jacobian (m × n) by central differences.
-        let mut jac = Matrix::zeros(m, n);
+        // Numerical Jacobian (m × n, row-major) by central differences.
+        let mut jac = vec![0.0; m * n];
         for j in 0..n {
             let h = options.jacobian_step * (1.0 + params[j].abs());
             let mut hi = params.clone();
@@ -136,14 +160,14 @@ where
                     "residual length changed between evaluations".into(),
                 ));
             }
-            for i in 0..m {
-                jac.set(i, j, (r_hi[i] - r_lo[i]) / (2.0 * h));
+            for (i, (hi, lo)) in r_hi.iter().zip(&r_lo).enumerate() {
+                jac[i * n + j] = (hi - lo) / (2.0 * h);
             }
         }
         // Normal equations: (JᵀJ + λ diag(JᵀJ)) δ = -Jᵀ r.
-        let jt = jac.transpose();
-        let jtj = jt.matmul(&jac);
-        let jtr = jt.matvec(&r);
+        let jac = Matrix::from_vec(m, n, jac);
+        let jtj = jac.gram();
+        let jtr = jac.transpose_matvec(&r);
         let mut improved = false;
         for _ in 0..12 {
             let mut damped = jtj.clone();
@@ -278,6 +302,92 @@ mod tests {
             levenberg_marquardt(|p| vec![p[0]], &[1.0], &options),
             Err(ChemometricsError::InvalidInput(_))
         ));
+    }
+
+    #[test]
+    fn rejects_nonsense_options() {
+        let base = LmOptions {
+            lower_bounds: vec![0.0, -1.0],
+            upper_bounds: vec![2.0, 1.0],
+            ..LmOptions::default()
+        };
+        let bad = [
+            LmOptions {
+                jacobian_step: 0.0,
+                ..base.clone()
+            },
+            LmOptions {
+                jacobian_step: -1e-6,
+                ..base.clone()
+            },
+            LmOptions {
+                jacobian_step: f64::NAN,
+                ..base.clone()
+            },
+            LmOptions {
+                jacobian_step: f64::INFINITY,
+                ..base.clone()
+            },
+            LmOptions {
+                initial_lambda: 0.0,
+                ..base.clone()
+            },
+            LmOptions {
+                initial_lambda: -1.0,
+                ..base.clone()
+            },
+            LmOptions {
+                initial_lambda: f64::NAN,
+                ..base.clone()
+            },
+            LmOptions {
+                initial_lambda: f64::INFINITY,
+                ..base.clone()
+            },
+            LmOptions {
+                cost_tolerance: -1e-12,
+                ..base.clone()
+            },
+            LmOptions {
+                cost_tolerance: f64::NAN,
+                ..base.clone()
+            },
+            LmOptions {
+                cost_tolerance: f64::INFINITY,
+                ..base.clone()
+            },
+            LmOptions {
+                lower_bounds: vec![0.0, 1.5],
+                ..base.clone()
+            },
+            LmOptions {
+                upper_bounds: vec![f64::NAN, 1.0],
+                ..base.clone()
+            },
+            LmOptions {
+                lower_bounds: vec![0.0, f64::NAN],
+                upper_bounds: vec![],
+                ..base.clone()
+            },
+        ];
+        for options in &bad {
+            assert!(
+                matches!(
+                    levenberg_marquardt(|p| vec![p[0] - 1.0, p[1]], &[1.0, 0.0], options),
+                    Err(ChemometricsError::InvalidInput(_))
+                ),
+                "{options:?} accepted"
+            );
+        }
+        // Infinite bounds are a valid "unbounded side"; a zero tolerance
+        // simply runs to the iteration cap.
+        let open = LmOptions {
+            lower_bounds: vec![f64::NEG_INFINITY, -1.0],
+            upper_bounds: vec![f64::INFINITY, 1.0],
+            cost_tolerance: 0.0,
+            ..LmOptions::default()
+        };
+        assert!(levenberg_marquardt(|p| vec![p[0] - 1.0, p[1]], &[0.0, 0.5], &open).is_ok());
     }
 
     #[test]

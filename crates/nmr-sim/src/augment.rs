@@ -182,13 +182,17 @@ impl SpectraAugmenter {
             )));
         }
         let mut out = ContinuousSpectrum::zeros(self.axis);
+        // Each component renders whole into `scratch` before it is added,
+        // keeping the sum's order `out + (peak₁ + peak₂ + …)`.
+        let mut scratch = ContinuousSpectrum::zeros(self.axis);
         for (component, &c) in self.components.iter().zip(concentrations) {
             if c <= 0.0 {
                 continue;
             }
             let shift = self.config.shift_sigma * standard_normal(rng);
             let broaden = rng.gen_range(self.config.broaden_range.0..=self.config.broaden_range.1);
-            out.add_assign(&component.render(&self.axis, c, shift, broaden)?)?;
+            component.render_into(&self.axis, c, shift, broaden, scratch.intensities_mut())?;
+            out.add_assign(&scratch)?;
         }
         if self.config.baseline_amplitude > 0.0 {
             let phase: f64 = rng.gen_range(0.0..std::f64::consts::TAU);
@@ -310,6 +314,69 @@ mod tests {
         let augmenter = SpectraAugmenter::new(AugmentationConfig::default()).unwrap();
         let mut rng = ChaCha8Rng::seed_from_u64(1);
         assert!(augmenter.synthesize(&[0.1], &mut rng).is_err());
+    }
+
+    /// `synthesize` before the shared scratch buffer: every component
+    /// rendered into its own spectrum and added with `add_assign`.
+    fn textbook_synthesize(
+        augmenter: &SpectraAugmenter,
+        concentrations: &[f64],
+        rng: &mut ChaCha8Rng,
+    ) -> Vec<f64> {
+        let config = &augmenter.config;
+        let mut out = ContinuousSpectrum::zeros(augmenter.axis);
+        for (component, &c) in augmenter.components.iter().zip(concentrations) {
+            if c <= 0.0 {
+                continue;
+            }
+            let shift = config.shift_sigma * standard_normal(rng);
+            let broaden = rng.gen_range(config.broaden_range.0..=config.broaden_range.1);
+            out.add_assign(
+                &component
+                    .render(&augmenter.axis, c, shift, broaden)
+                    .unwrap(),
+            )
+            .unwrap();
+        }
+        if config.baseline_amplitude > 0.0 {
+            let phase: f64 = rng.gen_range(0.0..std::f64::consts::TAU);
+            let cycles: f64 = rng.gen_range(0.5..2.5);
+            let amp = config.baseline_amplitude * rng.gen::<f64>();
+            let slope = 0.3 * amp * (rng.gen::<f64>() - 0.5);
+            let n = out.len();
+            for (k, v) in out.intensities_mut().iter_mut().enumerate() {
+                let t = k as f64 / n as f64;
+                *v += amp * (std::f64::consts::TAU * cycles * t + phase).sin() + slope * t;
+            }
+        }
+        if config.noise_sigma > 0.0 {
+            for v in out.intensities_mut() {
+                *v += config.noise_sigma * standard_normal(rng);
+            }
+        }
+        out.into_intensities()
+    }
+
+    #[test]
+    fn generate_is_bit_identical_to_textbook_synthesis() {
+        let augmenter = SpectraAugmenter::new(AugmentationConfig::default()).unwrap();
+        let seed = 7;
+        let data = augmenter.generate(50, seed).unwrap();
+        // `generate`'s draw order: the labels, then the spectrum.
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        for (n, (input, conc)) in data.inputs.iter().zip(&data.concentrations).enumerate() {
+            let labels: Vec<f64> = augmenter
+                .config
+                .concentration_max
+                .iter()
+                .map(|&max| rng.gen_range(0.0..=max))
+                .collect();
+            assert_eq!(&labels, conc);
+            let want = textbook_synthesize(&augmenter, &labels, &mut rng);
+            for (i, (g, w)) in input.iter().zip(&want).enumerate() {
+                assert_eq!(g.to_bits(), w.to_bits(), "spectrum {n} [{i}]");
+            }
+        }
     }
 
     #[test]

@@ -211,6 +211,9 @@ impl FlowReactorExperiment {
         }
         let hmds = concentrations.get(2).copied().unwrap_or(0.0);
         let mut out = ContinuousSpectrum::zeros(self.axis);
+        // Each component renders whole into `scratch` before it is added,
+        // keeping the sum's order `out + (peak₁ + peak₂ + …)`.
+        let mut scratch = ContinuousSpectrum::zeros(self.axis);
         for (i, component) in self.components.iter().enumerate() {
             if concentrations[i] <= 0.0 {
                 continue;
@@ -221,8 +224,14 @@ impl FlowReactorExperiment {
                 + self.config.shift_jitter * standard_normal(rng);
             let broaden =
                 (1.0 + self.config.broadening_jitter * standard_normal(rng)).clamp(0.75, 1.35);
-            let rendered = component.render(&self.axis, concentrations[i], shift, broaden)?;
-            out.add_assign(&rendered)?;
+            component.render_into(
+                &self.axis,
+                concentrations[i],
+                shift,
+                broaden,
+                scratch.intensities_mut(),
+            )?;
+            out.add_assign(&scratch)?;
         }
         // Smooth baseline distortion the hard model does not know about.
         if self.config.baseline_amplitude > 0.0 {
@@ -352,6 +361,81 @@ mod tests {
         let experiment = FlowReactorExperiment::new(1, ExperimentConfig::default());
         let mut rng = ChaCha8Rng::seed_from_u64(0);
         assert!(experiment.synthesize(&[1.0, 2.0], &mut rng).is_err());
+    }
+
+    /// `synthesize` before the shared scratch buffer: every component
+    /// rendered into its own spectrum and added with `add_assign`.
+    fn textbook_synthesize(
+        experiment: &FlowReactorExperiment,
+        concentrations: &[f64],
+        rng: &mut ChaCha8Rng,
+    ) -> ContinuousSpectrum {
+        let config = experiment.config;
+        let hmds = concentrations[2];
+        let mut out = ContinuousSpectrum::zeros(experiment.axis);
+        for (i, component) in experiment.components.iter().enumerate() {
+            if concentrations[i] <= 0.0 {
+                continue;
+            }
+            let shift = config.shift_coupling * hmds * alternating_sign(i)
+                + config.shift_jitter * standard_normal(rng);
+            let broaden = (1.0 + config.broadening_jitter * standard_normal(rng)).clamp(0.75, 1.35);
+            let rendered = component
+                .render(&experiment.axis, concentrations[i], shift, broaden)
+                .unwrap();
+            out.add_assign(&rendered).unwrap();
+        }
+        if config.baseline_amplitude > 0.0 {
+            let phase: f64 = standard_normal(rng) * std::f64::consts::PI;
+            let cycles = 1.0 + (standard_normal(rng).abs() % 1.5);
+            let amp = config.baseline_amplitude * (0.5 + 0.5 * rand::Rng::gen::<f64>(rng));
+            let n = out.len();
+            for (k, v) in out.intensities_mut().iter_mut().enumerate() {
+                let t = k as f64 / n as f64;
+                *v += amp * (2.0 * std::f64::consts::PI * cycles * t + phase).sin() + 0.3 * amp * t;
+            }
+        }
+        if config.noise_sigma > 0.0 {
+            for v in out.intensities_mut() {
+                *v += config.noise_sigma * standard_normal(rng);
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn acquire_is_bit_identical_to_textbook_synthesis() {
+        for seed in [1, 42] {
+            let experiment = FlowReactorExperiment::new(seed, ExperimentConfig::default());
+            let run = experiment.acquire().unwrap();
+            // `acquire`'s draw order: the spectrum, then its reference row.
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            let mut index = 0;
+            for conditions in &experiment.doe {
+                let conc = experiment
+                    .reaction
+                    .steady_state(conditions)
+                    .unwrap()
+                    .to_vec();
+                for _ in 0..experiment.config.spectra_per_plateau {
+                    let want = textbook_synthesize(&experiment, &conc, &mut rng);
+                    for c in &conc {
+                        let _ = c
+                            * (1.0 + experiment.config.reference_error * standard_normal(&mut rng));
+                    }
+                    let got = run.spectra[index].intensities();
+                    for (i, (g, w)) in got.iter().zip(want.intensities()).enumerate() {
+                        assert_eq!(
+                            g.to_bits(),
+                            w.to_bits(),
+                            "seed {seed} spectrum {index} [{i}]"
+                        );
+                    }
+                    index += 1;
+                }
+            }
+            assert_eq!(index, run.len());
+        }
     }
 
     #[test]

@@ -164,6 +164,43 @@ impl Matrix {
             .map(|i| self.row(i).iter().zip(v).map(|(a, b)| a * b).sum())
             .collect()
     }
+
+    /// The Gram matrix `selfᵀ·self`, summed exactly as
+    /// `self.transpose().matmul(self)` sums it: entry `(i, j)` adds
+    /// `a[r][i] * a[r][j]` over the rows `r` in ascending order, skipping
+    /// rows whose left factor `a[r][i]` is zero.
+    pub fn gram(&self) -> Matrix {
+        let c = self.cols;
+        let mut out = Matrix::zeros(c, c);
+        for row in self.data.chunks_exact(c.max(1)) {
+            for (i, &left) in row.iter().enumerate() {
+                if is_zero(left) {
+                    continue;
+                }
+                for (entry, &right) in out.data[i * c..(i + 1) * c].iter_mut().zip(row) {
+                    *entry += left * right;
+                }
+            }
+        }
+        out
+    }
+
+    /// `selfᵀ·v`, each entry summed over the rows in ascending order as
+    /// `self.transpose().matvec(v)` sums it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `v.len() != self.rows()`.
+    pub fn transpose_matvec(&self, v: &[f64]) -> Vec<f64> {
+        assert_eq!(v.len(), self.rows, "transpose_matvec dimension mismatch");
+        (0..self.cols)
+            .map(|j| {
+                (0..self.rows)
+                    .map(|r| self.data[r * self.cols + j] * v[r])
+                    .sum()
+            })
+            .collect()
+    }
 }
 
 /// Solves the square system `a * x = b` by Gaussian elimination with
@@ -249,24 +286,44 @@ pub fn lstsq(a: &Matrix, b: &[f64], lambda: f64) -> Result<Vec<f64>, SpectrumErr
             right: b.len(),
         });
     }
-    let at = a.transpose();
-    let mut ata = at.matmul(a);
+    let mut ata = a.gram();
     for i in 0..ata.rows() {
         let v = ata.get(i, i) + lambda;
         ata.set(i, i, v);
     }
-    let atb = at.matvec(b);
-    solve(&ata, &atb)
+    solve(&ata, &a.transpose_matvec(b))
 }
+
+/// `true` for `+0.0` and `-0.0`: the exact-zero skip of [`Matrix::gram`].
+fn is_zero(x: f64) -> bool {
+    x.to_bits() << 1 == 0
+}
+
+/// Ridge added to the diagonal of every active-set solve in [`nnls`].
+const NNLS_RIDGE: f64 = 1e-10;
 
 /// Solves the non-negative least squares problem `min ||a x - b||²`
 /// subject to `x >= 0` with a simple active-set projection iteration.
 /// Used when fitting concentrations, which are physically non-negative.
 ///
+/// The normal equations `G = aᵀa`, `aᵀb` are formed once. Each active-set
+/// iteration solves `(G_F + 1e-10·I) x_F = (aᵀb)_F` over the free columns
+/// `F`: the Gram of a column subset is the sub-matrix of the full Gram, so
+/// this is the system damped least squares over those columns would form.
+///
 /// # Errors
 ///
-/// Propagates [`SpectrumError`] from the inner unconstrained solves.
+/// Returns [`SpectrumError::ShapeMismatch`] if `b.len() != a.rows()`, and
+/// propagates [`SpectrumError`] from the inner unconstrained solves.
 pub fn nnls(a: &Matrix, b: &[f64], iterations: usize) -> Result<Vec<f64>, SpectrumError> {
+    if b.len() != a.rows() {
+        return Err(SpectrumError::ShapeMismatch {
+            left: a.rows(),
+            right: b.len(),
+        });
+    }
+    let gram = a.gram();
+    let atb = a.transpose_matvec(b);
     let n = a.cols();
     let mut active: Vec<bool> = vec![true; n]; // true = free to vary
     let mut x = vec![0.0; n];
@@ -276,13 +333,16 @@ pub fn nnls(a: &Matrix, b: &[f64], iterations: usize) -> Result<Vec<f64>, Spectr
         if free.is_empty() {
             return Ok(vec![0.0; n]);
         }
-        let mut reduced = Matrix::zeros(a.rows(), free.len());
-        for r in 0..a.rows() {
-            for (j, &col) in free.iter().enumerate() {
-                reduced.set(r, j, a.get(r, col));
+        let k = free.len();
+        let mut reduced = Matrix::zeros(k, k);
+        for (p, &i) in free.iter().enumerate() {
+            for (q, &j) in free.iter().enumerate() {
+                reduced.data[p * k + q] = gram.get(i, j);
             }
+            reduced.data[p * k + p] += NNLS_RIDGE;
         }
-        let sol = lstsq(&reduced, b, 1e-10)?;
+        let rhs: Vec<f64> = free.iter().map(|&i| atb[i]).collect();
+        let sol = solve(&reduced, &rhs)?;
         let mut any_negative = false;
         x = vec![0.0; n];
         for (j, &col) in free.iter().enumerate() {
@@ -408,6 +468,132 @@ mod tests {
         let y = lstsq(&a, &b, 1e-10).unwrap();
         assert!((x[0] - y[0]).abs() < 1e-6);
         assert!((x[1] - y[1]).abs() < 1e-6);
+    }
+
+    /// `lstsq` before the Gram core: transpose, `matmul`, `matvec`.
+    fn textbook_lstsq(a: &Matrix, b: &[f64], lambda: f64) -> Result<Vec<f64>, SpectrumError> {
+        let at = a.transpose();
+        let mut ata = at.matmul(a);
+        for i in 0..ata.rows() {
+            let v = ata.get(i, i) + lambda;
+            ata.set(i, i, v);
+        }
+        let atb = at.matvec(b);
+        solve(&ata, &atb)
+    }
+
+    /// `nnls` before the Gram core: one damped `lstsq` over the copied
+    /// free columns per active-set iteration.
+    fn textbook_nnls(a: &Matrix, b: &[f64], iterations: usize) -> Result<Vec<f64>, SpectrumError> {
+        let n = a.cols();
+        let mut active: Vec<bool> = vec![true; n];
+        let mut x = vec![0.0; n];
+        for _ in 0..iterations.max(1) {
+            let free: Vec<usize> = (0..n).filter(|&i| active[i]).collect();
+            if free.is_empty() {
+                return Ok(vec![0.0; n]);
+            }
+            let mut reduced = Matrix::zeros(a.rows(), free.len());
+            for r in 0..a.rows() {
+                for (j, &col) in free.iter().enumerate() {
+                    reduced.set(r, j, a.get(r, col));
+                }
+            }
+            let sol = textbook_lstsq(&reduced, b, 1e-10)?;
+            let mut any_negative = false;
+            x = vec![0.0; n];
+            for (j, &col) in free.iter().enumerate() {
+                if sol[j] < 0.0 {
+                    active[col] = false;
+                    any_negative = true;
+                } else {
+                    x[col] = sol[j];
+                }
+            }
+            if !any_negative {
+                break;
+            }
+        }
+        Ok(x)
+    }
+
+    fn assert_bits_eq(what: &str, got: &[f64], want: &[f64]) {
+        assert_eq!(got.len(), want.len(), "{what} length");
+        for (i, (g, w)) in got.iter().zip(want).enumerate() {
+            assert_eq!(g.to_bits(), w.to_bits(), "{what}[{i}]: {g} vs textbook {w}");
+        }
+    }
+
+    #[test]
+    fn gram_solvers_are_bit_identical_to_textbook() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(17);
+        // A third of the entries are exact zeros (±0.0) so the skip path
+        // runs; columns with a non-positive share drive NNLS to pin
+        // variables and re-solve over subsets.
+        for (rows, cols) in [
+            (1, 1),
+            (3, 2),
+            (7, 3),
+            (40, 4),
+            (200, 4),
+            (65, 7),
+            (1700, 4),
+        ] {
+            for trial in 0..6 {
+                let data: Vec<f64> = (0..rows * cols)
+                    .map(|_| match rng.gen_range(0..6) {
+                        0 => 0.0,
+                        1 => -0.0,
+                        2 => rng.gen_range(-1.0..0.2),
+                        _ => rng.gen_range(0.0..3.0),
+                    })
+                    .collect();
+                let a = Matrix::from_vec(rows, cols, data);
+                let b: Vec<f64> = (0..rows).map(|_| rng.gen_range(-0.5..2.0)).collect();
+                let ctx = format!("{rows}x{cols} trial {trial}");
+                assert_bits_eq(
+                    &format!("{ctx} gram"),
+                    a.gram().as_slice(),
+                    a.transpose().matmul(&a).as_slice(),
+                );
+                assert_bits_eq(
+                    &format!("{ctx} transpose_matvec"),
+                    &a.transpose_matvec(&b),
+                    &a.transpose().matvec(&b),
+                );
+                for lambda in [0.0, 1e-10, 0.3] {
+                    match (lstsq(&a, &b, lambda), textbook_lstsq(&a, &b, lambda)) {
+                        (Ok(got), Ok(want)) => assert_bits_eq(&format!("{ctx} lstsq"), &got, &want),
+                        (got, want) => assert_eq!(got, want, "{ctx} lstsq"),
+                    }
+                }
+                for iterations in [1, 3, 8] {
+                    match (nnls(&a, &b, iterations), textbook_nnls(&a, &b, iterations)) {
+                        (Ok(got), Ok(want)) => assert_bits_eq(&format!("{ctx} nnls"), &got, &want),
+                        (got, want) => assert_eq!(got, want, "{ctx} nnls"),
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn gram_skips_zero_left_factors_like_matmul() {
+        // `0 · ∞` is NaN, so only the skip keeps these entries finite.
+        let inf = f64::INFINITY;
+        let a = Matrix::from_rows(&[&[0.0, inf, 1.0], &[2.0, -0.0, -inf], &[1.5, 3.0, 0.0]]);
+        let want = a.transpose().matmul(&a);
+        assert_bits_eq("gram", a.gram().as_slice(), want.as_slice());
+    }
+
+    #[test]
+    fn nnls_rejects_mismatched_shapes() {
+        let a = Matrix::zeros(3, 2);
+        assert!(matches!(
+            nnls(&a, &[1.0, 2.0], 4),
+            Err(SpectrumError::ShapeMismatch { .. })
+        ));
     }
 
     #[test]

@@ -193,21 +193,11 @@ impl LineSpectrum {
     /// with `shape` (peak deformation "to a curve", per the paper's Tool 3).
     pub fn render(&self, axis: &UniformAxis, shape: &PeakShape) -> ContinuousSpectrum {
         let mut out = vec![0.0; axis.len()];
-        let support = shape.support_radius();
         for &(pos, int) in &self.sticks {
             if int == 0.0 {
                 continue;
             }
-            let lo = axis.position_of(pos - support).floor().max(0.0) as usize;
-            let hi = (axis.position_of(pos + support).ceil() as isize)
-                .clamp(0, axis.len() as isize - 1) as usize;
-            if lo > hi {
-                continue;
-            }
-            for (idx, slot) in out.iter_mut().enumerate().take(hi + 1).skip(lo) {
-                let x = axis.value_at(idx);
-                *slot += int * shape.evaluate(x - pos);
-            }
+            shape.accumulate(axis, pos, int, &mut out);
         }
         ContinuousSpectrum::from_parts(*axis, out).expect("finite render output")
     }

@@ -2,7 +2,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::SpectrumError;
+use crate::{SpectrumError, UniformAxis};
 
 /// Natural log of 2, used by Gaussian FWHM parameterization.
 const LN2: f64 = std::f64::consts::LN_2;
@@ -129,6 +129,62 @@ impl PeakShape {
         }
     }
 
+    /// Adds the profile, scaled by `amplitude` and centred at `center`, to
+    /// every sample of `out` within `±support_radius()` of `center`: sample
+    /// `i` gets `out[i] += amplitude * self.evaluate(axis.value_at(i) - center)`,
+    /// bit for bit.
+    ///
+    /// A Lorentz–Gauss peak is swept in three segments. More than 40 σ
+    /// from the center the Gaussian term underflows to exactly zero, so
+    /// `evaluate` reduces to `eta * lorentzian` there: the two tails skip
+    /// the `exp` call, and only the core evaluates both terms.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out.len() != axis.len()`.
+    pub fn accumulate(&self, axis: &UniformAxis, center: f64, amplitude: f64, out: &mut [f64]) {
+        assert_eq!(
+            out.len(),
+            axis.len(),
+            "accumulate target must match the axis"
+        );
+        let support = self.support_radius();
+        let lo = axis.position_of(center - support).floor().max(0.0) as usize;
+        let hi = (axis.position_of(center + support).ceil() as isize)
+            .clamp(0, axis.len() as isize - 1) as usize;
+        if lo > hi {
+            return;
+        }
+        let (start, step) = (axis.start(), axis.step());
+        let (core_lo, core_end, eta) = match *self {
+            Self::LorentzGauss { fwhm, eta } => {
+                let (core_lo, core_end) = gaussian_core(axis, center, fwhm, lo, hi);
+                (core_lo, core_end, eta)
+            }
+            // No Gaussian tail to split off: the whole support is core.
+            Self::Gaussian { .. } | Self::Lorentzian { .. } => (lo, hi + 1, 0.0),
+        };
+        let fwhm = self.fwhm();
+        let tail = |x: f64| eta * lorentzian_pdf(x - center, fwhm);
+        sweep(&mut out[lo..core_lo], lo, start, step, amplitude, tail);
+        sweep(
+            &mut out[core_lo..core_end],
+            core_lo,
+            start,
+            step,
+            amplitude,
+            |x| self.evaluate(x - center),
+        );
+        sweep(
+            &mut out[core_end..=hi],
+            core_end,
+            start,
+            step,
+            amplitude,
+            tail,
+        );
+    }
+
     /// Peak height at the center (`evaluate(0.0)`).
     pub fn height(&self) -> f64 {
         self.evaluate(0.0)
@@ -164,11 +220,73 @@ fn check_fwhm(fwhm: f64) -> Result<(), SpectrumError> {
     Ok(())
 }
 
+/// `out[i] += amplitude * f(x)` for every sample, where `out[0]` is axis
+/// index `first` and `x` is that index's value as `UniformAxis::value_at`
+/// computes it (`start + step * index`).
+fn sweep(
+    out: &mut [f64],
+    first: usize,
+    start: f64,
+    step: f64,
+    amplitude: f64,
+    f: impl Fn(f64) -> f64,
+) {
+    for (idx, slot) in (first..).zip(out) {
+        *slot += amplitude * f(start + step * idx as f64);
+    }
+}
+
+/// Standard deviation of the Gaussian with the given FWHM.
+fn gaussian_sigma(fwhm: f64) -> f64 {
+    fwhm / (2.0 * (2.0 * LN2).sqrt())
+}
+
 /// Unit-area Gaussian parameterized by FWHM.
 fn gaussian_pdf(dx: f64, fwhm: f64) -> f64 {
-    let sigma = fwhm / (2.0 * (2.0 * LN2).sqrt());
+    let sigma = gaussian_sigma(fwhm);
     let z = dx / sigma;
     (-0.5 * z * z).exp() / (sigma * (2.0 * std::f64::consts::PI).sqrt())
+}
+
+/// `|z|` beyond which [`gaussian_pdf`] returns exactly `0.0`. There
+/// `-0.5 * z * z < -800`, and `exp` of anything below about −745.13
+/// underflows past the smallest subnormal to zero. The exact cut-off is
+/// `|z| ≈ 38.6`; the margin keeps the bound clear of libm rounding.
+const GAUSSIAN_ZERO_Z: f64 = 40.0;
+
+/// The index range `[core_lo, core_end)` of `lo..=hi` on which the
+/// Gaussian term of a peak at `center` with the given FWHM is not known
+/// to be zero, i.e. where the computed `z` has `|z| <= GAUSSIAN_ZERO_Z`.
+///
+/// `z` is monotone in the index, so the excluded points form one tail on
+/// each side. The analytic positions give the start; the edges then
+/// settle on the exact `z` that [`gaussian_pdf`] computes.
+fn gaussian_core(
+    axis: &UniformAxis,
+    center: f64,
+    fwhm: f64,
+    lo: usize,
+    hi: usize,
+) -> (usize, usize) {
+    let sigma = gaussian_sigma(fwhm);
+    let z = |idx: usize| (axis.value_at(idx) - center) / sigma;
+    let reach = GAUSSIAN_ZERO_Z * sigma;
+    let guess = |x: f64| (axis.position_of(x).max(lo as f64) as usize).min(hi + 1);
+    let mut core_lo = guess(center - reach);
+    while core_lo > lo && z(core_lo - 1) >= -GAUSSIAN_ZERO_Z {
+        core_lo -= 1;
+    }
+    while core_lo <= hi && z(core_lo) < -GAUSSIAN_ZERO_Z {
+        core_lo += 1;
+    }
+    let mut core_end = guess(center + reach).max(core_lo);
+    while core_end > core_lo && z(core_end - 1) > GAUSSIAN_ZERO_Z {
+        core_end -= 1;
+    }
+    while core_end <= hi && z(core_end) <= GAUSSIAN_ZERO_Z {
+        core_end += 1;
+    }
+    (core_lo, core_end)
 }
 
 /// Unit-area Lorentzian parameterized by FWHM.
@@ -257,6 +375,90 @@ mod tests {
             assert!((v - shape.evaluate(-dx)).abs() < 1e-12);
             assert!(v <= prev);
             prev = v;
+        }
+    }
+
+    #[test]
+    fn gaussian_term_is_exactly_zero_beyond_zero_radius() {
+        let mut z = GAUSSIAN_ZERO_Z;
+        for _ in 0..4 {
+            z = f64::from_bits(z.to_bits() + 1);
+            assert_eq!((-0.5 * z * z).exp().to_bits(), 0, "z = {z}");
+        }
+        for z in [40.5, 41.0, 100.0, 1e8, 1e200, f64::MAX] {
+            assert_eq!((-0.5 * z * z).exp().to_bits(), 0, "z = {z}");
+            assert_eq!((-0.5 * -z * -z).exp().to_bits(), 0, "z = -{z}");
+        }
+        let fwhm = 0.05;
+        let sigma = gaussian_sigma(fwhm);
+        assert_eq!(gaussian_pdf(40.01 * sigma, fwhm).to_bits(), 0);
+        assert!(
+            gaussian_pdf(38.0 * sigma, fwhm) > 0.0,
+            "margin below the cut-off"
+        );
+    }
+
+    /// The per-point loop `accumulate` must reproduce bit for bit.
+    fn textbook_accumulate(
+        shape: &PeakShape,
+        axis: &UniformAxis,
+        center: f64,
+        amplitude: f64,
+        out: &mut [f64],
+    ) {
+        let support = shape.support_radius();
+        let lo = axis.position_of(center - support).floor().max(0.0) as usize;
+        let hi = (axis.position_of(center + support).ceil() as isize)
+            .clamp(0, axis.len() as isize - 1) as usize;
+        if lo > hi {
+            return;
+        }
+        for (idx, slot) in out.iter_mut().enumerate().take(hi + 1).skip(lo) {
+            *slot += amplitude * shape.evaluate(axis.value_at(idx) - center);
+        }
+    }
+
+    #[test]
+    fn accumulate_is_bit_identical_to_textbook_loop() {
+        let axes = [
+            UniformAxis::new(0.0, 12.0 / 1699.0, 1700).unwrap(),
+            UniformAxis::new(-3.5, 0.013, 97).unwrap(),
+            UniformAxis::new(100.0, 1e-4, 5000).unwrap(),
+        ];
+        let mut shapes = vec![
+            PeakShape::gaussian(0.05).unwrap(),
+            PeakShape::lorentzian(0.05).unwrap(),
+        ];
+        for fwhm in [1e-4, 0.003, 0.045, 0.31, 2.0] {
+            // A tiny eta keeps far Gaussian tails visible next to eta·L, so a
+            // too-small zero radius cannot hide in rounding.
+            for eta in [0.0, 1e-300, 0.25, 0.6, 1.0] {
+                shapes.push(PeakShape::lorentz_gauss(fwhm, eta).unwrap());
+            }
+        }
+        for axis in &axes {
+            let span = axis.stop() - axis.start();
+            let centers = [-0.7, -0.01, 0.0, 0.003, 0.31, 0.5, 0.9999, 1.0, 1.2]
+                .map(|f| axis.start() + f * span);
+            for shape in &shapes {
+                for center in centers {
+                    for amplitude in [1.0, 0.37, -2.5] {
+                        let base: Vec<f64> =
+                            (0..axis.len()).map(|i| (i % 7) as f64 * 0.1).collect();
+                        let mut want = base.clone();
+                        textbook_accumulate(shape, axis, center, amplitude, &mut want);
+                        let mut got = base;
+                        shape.accumulate(axis, center, amplitude, &mut got);
+                        for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+                            assert_eq!(
+                                g.to_bits(),
+                                w.to_bits(),
+                                "{shape:?} center {center} amplitude {amplitude} [{i}]"
+                            );
+                        }
+                    }
+                }
+            }
         }
     }
 
