@@ -20,9 +20,12 @@
 //!
 //! * `kernel-vectorized` — the function carries at least
 //!   `min-vector-fma` packed vector FMAs (`vfmadd*ps` on `%ymm`/`%zmm`
-//!   under the workspace's pinned `x86-64-v3`), and at least one
-//!   *innermost* loop contains a packed FMA — i.e. the hot loop itself
-//!   vectorized, not just a prologue.
+//!   under the workspace's pinned `x86-64-v3`) or packed multiplies
+//!   (`vmulps` on `%ymm`/`%zmm`), and at least one *innermost* loop
+//!   contains one of them — i.e. the hot loop itself vectorized, not just
+//!   a prologue. Packed multiplies count because the exact kernels (the
+//!   training layers' bit-identical tiles) multiply and add separately
+//!   and so must never emit an FMA.
 //! * `kernel-no-panic` — the emitted body contains **no** call into the
 //!   panic family (`core::panicking::*`, bounds-check/slice-index
 //!   handlers, `unwrap_failed`, …) anywhere. Strict whole-function
@@ -107,11 +110,15 @@ pub struct FunctionAudit {
     pub insns: usize,
     /// Packed vector FMAs: `vfmadd*ps` on a `%ymm`/`%zmm` register.
     pub packed_fma: usize,
+    /// Packed vector multiplies: `vmulps` on a `%ymm`/`%zmm` register,
+    /// the vector work of an exact kernel that multiplies and adds
+    /// separately.
+    pub packed_mul: usize,
     /// Scalar FMAs (`vfmadd*ss`) — a high scalar count with zero packed
     /// count is the signature of a lost vectorization.
     pub scalar_fma: usize,
     /// Whether at least one *innermost* loop (a back-edge span containing
-    /// no smaller back-edge span) carries a packed FMA.
+    /// no smaller back-edge span) carries a packed FMA or packed multiply.
     pub loop_fma: bool,
     /// Demangled panic-family call targets, in emission order.
     pub panic_calls: Vec<String>,
@@ -181,6 +188,11 @@ impl CodegenReport {
         self.symbols.iter().map(|s| s.audit.packed_fma).sum()
     }
 
+    /// Total packed vector multiplies across audited symbols.
+    pub fn packed_mul_total(&self) -> usize {
+        self.symbols.iter().map(|s| s.audit.packed_mul).sum()
+    }
+
     /// Human-readable per-symbol coverage table for `--stats`.
     pub fn summary_table(&self) -> String {
         let mode = self
@@ -189,13 +201,14 @@ impl CodegenReport {
         let mut out = format!(
             "codegen audit ({mode}): {} symbol(s) audited, {} proven vectorized \
              (of {} required), {} panic-call-free, {} alloc-call-free, \
-             {} packed vector FMA(s) total\n",
+             {} packed vector FMA(s) and {} packed multiply(s) total\n",
             self.symbols.len(),
             self.vectorized_ok(),
             self.symbols.iter().filter(|s| s.vectorized_required).count(),
             self.panic_free(),
             self.alloc_free(),
             self.packed_fma_total(),
+            self.packed_mul_total(),
         );
         for sym in &self.symbols {
             let a = &sym.audit;
@@ -205,12 +218,13 @@ impl CodegenReport {
                 ""
             };
             out.push_str(&format!(
-                "  {}: {} insn(s), {} packed / {} scalar FMA, loop-fma={}{}, \
+                "  {}: {} insn(s), {} packed / {} scalar FMA, {} packed mul, loop-fma={}{}, \
                  panic-calls={}, alloc-calls={}\n",
                 a.path,
                 a.insns,
                 a.packed_fma,
                 a.scalar_fma,
+                a.packed_mul,
                 if a.loop_fma { "yes" } else { "no" },
                 vec_tag,
                 a.panic_calls.len(),
@@ -444,7 +458,8 @@ pub fn parse_asm(text: &str) -> Vec<AsmFunction> {
 /// Parses LLVM IR (`--emit llvm-ir`) into the same [`AsmFunction`]
 /// shape: basic-block labels become labels, `br` edges become jumps,
 /// vector `llvm.fma`/`llvm.fmuladd` intrinsic calls become packed-FMA
-/// instructions, and other `call`s keep their `@` callee.
+/// instructions, vector `fmul`s become packed multiplies, and other
+/// `call`s keep their `@` callee.
 pub fn parse_llvm_ir(text: &str) -> Vec<AsmFunction> {
     let mut functions: Vec<AsmFunction> = Vec::new();
     let mut current: Option<AsmFunction> = None;
@@ -495,6 +510,14 @@ pub fn parse_llvm_ir(text: &str) -> Vec<AsmFunction> {
                 }
                 rest = &rest[idx + 7..];
             }
+            continue;
+        }
+        let vector_f32 = head.contains("<8 x float>") || head.contains("<16 x float>");
+        if vector_f32 && head.contains(" fmul ") {
+            function.lines.push(AsmLine::Insn {
+                mnemonic: "vmulps".to_string(),
+                operands: "%ymm0".to_string(),
+            });
             continue;
         }
         if let Some(call_idx) = find_ir_call(head) {
@@ -610,6 +633,10 @@ fn is_packed_fma(mnemonic: &str, operands: &str) -> bool {
         && (operands.contains("%ymm") || operands.contains("%zmm"))
 }
 
+fn is_packed_mul(mnemonic: &str, operands: &str) -> bool {
+    mnemonic == "vmulps" && (operands.contains("%ymm") || operands.contains("%zmm"))
+}
+
 fn is_scalar_fma(mnemonic: &str) -> bool {
     mnemonic.starts_with("vfmadd") && mnemonic.ends_with("ss")
 }
@@ -640,6 +667,9 @@ pub fn analyze(function: &AsmFunction) -> FunctionAudit {
         audit.insns += 1;
         if is_packed_fma(mnemonic, operands) {
             audit.packed_fma += 1;
+            packed_at.push(idx);
+        } else if is_packed_mul(mnemonic, operands) {
+            audit.packed_mul += 1;
             packed_at.push(idx);
         } else if is_scalar_fma(mnemonic) {
             audit.scalar_fma += 1;
@@ -790,7 +820,7 @@ pub fn check_functions(
             config.vectorized.iter().any(|p| pattern_matches(p, &audit.path));
         let mut vectorized_ok = true;
         if vectorized_required && enforce_vector {
-            let enough = audit.packed_fma >= config.min_vector_fma;
+            let enough = audit.packed_fma + audit.packed_mul >= config.min_vector_fma;
             if !enough || !audit.loop_fma {
                 vectorized_ok = false;
                 raw_findings.push((
@@ -799,10 +829,12 @@ pub fn check_functions(
                         "kernel-vectorized",
                         format!(
                             "`{}` lost its vectorization in the emitted {mode}: {} packed \
-                             vector FMA(s) (minimum {}), {} scalar FMA(s), innermost loop \
-                             carries packed FMA: {}",
+                             vector FMA(s) and {} packed multiply(s) (minimum {} together), \
+                             {} scalar FMA(s), innermost loop carries a packed FMA or \
+                             multiply: {}",
                             audit.path,
                             audit.packed_fma,
+                            audit.packed_mul,
                             config.min_vector_fma,
                             audit.scalar_fma,
                             audit.loop_fma,
@@ -1073,6 +1105,7 @@ pub fn merge_into(report: &mut Report, codegen: &CodegenReport) {
     report.stats.codegen_panic_free = codegen.panic_free();
     report.stats.codegen_alloc_free = codegen.alloc_free();
     report.stats.codegen_packed_fma = codegen.packed_fma_total();
+    report.stats.codegen_packed_mul = codegen.packed_mul_total();
 }
 
 #[cfg(test)]

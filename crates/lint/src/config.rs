@@ -46,11 +46,12 @@ pub struct CodegenConfig {
     /// and zero allocator-family calls; every pattern must match at
     /// least one emitted symbol (`codegen-symbol-coverage`).
     pub audit: Vec<String>,
-    /// The subset additionally required to carry packed vector FMAs
-    /// (`kernel-vectorized`): at least `min_vector_fma` of them, with at
-    /// least one inside an innermost loop.
+    /// The subset additionally required to carry packed vector FMAs or
+    /// packed multiplies (`kernel-vectorized`): at least `min_vector_fma`
+    /// of them together, with at least one inside an innermost loop.
     pub vectorized: Vec<String>,
-    /// Minimum packed vector FMA count for the `vectorized` set.
+    /// Minimum packed vector FMA + packed multiply count for the
+    /// `vectorized` set.
     pub min_vector_fma: usize,
     /// Patterns whose symbols must not call any `forbidden_externs`
     /// (`kernel-no-extern-call`) — the `exp_fast` users.

@@ -84,7 +84,7 @@ pub struct GraphStats {
     /// Kernel symbols audited at the assembly level (`--codegen`); 0
     /// when the codegen audit did not run.
     pub codegen_audited: usize,
-    /// Audited symbols proven vectorized (packed FMA count and
+    /// Audited symbols proven vectorized (packed FMA + multiply count and
     /// innermost-loop requirements both held).
     pub codegen_vectorized: usize,
     /// Audited symbols emitting zero panic-family calls.
@@ -93,6 +93,8 @@ pub struct GraphStats {
     pub codegen_alloc_free: usize,
     /// Total packed vector FMA instructions across audited symbols.
     pub codegen_packed_fma: usize,
+    /// Total packed vector multiplies across audited symbols.
+    pub codegen_packed_mul: usize,
 }
 
 impl GraphStats {
@@ -134,12 +136,13 @@ impl fmt::Display for GraphStats {
             write!(
                 f,
                 "; codegen {} audited symbol(s): {} proven vectorized, {} panic-call-free, \
-                 {} alloc-call-free, {} packed vector FMA(s)",
+                 {} alloc-call-free, {} packed vector FMA(s), {} packed multiply(s)",
                 self.codegen_audited,
                 self.codegen_vectorized,
                 self.codegen_panic_free,
                 self.codegen_alloc_free,
                 self.codegen_packed_fma,
+                self.codegen_packed_mul,
             )?;
         }
         Ok(())

@@ -56,8 +56,8 @@
 //! symbols declared in `lint.toml`'s `[codegen]` section, and verifies
 //! per function:
 //!
-//! * `kernel-vectorized` — enough packed vector FMAs, with at least one
-//!   in an innermost loop (the hot loop itself vectorized).
+//! * `kernel-vectorized` — enough packed vector FMAs or multiplies, with
+//!   at least one in an innermost loop (the hot loop itself vectorized).
 //! * `kernel-no-panic` — zero panic-family calls in the emitted body.
 //! * `kernel-no-alloc` — zero allocator-family calls.
 //! * `kernel-no-extern-call` — no forbidden libm externs in the

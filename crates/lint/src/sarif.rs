@@ -59,8 +59,8 @@ pub const RULES: &[(&str, &str)] = &[
     ),
     (
         "kernel-vectorized",
-        "Audited kernels carry enough packed vector FMAs in the emitted assembly, with at \
-         least one in an innermost loop",
+        "Audited kernels carry enough packed vector FMAs or multiplies in the emitted \
+         assembly, with at least one in an innermost loop",
     ),
     (
         "kernel-no-panic",

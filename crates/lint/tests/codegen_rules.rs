@@ -5,7 +5,9 @@
 //! fire each rule the exact expected number of times; the known-good
 //! register-tiled loop must pass clean. The suite also exercises the
 //! per-symbol `[[codegen-suppress]]` baseline (including stale
-//! detection) and the SARIF round-trip of codegen findings.
+//! detection) and the SARIF round-trip of codegen findings. Exact
+//! kernels, which multiply and add separately and never fuse, prove
+//! their vectorization with packed multiplies instead of FMAs.
 
 use lint::codegen::{
     analyze, check_functions, demangle, merge_into, parse_asm, parse_llvm_ir, CodegenReport,
@@ -16,9 +18,12 @@ use lint::findings::{GraphStats, Report};
 
 const KNOWN_BAD: &str = include_str!("fixtures/codegen/known_bad.s");
 const KNOWN_GOOD: &str = include_str!("fixtures/codegen/known_good.s");
+const EXACT_PACKED: &str = include_str!("fixtures/codegen/exact_packed.s");
+const EXACT_SCALAR: &str = include_str!("fixtures/codegen/exact_scalar.s");
 
 const GEMM: &str = "neural::kernels::gemm::gemm_acc";
 const CONV: &str = "neural::kernels::conv::conv1d";
+const TILE: &str = "neural::layers::lstm::project_tile";
 
 fn config(audit: &[&str], vectorized: &[&str], no_extern: &[&str]) -> CodegenConfig {
     CodegenConfig {
@@ -107,6 +112,45 @@ fn known_good_tiled_loop_passes_clean() {
     assert_eq!(report.vectorized_ok(), 1);
     assert_eq!(report.panic_free(), 1);
     assert_eq!(report.alloc_free(), 1);
+}
+
+#[test]
+fn exact_kernel_is_proven_vectorized_by_packed_multiplies() {
+    let report = run(EXACT_PACKED, &config(&[TILE], &[TILE], &[]), &[]);
+    assert!(report.findings.is_empty(), "{:?}", report.findings);
+    let audit = &report.symbols[0].audit;
+    assert_eq!(audit.path, TILE);
+    assert_eq!(audit.packed_fma, 0);
+    assert_eq!(audit.packed_mul, 16);
+    assert!(audit.loop_fma);
+    assert_eq!(report.vectorized_ok(), 1);
+    assert_eq!(report.packed_mul_total(), 16);
+}
+
+#[test]
+fn scalarized_exact_kernel_fails_vectorized() {
+    let report = run(EXACT_SCALAR, &config(&[TILE], &[TILE], &[]), &[]);
+    let audit = &report.symbols[0].audit;
+    assert_eq!(audit.packed_fma, 0);
+    assert_eq!(audit.packed_mul, 0);
+    assert_eq!(audit.scalar_fma, 0);
+    assert!(!audit.loop_fma);
+    assert_eq!(count_rule(&report, "kernel-vectorized"), 1);
+    assert_eq!(report.findings.len(), 1);
+    assert!(report.findings[0].message.contains("0 packed multiply"));
+    assert_eq!(report.vectorized_ok(), 0);
+}
+
+#[test]
+fn packed_multiplies_outside_the_innermost_loop_do_not_count() {
+    // Sixteen packed multiplies, all in straight-line code after a scalar
+    // loop: enough in total, but the hot loop itself is scalar.
+    let tail = format!("{}\tvzeroupper", "\tvmulps\t%ymm4, %ymm5, %ymm9\n".repeat(16));
+    let asm = EXACT_SCALAR.replace("\tvzeroupper", &tail);
+    let report = run(&asm, &config(&[TILE], &[TILE], &[]), &[]);
+    assert_eq!(report.symbols[0].audit.packed_mul, 16);
+    assert!(!report.symbols[0].audit.loop_fma);
+    assert_eq!(count_rule(&report, "kernel-vectorized"), 1);
 }
 
 #[test]
@@ -251,6 +295,35 @@ exit:
     assert_eq!(count_rule(&report, "kernel-no-panic"), 1);
     assert_eq!(count_rule(&report, "kernel-vectorized"), 0);
     assert!(report.symbols[0].audit.loop_fma);
+}
+
+#[test]
+fn llvm_ir_fallback_counts_vector_fmul_as_packed_multiply() {
+    let ir = r#"
+define internal void @_ZN6neural6layers4lstm12project_tile17h0123456789abcdefE(ptr %x) {
+start:
+  br label %loop
+loop:
+  %i = phi i64 [ 0, %start ], [ %n, %loop ]
+  %p = fmul <8 x float> %w, %xs
+  %a = fadd <8 x float> %acc, %p
+  %s = fmul float %u, %v
+  %n = add i64 %i, 1
+  %c2 = icmp ult i64 %n, 128
+  br i1 %c2, label %loop, label %exit
+exit:
+  ret void
+}
+"#;
+    let functions = parse_llvm_ir(ir);
+    let mut cfg = config(&[TILE], &[TILE], &[]);
+    cfg.min_vector_fma = 1;
+    let report = check_functions(&functions, &cfg, &[], None, EmitMode::LlvmIr, true);
+    let audit = &report.symbols[0].audit;
+    assert_eq!(audit.packed_mul, 1);
+    assert_eq!(audit.packed_fma, 0);
+    assert!(audit.loop_fma);
+    assert!(report.findings.is_empty(), "{:?}", report.findings);
 }
 
 #[test]

@@ -299,7 +299,7 @@ impl GuardedTrainer {
         until: usize,
         restore_best: bool,
     ) -> Result<GuardedOutcome, NeuralError> {
-        let mut progress = self.trainer.start(network, train)?;
+        let mut progress = self.trainer.start(network, train, validation)?;
         let mut checkpoint = match resumed {
             Some(checkpoint) => {
                 progress = self.restore(network, checkpoint)?;

@@ -142,7 +142,7 @@ impl Layer for Conv1d {
         out
     }
 
-    fn backward(&mut self, grad_output: &[f32]) -> Vec<f32> {
+    fn backward(&mut self, grad_output: &[f32], input_grad: bool) -> Vec<f32> {
         assert_eq!(grad_output.len(), self.output_len(), "conv1d grad length");
         assert!(
             !self.cached_input.is_empty(),
@@ -170,7 +170,11 @@ impl Layer for Conv1d {
             self.activation.backward(&self.cached_output, &mut dz, 1);
         }
 
-        let mut grad_in = vec![0.0f32; self.input_len()];
+        let mut grad_in = if input_grad {
+            vec![0.0f32; self.input_len()]
+        } else {
+            Vec::new()
+        };
         for f in 0..self.filters {
             for op in 0..self.out_len {
                 let g = dz[f * self.out_len + op];
@@ -187,10 +191,12 @@ impl Layer for Conv1d {
                     for (gwk, &xk) in gw.iter_mut().zip(x) {
                         *gwk += g * xk;
                     }
-                    let gi = &mut grad_in[x_base..x_base + self.kernel];
-                    let w = &self.weights[w_base..w_base + self.kernel];
-                    for (gik, &wk) in gi.iter_mut().zip(w) {
-                        *gik += g * wk;
+                    if input_grad {
+                        let gi = &mut grad_in[x_base..x_base + self.kernel];
+                        let w = &self.weights[w_base..w_base + self.kernel];
+                        for (gik, &wk) in gi.iter_mut().zip(w) {
+                            *gik += g * wk;
+                        }
                     }
                 }
             }
@@ -309,7 +315,7 @@ mod tests {
 
         layer.forward(&input, true);
         layer.zero_grads();
-        let grad_in = layer.backward(&upstream);
+        let grad_in = layer.backward(&upstream, true);
 
         let loss = |layer: &mut Conv1d, x: &[f32]| -> f32 {
             layer
@@ -337,7 +343,7 @@ mod tests {
         // Spot-check a few weight gradients numerically.
         layer.forward(&input, true);
         layer.zero_grads();
-        layer.backward(&upstream);
+        layer.backward(&upstream, true);
         let mut analytic = Vec::new();
         layer.visit_params(&mut |_p, g| analytic.push(g.to_vec()));
         let mut exported = layer.export_params();
@@ -367,7 +373,7 @@ mod tests {
         let upstream: Vec<f32> = (0..layer.output_len()).map(|i| 0.5 - 0.2 * i as f32).collect();
         layer.forward(&input, true);
         layer.zero_grads();
-        let grad_in = layer.backward(&upstream);
+        let grad_in = layer.backward(&upstream, true);
         let eps = 1e-3;
         for i in 0..input.len() {
             let mut hi = input;

@@ -96,7 +96,7 @@ impl Layer for Dense {
         out
     }
 
-    fn backward(&mut self, grad_output: &[f32]) -> Vec<f32> {
+    fn backward(&mut self, grad_output: &[f32], input_grad: bool) -> Vec<f32> {
         assert_eq!(grad_output.len(), self.units, "dense grad length");
         assert!(
             !self.cached_input.is_empty(),
@@ -105,17 +105,20 @@ impl Layer for Dense {
         let mut dz = grad_output.to_vec();
         self.activation
             .backward(&self.cached_output, &mut dz, self.units);
-        let mut grad_in = vec![0.0f32; self.input_len];
+        let mut grad_in = if input_grad {
+            vec![0.0f32; self.input_len]
+        } else {
+            Vec::new()
+        };
         for (u, &g) in dz.iter().enumerate() {
             self.grad_bias[u] += g;
             let row = &self.weights[u * self.input_len..(u + 1) * self.input_len];
             let grad_row = &mut self.grad_weights[u * self.input_len..(u + 1) * self.input_len];
-            for ((gw, gi), (&w, &x)) in grad_row
-                .iter_mut()
-                .zip(grad_in.iter_mut())
-                .zip(row.iter().zip(self.cached_input.iter()))
-            {
+            for (gw, &x) in grad_row.iter_mut().zip(&self.cached_input) {
                 *gw += g * x;
+            }
+            // Empty when the input gradient is not wanted.
+            for (gi, &w) in grad_in.iter_mut().zip(row) {
                 *gi += g * w;
             }
         }
@@ -196,7 +199,7 @@ mod tests {
         let out = layer.forward(&input, true);
         let _ = out;
         layer.zero_grads();
-        let grad_in = layer.backward(&upstream);
+        let grad_in = layer.backward(&upstream, true);
 
         // Numeric input gradient.
         let eps = 1e-3;
@@ -232,7 +235,7 @@ mod tests {
             let mut cap = Vec::new();
             layer.forward(&input, true);
             layer.zero_grads();
-            layer.backward(&upstream);
+            layer.backward(&upstream, true);
             layer.visit_params(&mut |_p, g| cap.push(g.to_vec()));
             cap[0][0]
         };
@@ -263,9 +266,9 @@ mod tests {
     fn gradients_accumulate_until_zeroed() {
         let mut layer = Dense::new(2, 1, Activation::Linear, &mut rng()).unwrap();
         layer.forward(&[1.0, 1.0], true);
-        layer.backward(&[1.0]);
+        layer.backward(&[1.0], true);
         layer.forward(&[1.0, 1.0], true);
-        layer.backward(&[1.0]);
+        layer.backward(&[1.0], true);
         let mut bias_grad = 0.0;
         layer.visit_params(&mut |_p, g| {
             if g.len() == 1 {

@@ -79,12 +79,15 @@ impl Layer for Dropout {
             .collect()
     }
 
-    fn backward(&mut self, grad_output: &[f32]) -> Vec<f32> {
+    fn backward(&mut self, grad_output: &[f32], input_grad: bool) -> Vec<f32> {
         assert_eq!(grad_output.len(), self.len, "dropout grad length");
         assert!(
             !self.cached_mask.is_empty(),
             "backward called before forward"
         );
+        if !input_grad {
+            return Vec::new();
+        }
         grad_output
             .iter()
             .zip(&self.cached_mask)
@@ -131,7 +134,7 @@ mod tests {
         let mut layer = Dropout::new(64, 0.5, 3).unwrap();
         let x = vec![1.0; 64];
         let out = layer.forward(&x, true);
-        let grad = layer.backward(&vec![1.0; 64]);
+        let grad = layer.backward(&vec![1.0; 64], true);
         for (o, g) in out.iter().zip(&grad) {
             assert_eq!(o, g);
         }

@@ -116,7 +116,7 @@ impl Layer for Highway {
         out
     }
 
-    fn backward(&mut self, grad_output: &[f32]) -> Vec<f32> {
+    fn backward(&mut self, grad_output: &[f32], input_grad: bool) -> Vec<f32> {
         assert_eq!(grad_output.len(), self.width, "highway grad length");
         assert!(
             !self.cached_input.is_empty(),
@@ -135,11 +135,15 @@ impl Layer for Highway {
             .collect();
         Activation::Sigmoid.backward(t, &mut dt, 1);
 
-        let mut grad_in: Vec<f32> = grad_output
-            .iter()
-            .zip(t)
-            .map(|(&g, &ti)| g * (1.0 - ti))
-            .collect();
+        let mut grad_in: Vec<f32> = if input_grad {
+            grad_output
+                .iter()
+                .zip(t)
+                .map(|(&g, &ti)| g * (1.0 - ti))
+                .collect()
+        } else {
+            Vec::new()
+        };
         for (u, (&dhu, &dtu)) in dh.iter().zip(&dt).enumerate() {
             self.grad_b_h[u] += dhu;
             self.grad_b_t[u] += dtu;
@@ -150,7 +154,10 @@ impl Layer for Highway {
             for k in 0..self.width {
                 gw_h[k] += dhu * x[k];
                 gw_t[k] += dtu * x[k];
-                grad_in[k] += dhu * row_h[k] + dtu * row_t[k];
+            }
+            // Empty when the input gradient is not wanted.
+            for ((gi, &wh), &wt) in grad_in.iter_mut().zip(row_h).zip(row_t) {
+                *gi += dhu * wh + dtu * wt;
             }
         }
         grad_in
@@ -279,7 +286,7 @@ impl Layer for ResidualDense {
         out
     }
 
-    fn backward(&mut self, grad_output: &[f32]) -> Vec<f32> {
+    fn backward(&mut self, grad_output: &[f32], input_grad: bool) -> Vec<f32> {
         assert_eq!(grad_output.len(), self.width, "residual grad length");
         assert!(
             !self.cached_input.is_empty(),
@@ -289,14 +296,21 @@ impl Layer for ResidualDense {
         self.activation
             .backward(&self.cached_branch, &mut dz, self.width);
         // Skip connection passes the gradient straight through.
-        let mut grad_in = grad_output.to_vec();
+        let mut grad_in = if input_grad {
+            grad_output.to_vec()
+        } else {
+            Vec::new()
+        };
         for (u, &g) in dz.iter().enumerate() {
             self.grad_bias[u] += g;
             let row = &self.weights[u * self.width..(u + 1) * self.width];
             let gw = &mut self.grad_weights[u * self.width..(u + 1) * self.width];
-            for k in 0..self.width {
-                gw[k] += g * self.cached_input[k];
-                grad_in[k] += g * row[k];
+            for (gw_k, &x) in gw.iter_mut().zip(&self.cached_input) {
+                *gw_k += g * x;
+            }
+            // Empty when the input gradient is not wanted.
+            for (gi, &w) in grad_in.iter_mut().zip(row) {
+                *gi += g * w;
             }
         }
         grad_in
@@ -369,7 +383,7 @@ mod tests {
         let upstream = [1.0f32, -0.5, 0.3, 2.0];
         layer.forward(&input, true);
         layer.zero_grads();
-        let grad_in = layer.backward(&upstream);
+        let grad_in = layer.backward(&upstream, true);
         let loss = |l: &mut Highway, x: &[f32]| -> f32 {
             l.forward(x, false)
                 .iter()
@@ -409,7 +423,7 @@ mod tests {
         let upstream = [1.5f32, -1.0, 0.5];
         layer.forward(&input, true);
         layer.zero_grads();
-        let grad_in = layer.backward(&upstream);
+        let grad_in = layer.backward(&upstream, true);
         let loss = |l: &mut ResidualDense, x: &[f32]| -> f32 {
             l.forward(x, false)
                 .iter()

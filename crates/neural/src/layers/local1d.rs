@@ -140,7 +140,7 @@ impl Layer for LocallyConnected1d {
         out
     }
 
-    fn backward(&mut self, grad_output: &[f32]) -> Vec<f32> {
+    fn backward(&mut self, grad_output: &[f32], input_grad: bool) -> Vec<f32> {
         assert_eq!(grad_output.len(), self.output_len(), "local1d grad length");
         assert!(
             !self.cached_input.is_empty(),
@@ -167,7 +167,11 @@ impl Layer for LocallyConnected1d {
             self.activation.backward(&self.cached_output, &mut dz, 1);
         }
 
-        let mut grad_in = vec![0.0f32; self.input_len()];
+        let mut grad_in = if input_grad {
+            vec![0.0f32; self.input_len()]
+        } else {
+            Vec::new()
+        };
         for op in 0..self.out_len {
             let start = op * self.stride;
             for f in 0..self.filters {
@@ -184,10 +188,12 @@ impl Layer for LocallyConnected1d {
                     for (gwk, &xk) in gw.iter_mut().zip(x) {
                         *gwk += g * xk;
                     }
-                    let gi = &mut grad_in[x_base..x_base + self.kernel];
-                    let w = &self.weights[w_base..w_base + self.kernel];
-                    for (gik, &wk) in gi.iter_mut().zip(w) {
-                        *gik += g * wk;
+                    if input_grad {
+                        let gi = &mut grad_in[x_base..x_base + self.kernel];
+                        let w = &self.weights[w_base..w_base + self.kernel];
+                        for (gik, &wk) in gi.iter_mut().zip(w) {
+                            *gik += g * wk;
+                        }
                     }
                 }
             }
@@ -284,7 +290,7 @@ mod tests {
             .collect();
         layer.forward(&input, true);
         layer.zero_grads();
-        let grad_in = layer.backward(&upstream);
+        let grad_in = layer.backward(&upstream, true);
 
         let loss = |l: &mut LocallyConnected1d, x: &[f32]| -> f32 {
             l.forward(x, false)

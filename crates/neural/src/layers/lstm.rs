@@ -12,10 +12,16 @@ use crate::init::Init;
 use crate::layers::{import_into, Layer, LayerSummary};
 use crate::{Activation, NeuralError};
 
-/// Timesteps per input-projection tile: one 256-bit vector of `f32`.
+/// Rows per input-projection tile: one 256-bit vector of `f32`.
 const LANES: usize = 8;
 /// Gate rows per input-projection tile; `4·units` is always a multiple.
 const ROWS: usize = 4;
+/// Features per step of the projection tile's loop.
+const UNROLL: usize = 4;
+/// Windows per group in batched inference. It bounds the projections
+/// held at once, and as a multiple of `LANES` it lets the one new row of
+/// each sliding window fill whole tiles.
+const GROUP: usize = 32;
 
 /// An LSTM over a fixed-length sequence, returning the last hidden state.
 ///
@@ -41,6 +47,141 @@ pub struct Lstm {
     cached_gates: Vec<f32>,  // post-nonlinearity gates, t * 4*units
     cached_cell: Vec<f32>,   // c_t, t * units
     cached_hidden: Vec<f32>, // h_t, t * units
+}
+
+/// The timestep rows of a run of windows, numbered so that each distinct
+/// row goes through `W` once.
+#[derive(Default)]
+struct Rows<'a> {
+    /// Distinct rows, in first-seen order.
+    distinct: Vec<&'a [f32]>,
+    /// Per window and timestep, the index of its row in `distinct`.
+    ids: Vec<usize>,
+    /// `W·x` of the leading distinct rows, `4·units` values per row.
+    wx: Vec<f32>,
+}
+
+impl<'a> Rows<'a> {
+    /// Appends one window's rows. A row takes the index of an equal row
+    /// among the `timesteps` rows before it, if there is one: that is
+    /// where sliding windows keep their predecessor's rows and
+    /// plateau-repeat windows their repeats. Rows are equal only if
+    /// every value is equal by `to_bits`.
+    fn push(&mut self, window: &'a [f32], features: usize, timesteps: usize) {
+        for x in window.chunks_exact(features) {
+            let recent = &self.ids[self.ids.len().saturating_sub(timesteps)..];
+            let id = match recent
+                .iter()
+                .copied()
+                .find(|&id| same_bits(self.distinct[id], x))
+            {
+                Some(id) => id,
+                None => {
+                    self.distinct.push(x);
+                    self.distinct.len() - 1
+                }
+            };
+            self.ids.push(id);
+        }
+    }
+
+    /// Keeps the last `timesteps` indices and the projected rows they
+    /// name, so that the next window can still match its predecessor.
+    fn keep_last(&mut self, timesteps: usize, width: usize) {
+        let tail = self.ids.split_off(self.ids.len().saturating_sub(timesteps));
+        let mut kept: Vec<usize> = Vec::with_capacity(tail.len());
+        let ids = tail
+            .into_iter()
+            .map(|id| match kept.iter().position(|&k| k == id) {
+                Some(new) => new,
+                None => {
+                    kept.push(id);
+                    kept.len() - 1
+                }
+            })
+            .collect();
+        let mut wx = Vec::with_capacity(kept.len() * width);
+        for &k in &kept {
+            wx.extend_from_slice(&self.wx[k * width..(k + 1) * width]);
+        }
+        let distinct = kept.iter().map(|&k| self.distinct[k]).collect();
+        *self = Self { distinct, ids, wx };
+    }
+}
+
+/// Whether two rows hold the same bits, value by value (so `0.0` and
+/// `-0.0` differ). Blocks of 16 values are compared without an early
+/// exit inside, so each block is a vector compare.
+fn same_bits(a: &[f32], b: &[f32]) -> bool {
+    fn block_eq(x: &[f32], y: &[f32]) -> bool {
+        x.iter()
+            .zip(y)
+            .fold(true, |eq, (p, q)| eq & (p.to_bits() == q.to_bits()))
+    }
+    let ((xs, x_tail), (ys, y_tail)) = (a.as_chunks::<16>(), b.as_chunks::<16>());
+    a.len() == b.len()
+        && block_eq(x_tail, y_tail)
+        && xs.iter().zip(ys).all(|(x, y)| block_eq(x, y))
+}
+
+/// One `ROWS × LANES` tile of `W·x`: the `ROWS` gate rows in `w` (each
+/// `x.len()` long) against `LANES` input rows held transposed in `x`.
+///
+/// The tile runs `ROWS × LANES` independent accumulators instead of one
+/// latency-bound chain. Each still starts at `0.0` and adds `w·x` in
+/// ascending feature order with a separate multiply and add: the same
+/// IEEE operations as a per-row dot product. The loop takes `UNROLL`
+/// features per step in the source, so its body holds `ROWS · UNROLL`
+/// packed multiplies whatever the compiler's own unrolling decides.
+#[inline(never)] // codegen-audit anchor: keep a standalone symbol (lint.toml [codegen])
+fn project_tile(w: &[f32], x: &[[f32; LANES]]) -> [[f32; LANES]; ROWS] {
+    // lint: hot
+    let mut acc = [[0.0f32; LANES]; ROWS];
+    let d = x.len();
+    let Some((w0, rest)) = w.split_at_checked(d) else {
+        return acc;
+    };
+    let Some((w1, rest)) = rest.split_at_checked(d) else {
+        return acc;
+    };
+    let Some((w2, w3)) = rest.split_at_checked(d) else {
+        return acc;
+    };
+    let (xq, q0, q1, q2, q3) = (
+        x.chunks_exact(UNROLL),
+        w0.chunks_exact(UNROLL),
+        w1.chunks_exact(UNROLL),
+        w2.chunks_exact(UNROLL),
+        w3.chunks_exact(UNROLL),
+    );
+    let tail = xq
+        .remainder()
+        .iter()
+        .zip(q0.remainder())
+        .zip(q1.remainder())
+        .zip(q2.remainder())
+        .zip(q3.remainder());
+    for ((((xs, a), b), c), e) in xq.zip(q0).zip(q1).zip(q2).zip(q3) {
+        for u in 0..UNROLL {
+            accumulate(&mut acc, [a[u], b[u], c[u], e[u]], &xs[u]);
+        }
+    }
+    for ((((x, &a), &b), &c), &e) in tail {
+        accumulate(&mut acc, [a, b, c, e], x);
+    }
+    acc
+}
+
+/// One step of a `ROWS × LANES` tile, `acc[r][l] += w[r] · x[l]` with a
+/// separate multiply and add: the projection tile and the recurrence
+/// both run on it.
+#[inline(always)]
+fn accumulate(acc: &mut [[f32; LANES]; ROWS], w: [f32; ROWS], x: &[f32; LANES]) {
+    for (acc_r, &a) in acc.iter_mut().zip(&w) {
+        for l in 0..LANES {
+            acc_r[l] += a * x[l];
+        }
+    }
 }
 
 impl Lstm {
@@ -100,53 +241,114 @@ impl Lstm {
         1.0 / (1.0 + (-x).exp())
     }
 
-    /// `W x_t` for every timestep, laid out `t * 4·units + row`, in one
-    /// pass over `W`.
-    ///
-    /// The input is transposed to `features × LANES`, one lane per
-    /// timestep with zero-padded tail lanes, and the gate rows are tiled
-    /// `ROWS` at a time, so a tile runs `ROWS × LANES` independent
-    /// accumulators instead of one latency-bound chain. Each accumulator
-    /// still starts at `0.0` and adds `w·x` in ascending feature order
-    /// with a separate multiply and add: the same IEEE operations as a
-    /// per-row dot product.
-    fn input_projections(&self, input: &[f32]) -> Vec<f32> {
+    /// Appends `W·x` for every distinct row not projected yet, in one pass
+    /// over `W` per `LANES` rows. The rows of a tile are transposed to
+    /// `features × LANES`, with zero-padded tail lanes.
+    fn project(&self, rows: &mut Rows<'_>) {
         let d = self.features;
-        let rows = 4 * self.units;
-        let t_max = self.timesteps;
-        let mut lanes = vec![[0.0f32; LANES]; t_max.div_ceil(LANES) * d];
-        for (t, x_t) in input.chunks_exact(d).enumerate() {
-            let block = &mut lanes[(t / LANES) * d..(t / LANES + 1) * d];
-            for (lane, &x) in block.iter_mut().zip(x_t) {
-                lane[t % LANES] = x;
-            }
-        }
-        let mut wx = vec![0.0f32; t_max * rows];
-        // `4·units` rows always split into whole tiles.
-        for (tile, w_tile) in self.w.chunks_exact(ROWS * d).enumerate() {
-            let (w0, rest) = w_tile.split_at(d);
-            let (w1, rest) = rest.split_at(d);
-            let (w2, w3) = rest.split_at(d);
-            for (block, x_block) in lanes.chunks_exact(d).enumerate() {
-                let mut acc = [[0.0f32; LANES]; ROWS];
-                for ((((x, &a), &b), &c), &e) in x_block.iter().zip(w0).zip(w1).zip(w2).zip(w3) {
-                    for l in 0..LANES {
-                        acc[0][l] += a * x[l];
-                        acc[1][l] += b * x[l];
-                        acc[2][l] += c * x[l];
-                        acc[3][l] += e * x[l];
-                    }
+        let width = 4 * self.units;
+        let done = rows.wx.len() / width;
+        let Rows { distinct, wx, .. } = rows;
+        wx.resize(distinct.len() * width, 0.0);
+        let mut lanes = vec![[0.0f32; LANES]; d];
+        let fresh = distinct[done..].chunks(LANES);
+        let tiles_out = wx[done * width..].chunks_mut(LANES * width);
+        for (tile, out) in fresh.zip(tiles_out) {
+            lanes.fill([0.0; LANES]);
+            for (l, x) in tile.iter().enumerate() {
+                for (lane, &v) in lanes.iter_mut().zip(*x) {
+                    lane[l] = v;
                 }
-                let steps = wx.chunks_exact_mut(rows).skip(block * LANES).take(LANES);
-                for (l, wx_t) in steps.enumerate() {
-                    for (slot, acc_r) in wx_t[tile * ROWS..(tile + 1) * ROWS].iter_mut().zip(&acc) {
+            }
+            // `4·units` rows always split into whole tiles.
+            for (r, w_tile) in self.w.chunks_exact(ROWS * d).enumerate() {
+                let acc = project_tile(w_tile, &lanes);
+                for (l, wx_row) in out.chunks_exact_mut(width).enumerate() {
+                    for (slot, acc_r) in wx_row[r * ROWS..(r + 1) * ROWS].iter_mut().zip(&acc) {
                         *slot = acc_r[l];
                     }
                 }
             }
         }
-        wx
     }
+
+    /// The recurrence of up to `LANES` windows at once, one per lane:
+    /// window `l`'s timestep `t` has the projection row `windows[l][t]`
+    /// of `wx`. Returns every window's last hidden state. With `trace`,
+    /// the first window's gates, cells and hidden states are written to
+    /// it (`t`-major), as `backward` needs them.
+    ///
+    /// Each lane computes exactly the per-window recurrence: the gate
+    /// pre-activation `z = b + (W x + U h_prev)` continues the `W x`
+    /// accumulator with `U h_prev` in ascending order, and the gate math
+    /// is elementwise.
+    fn recur(&self, wx: &[f32], windows: &[&[usize]], mut trace: Option<Trace<'_>>) -> Vec<Vec<f32>> {
+        let h = self.units;
+        let width = 4 * h;
+        let mut h_state = vec![[0.0f32; LANES]; h];
+        let mut c_state = vec![[0.0f32; LANES]; h];
+        let mut z = vec![[0.0f32; LANES]; width];
+        for t in 0..self.timesteps {
+            // `ROWS` gate rows at a time, every lane its own accumulator.
+            for (tile, ((z_tile, u_tile), b_tile)) in z
+                .chunks_exact_mut(ROWS)
+                .zip(self.u.chunks_exact(ROWS * h))
+                .zip(self.b.chunks_exact(ROWS))
+                .enumerate()
+            {
+                let mut acc = [[0.0f32; LANES]; ROWS];
+                for (l, ids) in windows.iter().enumerate() {
+                    let first = ids[t] * width + tile * ROWS;
+                    for (acc_r, &v) in acc.iter_mut().zip(&wx[first..first + ROWS]) {
+                        acc_r[l] = v;
+                    }
+                }
+                let (u0, rest) = u_tile.split_at(h);
+                let (u1, rest) = rest.split_at(h);
+                let (u2, u3) = rest.split_at(h);
+                for ((((h_k, &a), &b), &c), &e) in h_state.iter().zip(u0).zip(u1).zip(u2).zip(u3) {
+                    accumulate(&mut acc, [a, b, c, e], h_k);
+                }
+                for ((z_r, acc_r), &b) in z_tile.iter_mut().zip(&acc).zip(b_tile) {
+                    for l in 0..LANES {
+                        z_r[l] = b + acc_r[l];
+                    }
+                }
+            }
+            // Gates: [i, f, g, o].
+            for j in 0..h {
+                for l in 0..windows.len() {
+                    let i_g = Self::sigmoid(z[j][l]);
+                    let f_g = Self::sigmoid(z[h + j][l]);
+                    let g_g = z[2 * h + j][l].tanh();
+                    let o_g = Self::sigmoid(z[3 * h + j][l]);
+                    let c = f_g * c_state[j][l] + i_g * g_g;
+                    let h_t = o_g * c.tanh();
+                    c_state[j][l] = c;
+                    h_state[j][l] = h_t;
+                    if let (0, Some(trace)) = (l, trace.as_mut()) {
+                        let gates = &mut trace.gates[t * width..(t + 1) * width];
+                        gates[j] = i_g;
+                        gates[h + j] = f_g;
+                        gates[2 * h + j] = g_g;
+                        gates[3 * h + j] = o_g;
+                        trace.cell[t * h + j] = c;
+                        trace.hidden[t * h + j] = h_t;
+                    }
+                }
+            }
+        }
+        (0..windows.len())
+            .map(|l| h_state.iter().map(|h_k| h_k[l]).collect())
+            .collect()
+    }
+}
+
+/// Where [`Lstm::recur`] records one window's states, `t`-major.
+struct Trace<'a> {
+    gates: &'a mut [f32],
+    cell: &'a mut [f32],
+    hidden: &'a mut [f32],
 }
 
 impl Layer for Lstm {
@@ -162,57 +364,61 @@ impl Layer for Lstm {
         self.units
     }
 
+    /// The one-window case of [`Layer::forward_batch`], keeping the
+    /// window's states for `backward`.
     fn forward(&mut self, input: &[f32], _training: bool) -> Vec<f32> {
         assert_eq!(input.len(), self.input_len(), "lstm input length");
         let h = self.units;
         let t_max = self.timesteps;
-        self.cached_input = input.to_vec();
-        self.cached_gates = vec![0.0; t_max * 4 * h];
-        self.cached_cell = vec![0.0; t_max * h];
-        self.cached_hidden = vec![0.0; t_max * h];
-
-        // W x_t does not depend on h, so it is computed for every timestep
-        // in one pass over W; each step continues its accumulators.
-        let wx = self.input_projections(input);
-        let mut z = vec![0.0f32; 4 * h];
-        let mut h_prev = vec![0.0f32; h];
-        let mut c_prev = vec![0.0f32; h];
-        for (t, wx_t) in wx.chunks_exact(4 * h).enumerate() {
-            // z = W x + U h_prev + b, z has 4h entries.
-            for (((slot, &wx_row), ur), &b) in z
-                .iter_mut()
-                .zip(wx_t)
-                .zip(self.u.chunks_exact(h))
-                .zip(&self.b)
-            {
-                let mut acc = wx_row;
-                for (ui, hi) in ur.iter().zip(&h_prev) {
-                    acc += ui * hi;
-                }
-                *slot = b + acc;
-            }
-            // Gates: [i, f, g, o].
-            let gates = &mut self.cached_gates[t * 4 * h..(t + 1) * 4 * h];
-            for j in 0..h {
-                let i_g = Self::sigmoid(z[j]);
-                let f_g = Self::sigmoid(z[h + j]);
-                let g_g = z[2 * h + j].tanh();
-                let o_g = Self::sigmoid(z[3 * h + j]);
-                gates[j] = i_g;
-                gates[h + j] = f_g;
-                gates[2 * h + j] = g_g;
-                gates[3 * h + j] = o_g;
-                let c = f_g * c_prev[j] + i_g * g_g;
-                self.cached_cell[t * h + j] = c;
-                self.cached_hidden[t * h + j] = o_g * c.tanh();
-            }
-            h_prev.copy_from_slice(&self.cached_hidden[t * h..(t + 1) * h]);
-            c_prev.copy_from_slice(&self.cached_cell[t * h..(t + 1) * h]);
-        }
-        h_prev
+        let mut rows = Rows::default();
+        rows.push(input, self.features, t_max);
+        self.project(&mut rows);
+        let mut gates = std::mem::take(&mut self.cached_gates);
+        let mut cell = std::mem::take(&mut self.cached_cell);
+        let mut hidden = std::mem::take(&mut self.cached_hidden);
+        gates.resize(t_max * 4 * h, 0.0);
+        cell.resize(t_max * h, 0.0);
+        hidden.resize(t_max * h, 0.0);
+        let trace = Trace {
+            gates: &mut gates,
+            cell: &mut cell,
+            hidden: &mut hidden,
+        };
+        let out = self.recur(&rows.wx, &[&rows.ids], Some(trace)).pop();
+        self.cached_gates = gates;
+        self.cached_cell = cell;
+        self.cached_hidden = hidden;
+        self.cached_input.clear();
+        self.cached_input.extend_from_slice(input);
+        out.unwrap_or_default()
     }
 
-    fn backward(&mut self, grad_output: &[f32]) -> Vec<f32> {
+    /// Projects each distinct timestep row of the batch once (see
+    /// [`Rows::push`]), `GROUP` windows at a time, then runs the windows'
+    /// recurrences `LANES` at a time on the shared projections.
+    fn forward_batch(&mut self, inputs: &[&[f32]]) -> Vec<Vec<f32>> {
+        for x in inputs {
+            assert_eq!(x.len(), self.input_len(), "lstm input length");
+        }
+        let t_max = self.timesteps;
+        let mut out = Vec::with_capacity(inputs.len());
+        let mut rows = Rows::default();
+        for group in inputs.chunks(GROUP) {
+            rows.keep_last(t_max, 4 * self.units);
+            let carried = rows.ids.len();
+            for x in group {
+                rows.push(x, self.features, t_max);
+            }
+            self.project(&mut rows);
+            for lanes in rows.ids[carried..].chunks(t_max * LANES) {
+                let windows: Vec<&[usize]> = lanes.chunks_exact(t_max).collect();
+                out.extend(self.recur(&rows.wx, &windows, None));
+            }
+        }
+        out
+    }
+
+    fn backward(&mut self, grad_output: &[f32], input_grad: bool) -> Vec<f32> {
         assert_eq!(grad_output.len(), self.units, "lstm grad length");
         assert!(
             !self.cached_input.is_empty(),
@@ -282,7 +488,11 @@ impl Layer for Lstm {
         // Pass 2: one sweep over the rows of W. Each row walks t in
         // descending order, which keeps every sum in the order of the
         // per-timestep loop: grad_w over t descending, grad_in over rows.
-        let mut grad_in = vec![0.0f32; self.input_len()];
+        let mut grad_in = if input_grad {
+            vec![0.0f32; self.input_len()]
+        } else {
+            Vec::new()
+        };
         for (row, (wr, gw)) in self
             .w
             .chunks_exact(d)
@@ -298,9 +508,11 @@ impl Layer for Lstm {
                 for (gw_k, &x) in gw.iter_mut().zip(x_t) {
                     *gw_k += g * x;
                 }
-                let gx = &mut grad_in[t * d..(t + 1) * d];
-                for (gx_k, &w) in gx.iter_mut().zip(wr) {
-                    *gx_k += g * w;
+                if input_grad {
+                    let gx = &mut grad_in[t * d..(t + 1) * d];
+                    for (gx_k, &w) in gx.iter_mut().zip(wr) {
+                        *gx_k += g * w;
+                    }
                 }
             }
         }
@@ -414,7 +626,7 @@ mod tests {
         let upstream = [0.5f32, -1.0, 1.5];
         layer.forward(&input, true);
         layer.zero_grads();
-        let grad_in = layer.backward(&upstream);
+        let grad_in = layer.backward(&upstream, true);
 
         let loss = |l: &mut Lstm, x: &[f32]| -> f32 {
             l.forward(x, false)
@@ -445,7 +657,7 @@ mod tests {
         let upstream = [1.0f32, -0.5];
         layer.forward(&input, true);
         layer.zero_grads();
-        layer.backward(&upstream);
+        layer.backward(&upstream, true);
         let mut analytic = Vec::new();
         layer.visit_params(&mut |_p, g| analytic.push(g.to_vec()));
 
@@ -654,12 +866,91 @@ mod tests {
                     &out,
                     &textbook_forward(&mut textbook, &input),
                 );
-                let grad_in = fast.backward(&upstream);
+                let grad_in = fast.backward(&upstream, true);
                 let want_in = textbook_backward(&mut textbook, &upstream);
                 assert_bits_eq(&format!("{ctx} grad_in"), &grad_in, &want_in);
                 assert_bits_eq(&format!("{ctx} grad_w"), &fast.grad_w, &textbook.grad_w);
                 assert_bits_eq(&format!("{ctx} grad_u"), &fast.grad_u, &textbook.grad_u);
                 assert_bits_eq(&format!("{ctx} grad_b"), &fast.grad_b, &textbook.grad_b);
+            }
+        }
+    }
+
+    #[test]
+    fn rows_match_only_bit_equal_rows() {
+        let x = [0.5f32, 0.0];
+        let neg_zero = [0.5f32, -0.0];
+        let ulp = [0.5f32, f32::from_bits(1)];
+        let w = [0.25f32, 1.0];
+        let first: Vec<f32> = [x, x, neg_zero, ulp, neg_zero].concat();
+        let second: Vec<f32> = [x, neg_zero, ulp, w, w].concat();
+        let mut rows = Rows::default();
+        rows.push(&first, 2, 5);
+        assert_eq!(rows.ids, [0, 0, 1, 2, 1]);
+        rows.push(&second, 2, 5);
+        assert_eq!(rows.ids[5..], [0, 1, 2, 3, 3]);
+        assert_eq!(rows.distinct.len(), 4);
+        // Only the last window's rows survive a group boundary.
+        rows.wx = vec![0.0; 4 * 3];
+        rows.keep_last(5, 3);
+        assert_eq!(rows.ids, [0, 1, 2, 3, 3]);
+        assert_eq!(rows.distinct, [&x[..], &neg_zero, &ulp, &w]);
+        assert_eq!(rows.wx.len(), 4 * 3);
+    }
+
+    /// Rows in plateaus, with neighbours that differ only in the sign of
+    /// a zero or by one ULP, and rows that repeat one two steps back.
+    fn row_stream(n: usize, d: usize, rng: &mut ChaCha8Rng) -> Vec<Vec<f32>> {
+        use rand::Rng;
+        let mut rows: Vec<Vec<f32>> = Vec::with_capacity(n);
+        for i in 0..n {
+            let row = match (i % 5, rows.last()) {
+                (1, Some(prev)) => prev.clone(),
+                (2, Some(prev)) => {
+                    let mut row = prev.clone();
+                    row[0] = -row[0];
+                    row
+                }
+                (3, Some(prev)) => {
+                    let mut row = prev.clone();
+                    row[d - 1] = f32::from_bits(row[d - 1].to_bits() + 1);
+                    row
+                }
+                (4, Some(_)) => rows[i - 2].clone(),
+                _ => {
+                    let mut row: Vec<f32> = (0..d).map(|_| rng.gen_range(-2.0f32..2.0)).collect();
+                    row[0] = 0.0;
+                    row
+                }
+            };
+            rows.push(row);
+        }
+        rows
+    }
+
+    #[test]
+    fn forward_batch_is_bit_identical_to_forward() {
+        let mut draw = ChaCha8Rng::seed_from_u64(43);
+        // Timesteps below, at and above the 8-lane tile; odd unit counts.
+        for (t, d, h) in [(1, 3, 2), (5, 13, 7), (8, 1, 3), (9, 6, 4), (5, 1700, 32)] {
+            let mut layer = Lstm::new(t, d, h, &mut draw).unwrap();
+            let rows = row_stream(3 * GROUP / 2 + t, d, &mut draw);
+            let sliding: Vec<Vec<f32>> = rows.windows(t).map(|w| w.concat()).collect();
+            let disjoint: Vec<Vec<f32>> = rows.chunks_exact(t).map(|w| w.concat()).collect();
+            for (kind, windows) in [("sliding", &sliding), ("disjoint", &disjoint)] {
+                let want: Vec<Vec<f32>> = windows.iter().map(|w| layer.forward(w, false)).collect();
+                for size in [1, 7, GROUP + 1, windows.len()] {
+                    let mut got = Vec::new();
+                    for batch in windows.chunks(size) {
+                        let refs: Vec<&[f32]> = batch.iter().map(Vec::as_slice).collect();
+                        got.extend(layer.forward_batch(&refs));
+                    }
+                    assert_eq!(got.len(), want.len());
+                    for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+                        let ctx = format!("T={t} D={d} H={h} {kind} batch {size} window {i}");
+                        assert_bits_eq(&ctx, g, w);
+                    }
+                }
             }
         }
     }

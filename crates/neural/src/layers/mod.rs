@@ -1,10 +1,12 @@
 //! Network layers.
 //!
-//! Every layer processes one sample at a time on flat `f32` slices; the
+//! Every layer trains one sample at a time on flat `f32` slices; the
 //! shape semantics (channels × length for convolutional layers, timesteps
-//! × features for the LSTM) are documented per layer. Batching is done by
-//! the trainer, which accumulates gradients across the samples of a batch
-//! before an optimizer step.
+//! × features for the LSTM) are documented per layer. Training batches are
+//! formed by the trainer, which accumulates gradients across the samples
+//! of a batch before an optimizer step. Inference can also run a batch
+//! through a layer at once ([`Layer::forward_batch`]), which the LSTM uses
+//! to project each distinct timestep row once.
 
 mod conv1d;
 mod dense;
@@ -50,8 +52,10 @@ pub struct LayerSummary {
 /// * `forward` caches whatever `backward` needs; calling `backward`
 ///   without a preceding `forward` is a programming error and may panic;
 /// * `backward` *accumulates* into the parameter gradients (the trainer
-///   zeroes them per batch via [`Layer::zero_grads`]) and returns the
-///   gradient w.r.t. the layer input;
+///   zeroes them per batch via [`Layer::zero_grads`]) and, when asked,
+///   returns the gradient w.r.t. the layer input;
+/// * `forward_batch` gives, for every sample, the bits `forward` would
+///   give in evaluation mode;
 /// * `visit_params` exposes `(params, grads)` tensor pairs in a stable
 ///   order for the optimizer.
 pub trait Layer: std::fmt::Debug + Send {
@@ -72,15 +76,28 @@ pub trait Layer: std::fmt::Debug + Send {
     /// Panics if `input.len() != self.input_len()`.
     fn forward(&mut self, input: &[f32], training: bool) -> Vec<f32>;
 
+    /// Evaluation-mode forward of a batch: one output per input, each
+    /// bit-identical to `forward(input, false)`. Caches for `backward` are
+    /// not kept. The default runs the samples one at a time.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any input's length differs from `self.input_len()`.
+    fn forward_batch(&mut self, inputs: &[&[f32]]) -> Vec<Vec<f32>> {
+        inputs.iter().map(|x| self.forward(x, false)).collect()
+    }
+
     /// Back-propagates `grad_output` (w.r.t. this layer's output) through
-    /// the most recent `forward`, accumulating parameter gradients, and
-    /// returns the gradient w.r.t. the input.
+    /// the most recent `forward`, accumulating parameter gradients.
+    /// Returns the gradient w.r.t. the input if `input_grad` is set and an
+    /// empty vector otherwise: the first layer of a network has no use
+    /// for it, and skipping it leaves every parameter gradient unchanged.
     ///
     /// # Panics
     ///
     /// Panics if `grad_output.len() != self.output_len()` or no forward
     /// pass has been run.
-    fn backward(&mut self, grad_output: &[f32]) -> Vec<f32>;
+    fn backward(&mut self, grad_output: &[f32], input_grad: bool) -> Vec<f32>;
 
     /// Number of trainable parameters.
     fn param_count(&self) -> usize {

@@ -77,12 +77,15 @@ impl Layer for MaxPool1d {
         out
     }
 
-    fn backward(&mut self, grad_output: &[f32]) -> Vec<f32> {
+    fn backward(&mut self, grad_output: &[f32], input_grad: bool) -> Vec<f32> {
         assert_eq!(grad_output.len(), self.output_len(), "maxpool grad length");
         assert!(
             !self.cached_argmax.is_empty(),
             "backward called before forward"
         );
+        if !input_grad {
+            return Vec::new();
+        }
         let mut grad_in = vec![0.0f32; self.input_len()];
         for (g, &src) in grad_output.iter().zip(&self.cached_argmax) {
             grad_in[src] += g;
@@ -163,9 +166,12 @@ impl Layer for AvgPool1d {
         out
     }
 
-    fn backward(&mut self, grad_output: &[f32]) -> Vec<f32> {
+    fn backward(&mut self, grad_output: &[f32], input_grad: bool) -> Vec<f32> {
         assert_eq!(grad_output.len(), self.output_len(), "avgpool grad length");
         assert!(self.ran_forward, "backward called before forward");
+        if !input_grad {
+            return Vec::new();
+        }
         let mut grad_in = vec![0.0f32; self.input_len()];
         let inv = 1.0 / self.pool as f32;
         for c in 0..self.channels {
@@ -206,7 +212,7 @@ mod tests {
     fn maxpool_backward_routes_to_argmax() {
         let mut layer = MaxPool1d::new(1, 4, 2, 2).unwrap();
         layer.forward(&[1.0, 5.0, 7.0, 2.0], false);
-        let grad = layer.backward(&[1.0, 2.0]);
+        let grad = layer.backward(&[1.0, 2.0], true);
         assert_eq!(grad, vec![0.0, 1.0, 2.0, 0.0]);
     }
 
@@ -228,7 +234,7 @@ mod tests {
     fn avgpool_backward_spreads_evenly() {
         let mut layer = AvgPool1d::new(1, 4, 2, 2).unwrap();
         layer.forward(&[1.0, 3.0, 5.0, 7.0], false);
-        let grad = layer.backward(&[2.0, 4.0]);
+        let grad = layer.backward(&[2.0, 4.0], true);
         assert_eq!(grad, vec![1.0, 1.0, 2.0, 2.0]);
     }
 
@@ -236,7 +242,7 @@ mod tests {
     fn overlapping_stride_counts_twice() {
         let mut layer = AvgPool1d::new(1, 3, 2, 1).unwrap();
         layer.forward(&[1.0, 2.0, 3.0], false);
-        let grad = layer.backward(&[2.0, 2.0]);
+        let grad = layer.backward(&[2.0, 2.0], true);
         // Middle sample belongs to both windows.
         assert_eq!(grad, vec![1.0, 2.0, 1.0]);
     }

@@ -49,9 +49,13 @@ impl Layer for Flatten {
         input.to_vec()
     }
 
-    fn backward(&mut self, grad_output: &[f32]) -> Vec<f32> {
+    fn backward(&mut self, grad_output: &[f32], input_grad: bool) -> Vec<f32> {
         assert_eq!(grad_output.len(), self.output_len(), "flatten grad length");
-        grad_output.to_vec()
+        if input_grad {
+            grad_output.to_vec()
+        } else {
+            Vec::new()
+        }
     }
 
     fn summary(&self) -> LayerSummary {
@@ -108,9 +112,13 @@ impl Layer for Reshape {
         input.to_vec()
     }
 
-    fn backward(&mut self, grad_output: &[f32]) -> Vec<f32> {
+    fn backward(&mut self, grad_output: &[f32], input_grad: bool) -> Vec<f32> {
         assert_eq!(grad_output.len(), self.output_len(), "reshape grad length");
-        grad_output.to_vec()
+        if input_grad {
+            grad_output.to_vec()
+        } else {
+            Vec::new()
+        }
     }
 
     fn summary(&self) -> LayerSummary {
@@ -133,7 +141,7 @@ mod tests {
         let mut layer = Flatten::new(2, 3).unwrap();
         let x = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0];
         assert_eq!(layer.forward(&x, false), x.to_vec());
-        assert_eq!(layer.backward(&x), x.to_vec());
+        assert_eq!(layer.backward(&x, true), x.to_vec());
     }
 
     #[test]

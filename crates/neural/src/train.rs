@@ -141,24 +141,32 @@ impl Dataset {
         order
     }
 
-    /// Mean loss of `network` over the dataset (evaluation mode).
+    /// Mean loss of `network` over the dataset (evaluation mode), from one
+    /// [`Network::predict_batch`] and summed sample by sample in dataset
+    /// order. A network whose input width differs from the dataset's
+    /// scores NaN.
     pub fn evaluate(&self, network: &mut Network, loss: Loss) -> f32 {
-        let total: f32 = self
-            .inputs
+        let Ok(predictions) = network.predict_batch(&self.inputs) else {
+            return f32::NAN;
+        };
+        let total: f32 = predictions
             .iter()
             .zip(&self.targets)
-            .map(|(x, t)| loss.value(&network.predict(x), t))
+            .map(|(y, t)| loss.value(y, t))
             .sum();
         total / self.len() as f32
     }
 
     /// Per-output-column mean absolute error over the dataset — the
-    /// per-substance error bars of the paper's Figures 5–7.
+    /// per-substance error bars of the paper's Figures 5–7. A network
+    /// whose input width differs from the dataset's scores NaN.
     pub fn per_output_mae(&self, network: &mut Network) -> Vec<f64> {
         let width = self.target_width();
+        let Ok(predictions) = network.predict_batch(&self.inputs) else {
+            return vec![f64::NAN; width];
+        };
         let mut acc = vec![0.0f64; width];
-        for (x, t) in self.inputs.iter().zip(&self.targets) {
-            let y = network.predict(x);
+        for (y, t) in predictions.iter().zip(&self.targets) {
             for c in 0..width {
                 acc[c] += (y[c] - t[c]).abs() as f64;
             }
@@ -286,8 +294,8 @@ impl Trainer {
     /// # Errors
     ///
     /// Returns [`NeuralError::InvalidSpec`] if `batch_size` is zero,
-    /// [`NeuralError::ShapeMismatch`] if the dataset widths do not match
-    /// the network, or [`NeuralError::Diverged`] if a non-finite loss
+    /// [`NeuralError::ShapeMismatch`] if the training or validation widths
+    /// do not match the network, or [`NeuralError::Diverged`] if a non-finite loss
     /// appears.
     pub fn fit(
         &self,
@@ -295,7 +303,7 @@ impl Trainer {
         train: &Dataset,
         validation: Option<&Dataset>,
     ) -> Result<History, NeuralError> {
-        let mut progress = self.start(network, train)?;
+        let mut progress = self.start(network, train, validation)?;
         self.drive(
             network,
             train,
@@ -309,29 +317,33 @@ impl Trainer {
         Ok(progress.history)
     }
 
-    /// Validates a run of `network` on `train` and returns the progress of
-    /// a fresh one: the entry of every training run, plain or guarded.
+    /// Validates a run of `network` on `train` (and `validation`) and
+    /// returns the progress of a fresh one: the entry of every training
+    /// run, plain or guarded.
     pub(crate) fn start(
         &self,
         network: &Network,
         train: &Dataset,
+        validation: Option<&Dataset>,
     ) -> Result<Progress, NeuralError> {
         if self.config.batch_size == 0 {
             return Err(NeuralError::InvalidSpec(
                 "batch_size must be at least 1".into(),
             ));
         }
-        if train.input_width() != network.input_len() {
-            return Err(NeuralError::ShapeMismatch {
-                expected: network.input_len(),
-                actual: train.input_width(),
-            });
-        }
-        if train.target_width() != network.output_len() {
-            return Err(NeuralError::ShapeMismatch {
-                expected: network.output_len(),
-                actual: train.target_width(),
-            });
+        for data in std::iter::once(train).chain(validation) {
+            if data.input_width() != network.input_len() {
+                return Err(NeuralError::ShapeMismatch {
+                    expected: network.input_len(),
+                    actual: data.input_width(),
+                });
+            }
+            if data.target_width() != network.output_len() {
+                return Err(NeuralError::ShapeMismatch {
+                    expected: network.output_len(),
+                    actual: data.target_width(),
+                });
+            }
         }
         Ok(Progress {
             epochs_done: 0,
@@ -592,6 +604,24 @@ pub(crate) mod tests {
             .unwrap();
         let result = Trainer::new(TrainConfig::default()).fit(&mut wrong_net, &data, None);
         assert!(matches!(result, Err(NeuralError::ShapeMismatch { .. })));
+    }
+
+    #[test]
+    fn validation_shape_mismatch_is_a_typed_error() {
+        let train = linear_dataset(10);
+        let wide = Dataset::new(vec![vec![0.5f32; 3]; 4], vec![vec![0.1f32]; 4]).unwrap();
+        let mut net = small_net();
+        let result = Trainer::new(TrainConfig::default()).fit(&mut net, &train, Some(&wide));
+        assert_eq!(
+            result,
+            Err(NeuralError::ShapeMismatch {
+                expected: 2,
+                actual: 3
+            })
+        );
+        // Scoring a mismatched dataset directly gives NaN, not a panic.
+        assert!(wide.evaluate(&mut net, Loss::Mse).is_nan());
+        assert!(wide.per_output_mae(&mut net)[0].is_nan());
     }
 
     #[test]
