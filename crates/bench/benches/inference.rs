@@ -4,7 +4,9 @@
 //! analysis"; the LSTM "prediction time ... is still very low at
 //! 1.05 ms". Our Rust inference is faster than Keras dispatch, but the
 //! CNN ≪ LSTM ≪ IHM ordering and the >1000× CNN-vs-IHM gap are the
-//! reproduced shape. Also times the MS Table 1 network (Table 2 input).
+//! reproduced shape. Also times the MS Table 1 network (Table 2 input),
+//! both through `Network::predict` and through the compiled
+//! `FrozenPlan` the serving tier runs.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -12,6 +14,8 @@ use std::hint::black_box;
 use chem::nmr::lithiation_components;
 use chemometrics::ihm::IhmAnalyzer;
 use ms_sim::campaign::MS_TASK_SUBSTANCES;
+use neural::kernels::Scratch;
+use neural::plan::FrozenPlan;
 use nmr_sim::experiment::{ExperimentConfig, FlowReactorExperiment};
 use spectroai::pipeline::ms::{ActivationChoice, MsPipeline};
 use spectroai::pipeline::nmr::NmrPipeline;
@@ -52,13 +56,31 @@ fn nmr_models(c: &mut Criterion) {
 fn ms_network(c: &mut Criterion) {
     let mut group = c.benchmark_group("ms_inference");
     group.sample_size(30);
-    let mut net = MsPipeline::table1_spec(397, MS_TASK_SUBSTANCES.len(), ActivationChoice::paper_best())
-        .build(1)
-        .expect("table1 network");
+    let spec = MsPipeline::table1_spec(397, MS_TASK_SUBSTANCES.len(), ActivationChoice::paper_best());
+    let mut net = spec.build(1).expect("table1 network");
     let input = vec![0.05f32; 397];
     group.bench_function("table1_single_spectrum", |b| {
         b.iter(|| black_box(net.predict(black_box(&input))))
     });
+
+    // The serving path: the compiled plan's batched kernels with a
+    // reused scratch arena, at batch 1 and at the serving tier's full
+    // batch of 32 (time per call, not per sample).
+    let plan = FrozenPlan::from_spec_weights("table1", &spec, &net.export_weights())
+        .expect("table1 plan");
+    let mut scratch = Scratch::new();
+    let mut outputs = Vec::new();
+    for batch in [1usize, 32] {
+        let block: Vec<f32> = (0..batch * 397).map(|i| ((i as f32) * 0.37).sin().abs()).collect();
+        group.bench_function(format!("table1_plan_b{batch}"), |b| {
+            b.iter(|| {
+                outputs.clear();
+                plan.predict_batch_scratch(black_box(&block), &mut outputs, &mut scratch, &mut |_, _| {})
+                    .expect("plan batch");
+                black_box(&outputs);
+            })
+        });
+    }
     group.finish();
 }
 

@@ -10,7 +10,9 @@
 //!   sequential `Network::predict`, the one forward reference;
 //! * `kernel_speedup` — the per-sample sum of per-layer kernel timings
 //!   from an instrumented single-thread probe batch of 32, against the
-//!   per-sample sequential time — stays ≥ 4×;
+//!   per-sample sequential time — stays ≥ 4×; each layer also reports
+//!   its GMAC/s as a `roofline_frac` of the host's measured one-core
+//!   FMA peak (`fma_peak_gmac_s`);
 //! * a span-wrapped predict with no collector installed stays within 5%
 //!   of the bare call (median of 21 interleaved trials);
 //! * `--gate-baseline PATH`: the run drops no more than 25% against a
@@ -31,6 +33,7 @@
 
 #![forbid(unsafe_code)]
 
+use std::hint::black_box;
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -253,24 +256,33 @@ fn main() {
     let (_, plan) = registry
         .resolve("table1-ms", None)
         .expect("resolve deployed plan");
-    let kernel_timings = kernel_timing_probe(&plan, &inputs);
-    println!("kernels:    per-layer probe (batch {PROBE_BATCH}, mean of 10 reps):");
+    let fma_peak = fma_peak_gmac_s();
+    let kernel_timings = kernel_timing_probe(&plan, &inputs, fma_peak);
     println!(
-        "            {:<20} {:>9} {:>12} {:>8}",
-        "op", "mean_us", "MACs/batch", "GMAC/s"
+        "kernels:    per-layer probe (batch {PROBE_BATCH}, mean of 10 reps; \
+         FMA roofline {fma_peak:.1} GMAC/s on one core):"
+    );
+    println!(
+        "            {:<20} {:>9} {:>12} {:>8} {:>9}",
+        "op", "mean_us", "MACs/batch", "GMAC/s", "roofline"
     );
     for t in &kernel_timings {
         let gmacs = t["gmac_per_s"].as_f64().unwrap_or(0.0);
+        let (rate, frac) = if gmacs > 0.0 {
+            (
+                format!("{gmacs:.2}"),
+                format!("{:.0}%", t["roofline_frac"].as_f64().unwrap_or(0.0) * 100.0),
+            )
+        } else {
+            ("-".to_string(), "-".to_string())
+        };
         println!(
-            "            {:<20} {:>9.1} {:>12} {:>8}",
+            "            {:<20} {:>9.1} {:>12} {:>8} {:>9}",
             t["op"].as_str().unwrap_or("?"),
             t["mean_us"].as_f64().unwrap_or(0.0),
             t["macs_per_batch"].as_u64().unwrap_or(0),
-            if gmacs > 0.0 {
-                format!("{gmacs:.2}")
-            } else {
-                "-".to_string()
-            },
+            rate,
+            frac,
         );
     }
 
@@ -407,6 +419,7 @@ fn main() {
         "sequential_us_per_sample": sequential_us_per_sample,
         "kernel_us_per_sample": kernel_us_per_sample,
         "kernel_speedup": kernel_speedup,
+        "fma_peak_gmac_s": fma_peak,
         "max_abs_error": outcome.max_err,
         "tolerance": TOLERANCE,
         "kernel_timings": kernel_timings,
@@ -430,16 +443,50 @@ struct RunOutcome {
     router: serve::RouterReport,
 }
 
+/// This host's single-core `f32` FMA peak in GMAC/s: twelve independent
+/// 8-lane `mul_add` chains (enough to cover the FMA latency on both
+/// ports), seeded and observed through `black_box` so the optimizer can
+/// neither fold nor drop them. Best of seven trials — a peak is what the
+/// least disturbed run reaches.
+#[inline(never)]
+fn fma_peak_gmac_s() -> f64 {
+    const CHAINS: usize = 12;
+    const LANES: usize = 8;
+    const ITERS: usize = 1_000_000;
+    let mut best = 0.0f64;
+    for _ in 0..7 {
+        let scale = black_box([0.999_999f32; LANES]);
+        let step = black_box([1e-7f32; LANES]);
+        let mut acc = black_box([[1.0f32; LANES]; CHAINS]);
+        let started = Instant::now();
+        for _ in 0..ITERS {
+            for chain in acc.iter_mut() {
+                for ((a, &s), &t) in chain.iter_mut().zip(&scale).zip(&step) {
+                    *a = a.mul_add(s, t);
+                }
+            }
+        }
+        let seconds = started.elapsed().as_secs_f64();
+        black_box(&acc);
+        if seconds > 0.0 {
+            best = best.max((ITERS * CHAINS * LANES) as f64 / seconds / 1e9);
+        }
+    }
+    best
+}
+
 /// Times each batched kernel of `plan` on an instrumented 32-sample
 /// probe batch: wall-clock deltas between the per-kernel observer
 /// callbacks, meaned over several reps after a warm-up (the plan stays
 /// wall-clock-free for determinism; the `Instant`s live here). The
 /// observer index aligns with the plan's op order, so each timing is
 /// paired with [`FrozenPlan::macs_per_op`] into an achieved-GMAC/s
-/// figure per layer (0-MAC shape ops report no rate).
+/// figure per layer (0-MAC shape ops report no rate), and that rate
+/// with `fma_peak` (GMAC/s) into the layer's fraction of the roofline.
 fn kernel_timing_probe(
     plan: &neural::plan::FrozenPlan,
     inputs: &[Vec<f32>],
+    fma_peak: f64,
 ) -> Vec<serde_json::Value> {
     const REPS: u32 = 10;
     let mut block = Vec::with_capacity(PROBE_BATCH * INPUT_LEN);
@@ -487,11 +534,17 @@ fn kernel_timing_probe(
             } else {
                 0.0
             };
+            let roofline_frac = if fma_peak > 0.0 {
+                gmac_per_s / fma_peak
+            } else {
+                0.0
+            };
             serde_json::json!({
                 "op": name,
                 "mean_us": mean_us,
                 "macs_per_batch": macs_per_batch,
                 "gmac_per_s": gmac_per_s,
+                "roofline_frac": roofline_frac,
             })
         })
         .collect()

@@ -1,24 +1,29 @@
 //! Batched convolution and locally-connected kernels.
 //!
-//! `Conv1d` is computed *directly* (no im2col materialization) with a
-//! register-tiled microkernel. Strided convs first deinterleave each
-//! input channel by residue mod `stride`, which turns every tap's walk
-//! across output positions into a contiguous run; stride-1 convs
-//! already have that property in the raw channel. Each [`PANEL`]-wide
-//! tile of output positions then runs a 4×[`PANEL`] register microkernel
-//! per block of four filters, streaming the tile's tap runs straight out
-//! of the (de-interleaved) source. Taps are grouped by residue row so
-//! the inner loop walks each run sequentially, the accumulator tile is a
-//! plain local (never borrowed across a call boundary, so it stays in
-//! registers), and each output element is computed in registers and
-//! stored exactly once into the channels-first `[filters][out_len]`
-//! destination. A ragged final tile is handled by *overlapping*: the
-//! last tile starts at `out_len - PANEL`, recomputing a few positions —
-//! stores are overwrites, so overlap is free and the hot loop stays
-//! fixed-width. Layers narrower than a panel (`out_len < PANEL`) stage
-//! each run through a zero-padded stack buffer instead. Channelwise
-//! softmax — whose groups run *across* filters at each position — is
-//! finished with a strided per-position pass.
+//! `Conv1d` is computed *directly* (no im2col materialization) with one
+//! register-tiled microkernel, [`conv_tile`]. Every tap of a layer —
+//! `in_channels × kernel` of them — is one entry of a flat offset table
+//! compiled with the plan ([`tap_offset`]): the start of the contiguous
+//! run that tap reads across output positions. Stride-1 taps point into
+//! the raw sample; strided convs first deinterleave each input channel
+//! by residue mod `stride`, which turns every tap's walk across output
+//! positions into a run of one residue row. Taps are ordered in
+//! *residue sweep order* (`ic`, then `dk % stride`, then `dk / stride`),
+//! and the plan packs each block of `M` filters' weights as `[tap][M]`
+//! in that same order, so a [`PANEL`]-wide tile of output positions is
+//! one flat loop over the table: two input loads, `M` broadcasts from
+//! one sequential weight stream, and `2·M` FMAs per tap. The accumulator
+//! tile is a plain local (never borrowed across a call boundary, so it
+//! stays in registers), and each output element is computed in registers
+//! and stored exactly once into the channels-first `[filters][out_len]`
+//! destination. A ragged final tile *overlaps* back onto
+//! `out_len - PANEL` — stores are overwrites, so overlap is free and the
+//! hot loop stays fixed-width. Layers narrower than a panel
+//! (`out_len < PANEL`) are staged like strided ones, into a buffer with
+//! [`PANEL`] values of zeroed slack, so the same tile reads whole panels
+//! and stores only the live lanes. Channelwise softmax — whose groups
+//! run *across* filters at each position — is finished with a strided
+//! per-position pass.
 //!
 //! `LocallyConnected1d` has unshared weights per output position, so it
 //! runs one small GEMM per position over all batch rows instead
@@ -33,183 +38,202 @@ use crate::Activation;
 /// lanes).
 pub(crate) const PANEL: usize = 16;
 
-/// Reorders each filter row of a `[filters][in_channels * kernel]`
-/// conv weight matrix from tap order (`ic`, then `dk`) into *residue
-/// sweep order* (`ic`, then `dk % stride`, then `dk / stride`) — the
-/// exact order [`conv_tile`] visits taps. The microkernel then reads
-/// each filter row strictly sequentially, so its per-residue weight
-/// slices hoist every bounds check out of the FMA loop. For stride 1
-/// the permutation is the identity.
-pub(crate) fn permute_sweep_order(
-    filters: usize,
-    in_channels: usize,
-    kernel: usize,
-    stride: usize,
-    w: &[f32],
-) -> Vec<f32> {
-    let k_len = in_channels * kernel;
-    debug_assert_eq!(w.len(), filters * k_len);
-    if stride <= 1 {
-        return w.to_vec();
+/// Height of the filter block starting at filter `f`: whole 5-row
+/// blocks when they divide `filters` (the Table-1 layers' 25 and 15),
+/// otherwise 4-row blocks with a {2, 1} remainder. At `M = 5` the tile
+/// holds ten 256-bit accumulators and spends 2 input loads and 5
+/// broadcasts per 10 FMAs. The plan packs weights and [`conv1d`] walks
+/// blocks with this one function, so the two always agree.
+pub(crate) fn block_rows(filters: usize, f: usize) -> usize {
+    let left = filters.saturating_sub(f);
+    if filters.is_multiple_of(5) {
+        5
+    } else if left >= 4 {
+        4
+    } else if left >= 2 {
+        2
+    } else {
+        1
     }
-    let mut out = Vec::with_capacity(w.len());
-    for f in 0..filters {
-        let row = &w[f * k_len..][..k_len];
-        for ic in 0..in_channels {
-            for rr in 0..stride.min(kernel) {
-                let mut dk = rr;
-                while dk < kernel {
-                    out.push(row[ic * kernel + dk]);
-                    dk += stride;
-                }
-            }
-        }
-    }
-    out
 }
 
-/// Computes one `M`-filter × [`PANEL`]-position output tile at `j0`,
-/// streaming tap runs directly from the sample (stride 1) or the
-/// residue-deinterleaved buffer. `M` is a compile-time filter-block
-/// height; the `M × PANEL` accumulator is local to this function, so it
-/// lives in registers for the whole tap sweep (at `M = 4` that is
-/// twelve 256-bit accumulators — the practical register budget).
-#[inline(always)]
-#[allow(clippy::too_many_arguments)]
-fn conv_tile<const M: usize>(
-    sample: &[f32],
-    deint: &[f32],
+/// Whether [`conv1d`] stages each sample into `col` before tiling:
+/// strided layers deinterleave there, and layers narrower than a tile
+/// need the zeroed slack so whole-panel reads stay in bounds.
+pub(crate) fn staged(stride: usize, out_len: usize) -> bool {
+    stride > 1 || out_len < PANEL
+}
+
+/// Length of one sample's residue rows (`in_len / stride`, rounded up).
+pub(crate) fn residue_len(in_len: usize, stride: usize) -> usize {
+    in_len.div_ceil(stride.max(1))
+}
+
+/// `col` space one staged sample takes: `in_channels × stride` residue
+/// rows plus [`PANEL`] values of zeroed slack.
+pub(crate) fn stage_len(in_channels: usize, in_len: usize, stride: usize) -> usize {
+    in_channels * stride * residue_len(in_len, stride) + PANEL
+}
+
+/// `col` space [`conv1d`] needs per sample: the staged sample, then a
+/// narrow layer's `[filters][PANEL]` output panel.
+pub(crate) fn col_len(
     in_channels: usize,
     in_len: usize,
-    kernel: usize,
+    filters: usize,
     stride: usize,
-    dlen: usize,
-    j0: usize,
-    k_len: usize,
-    w: &[f32],
-    bias: &[f32],
-    f: usize,
-    y: &mut [f32],
     out_len: usize,
-) {
-    let mut acc = [[0.0f32; PANEL]; M];
-    for (m, am) in acc.iter_mut().enumerate() {
-        *am = [bias.get(f + m).copied().unwrap_or(0.0); PANEL];
-    }
-    const EMPTY: &[f32] = &[];
-    let mut wrows = [EMPTY; M];
-    for (m, wr) in wrows.iter_mut().enumerate() {
-        let Some(row) = w.get((f + m) * k_len..).and_then(|s| s.get(..k_len)) else {
-            return;
-        };
-        *wr = row;
-    }
-    // `w` is in residue sweep order (see [`permute_sweep_order`]), so
-    // `k2` advances contiguously through every filter row.
-    let mut k2 = 0usize;
-    for ic in 0..in_channels {
-        for rr in 0..stride.min(kernel) {
-            let start = if stride == 1 {
-                ic * in_len + j0
-            } else {
-                (ic * stride + rr) * dlen + j0
-            };
-            let hay = if stride == 1 { sample } else { deint };
-            let Some(row) = hay.get(start..) else { return };
-            let taps = (kernel - rr).div_ceil(stride);
-            let mut ws = [EMPTY; M];
-            for (m, s) in ws.iter_mut().enumerate() {
-                let Some(wslice) = wrows[m].get(k2..).and_then(|v| v.get(..taps)) else {
-                    return;
-                };
-                *s = wslice;
-            }
-            for (t, win) in row.windows(PANEL).take(taps).enumerate() {
-                let Ok(pv) = <&[f32; PANEL]>::try_from(win) else {
-                    return;
-                };
-                let mut xs = [0.0f32; M];
-                for (m, xv) in xs.iter_mut().enumerate() {
-                    *xv = ws[m].get(t).copied().unwrap_or(0.0);
-                }
-                for (am, &xv) in acc.iter_mut().zip(&xs) {
-                    for (a, &p) in am.iter_mut().zip(pv) {
-                        *a = xv.mul_add(p, *a);
-                    }
-                }
-            }
-            k2 += taps;
-        }
-    }
-    for (m, am) in acc.iter().enumerate() {
-        let base = (f + m) * out_len + j0;
-        let Some(out) = y.get_mut(base..).and_then(|s| s.get_mut(..PANEL)) else {
-            return;
-        };
-        for (o, &a) in out.iter_mut().zip(am) {
-            *o = a;
-        }
-    }
+) -> usize {
+    let stage = if staged(stride, out_len) {
+        stage_len(in_channels, in_len, stride)
+    } else {
+        0
+    };
+    let panel = if out_len < PANEL { filters * PANEL } else { 0 };
+    stage + panel
 }
 
-/// Narrow-layer counterpart of [`conv_tile`]: sweeps an `M`-filter
-/// block over a pre-packed zero-padded `[k_len][PANEL]` panel (packed
-/// once per sample, shared by every filter block) and stores the first
-/// `nb < PANEL` lanes of each accumulator row.
+/// Offset of tap `(ic, dk)`'s run: residue row `dk % stride` of channel
+/// `ic`, element `dk / stride`. At stride 1 the residue row *is* the
+/// channel, so the same offset indexes the raw sample.
+pub(crate) fn tap_offset(in_len: usize, stride: usize, ic: usize, dk: usize) -> usize {
+    let stride = stride.max(1);
+    (ic * stride + dk % stride) * residue_len(in_len, stride) + dk / stride
+}
+
+/// Computes one `M`-filter × [`PANEL`]-position output tile at `j0`:
+/// `acc = bias`, then one `mul_add` per tap, in table order. `hay` is the
+/// sample or its staged copy, `taps` the layer's offset table, `w` the
+/// block's `[tap][M]` packed weights and `y` the output from the block's
+/// first filter row on, rows `pitch` apart. `M` is a compile-time block
+/// height, so the `M × PANEL` accumulator lives in registers for the
+/// whole sweep; the tile always stores whole panels, because a
+/// variable-width store would need the accumulator's address and keep it
+/// in memory.
 #[inline(always)]
-#[allow(clippy::too_many_arguments)]
-fn packed_tile<const M: usize>(
-    panel: &[f32],
-    k_len: usize,
+fn conv_tile<const M: usize>(
+    hay: &[f32],
+    taps: &[u32],
+    j0: usize,
     w: &[f32],
     bias: &[f32],
-    f: usize,
     y: &mut [f32],
-    out_len: usize,
-    nb: usize,
+    pitch: usize,
 ) {
-    let mut acc = [[0.0f32; PANEL]; M];
-    for (m, am) in acc.iter_mut().enumerate() {
-        *am = [bias.get(f + m).copied().unwrap_or(0.0); PANEL];
-    }
-    const EMPTY: &[f32] = &[];
-    let mut wrows = [EMPTY; M];
-    for (m, wr) in wrows.iter_mut().enumerate() {
-        let Some(row) = w.get((f + m) * k_len..).and_then(|s| s.get(..k_len)) else {
-            return;
-        };
-        *wr = row;
-    }
-    let Some(live) = panel.get(..k_len * PANEL) else {
+    let (Some(hay), Some(bias)) = (hay.get(j0..), bias.first_chunk::<M>()) else {
         return;
     };
-    for (k, pk) in live.chunks_exact(PANEL).enumerate() {
-        let Ok(pv) = <&[f32; PANEL]>::try_from(pk) else {
+    let mut acc = [[0.0f32; PANEL]; M];
+    for (am, &b) in acc.iter_mut().zip(bias) {
+        *am = [b; PANEL];
+    }
+    let (wk, _) = w.as_chunks::<M>();
+    for (&off, wk) in taps.iter().zip(wk) {
+        let off = off as usize;
+        let Some(pv) = hay
+            .get(off..off + PANEL)
+            .and_then(|s| <&[f32; PANEL]>::try_from(s).ok())
+        else {
             return;
         };
-        let mut xs = [0.0f32; M];
-        for (m, xv) in xs.iter_mut().enumerate() {
-            *xv = wrows[m].get(k).copied().unwrap_or(0.0);
-        }
-        for (am, &xv) in acc.iter_mut().zip(&xs) {
-            for (a, &p) in am.iter_mut().zip(pv) {
+        // A local copy of the window: borrowing it in place let LLVM
+        // scalarize the 5-row tile.
+        let pv: [f32; PANEL] = *pv;
+        for (am, &xv) in acc.iter_mut().zip(wk) {
+            for (a, &p) in am.iter_mut().zip(&pv) {
                 *a = xv.mul_add(p, *a);
             }
         }
     }
     for (m, am) in acc.iter().enumerate() {
-        let Some(out) = y.get_mut((f + m) * out_len..).and_then(|s| s.get_mut(..nb)) else {
+        let Some(out) = y
+            .get_mut(m * pitch + j0..)
+            .and_then(|s| s.get_mut(..PANEL))
+            .and_then(|s| <&mut [f32; PANEL]>::try_from(s).ok())
+        else {
             return;
         };
-        for (o, &a) in out.iter_mut().zip(am) {
-            *o = a;
-        }
+        *out = *am;
     }
 }
 
-/// Batched strided 1-D convolution, channels-first in/out. `w` is the
-/// row-major `[filters][in_channels * kernel]` weight matrix with rows
-/// permuted into residue sweep order (see [`permute_sweep_order`]).
+/// Runs every filter block's tiles across one sample's `out_len`
+/// positions into `y` (filter rows `pitch` apart). A ragged final tile
+/// overlaps back onto `out_len - PANEL`; a narrow layer is one tile.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+fn sweep(
+    hay: &[f32],
+    taps: &[u32],
+    w: &[f32],
+    bias: &[f32],
+    filters: usize,
+    out_len: usize,
+    y: &mut [f32],
+    pitch: usize,
+) {
+    let k_len = taps.len();
+    // Block-outer: one block's packed weights stay cache-resident while
+    // its tiles sweep the sample.
+    let mut f = 0usize;
+    while f < filters {
+        let m = block_rows(filters, f);
+        let (Some(wb), Some(bb), Some(yb)) = (
+            w.get(f * k_len..).and_then(|s| s.get(..m * k_len)),
+            bias.get(f..),
+            y.get_mut(f * pitch..),
+        ) else {
+            return;
+        };
+        let mut j0 = 0usize;
+        loop {
+            match m {
+                5 => conv_tile::<5>(hay, taps, j0, wb, bb, yb, pitch),
+                4 => conv_tile::<4>(hay, taps, j0, wb, bb, yb, pitch),
+                2 => conv_tile::<2>(hay, taps, j0, wb, bb, yb, pitch),
+                _ => conv_tile::<1>(hay, taps, j0, wb, bb, yb, pitch),
+            }
+            if j0 + PANEL >= out_len {
+                break;
+            }
+            // Recomputed positions are overwritten with identical values.
+            j0 = (j0 + PANEL).min(out_len - PANEL);
+        }
+        f += m;
+    }
+}
+
+/// Stages one sample into `stage` ([`stage_len`] long). Residue row `rr`
+/// of channel `ic` is the strided gather `src_c[rr], src_c[rr + stride],
+/// …`, so tap `dk` of any window is the *contiguous* run starting at
+/// `dk / stride` of residue row `dk % stride`. Past the channel's end,
+/// and in the slack after the last row, the stage holds zeros.
+fn stage_sample(sample: &[f32], in_len: usize, stride: usize, stage: &mut [f32]) {
+    let dlen = residue_len(in_len, stride);
+    let stride = stride.max(1);
+    let Some((rows, slack)) = stage.split_at_mut_checked(stage.len().saturating_sub(PANEL)) else {
+        return;
+    };
+    if dlen == 0 {
+        return; // guards the chunks_exact_mut panic edge
+    }
+    for (i, drow) in rows.chunks_exact_mut(dlen).enumerate() {
+        let (ic, rr) = (i / stride, i % stride);
+        let src_c = sample.get(ic * in_len..).and_then(|s| s.get(..in_len));
+        for (q, d) in drow.iter_mut().enumerate() {
+            *d = src_c
+                .and_then(|c| c.get(q * stride + rr))
+                .copied()
+                .unwrap_or(0.0);
+        }
+    }
+    slack.fill(0.0);
+}
+
+/// Batched strided 1-D convolution, channels-first in/out. `taps` is the
+/// layer's offset table in residue sweep order (see [`tap_offset`]) and
+/// `w` the `[filters][in_channels * kernel]` weights packed per
+/// [`block_rows`] block as `[tap][M]` in the same order.
 #[allow(clippy::too_many_arguments)]
 #[inline(never)] // codegen-audit anchor: keep a standalone symbol (lint.toml [codegen])
 pub(crate) fn conv1d(
@@ -217,10 +241,10 @@ pub(crate) fn conv1d(
     in_channels: usize,
     in_len: usize,
     filters: usize,
-    kernel: usize,
     stride: usize,
     out_len: usize,
     activation: Activation,
+    taps: &[u32],
     w: &[f32],
     bias: &[f32],
     src: &[f32],
@@ -228,156 +252,53 @@ pub(crate) fn conv1d(
     col: &mut [f32],
 ) {
     // lint: hot
-    debug_assert!(w.len() == filters * in_channels * kernel && bias.len() == filters);
+    debug_assert!(w.len() == filters * taps.len() && bias.len() == filters);
     debug_assert!(stride >= 1);
     // A provably nonzero stride removes every division-by-zero panic
     // edge below (the layer constructors never build a zero stride).
     let stride = stride.max(1);
-    let k_len = in_channels * kernel;
     let per_sample_out = filters * out_len;
-    // Deinterleaved channel pitch: residue row `rr` of a channel holds
-    // source elements `rr, rr+stride, rr+2·stride, …`, so tap `dk` of
-    // any window is the *contiguous* run starting at `dk / stride` in
-    // residue row `dk % stride`. Grouping taps by residue row means the
-    // inner tap loop slides along one run (`t`, `t+1`, …) with the
-    // weight index advancing by `stride`.
-    let dlen = in_len.div_ceil(stride);
-    let deint_len = if stride > 1 { in_channels * stride * dlen } else { 0 };
+    let sample_len = in_channels * in_len;
+    let staged = staged(stride, out_len);
+    let stage_len = if staged {
+        stage_len(in_channels, in_len, stride)
+    } else {
+        0
+    };
     for b in 0..batch {
-        let sample_len = in_channels * in_len;
-        let Some(sample) = src.get(b * sample_len..).and_then(|s| s.get(..sample_len)) else {
+        let (Some(sample), Some((stage, panel)), Some(y)) = (
+            src.get(b * sample_len..).and_then(|s| s.get(..sample_len)),
+            col.split_at_mut_checked(stage_len),
+            dst.get_mut(b * per_sample_out..)
+                .and_then(|s| s.get_mut(..per_sample_out)),
+        ) else {
             return;
         };
-        if stride > 1 {
-            let Some(deint) = col.get_mut(..deint_len) else {
-                return;
-            };
-            for ic in 0..in_channels {
-                let Some(src_c) = sample.get(ic * in_len..).and_then(|s| s.get(..in_len)) else {
-                    return;
-                };
-                let Some(dch) = deint
-                    .get_mut(ic * stride * dlen..)
-                    .and_then(|s| s.get_mut(..stride * dlen))
-                else {
-                    return;
-                };
-                if dlen == 0 {
-                    continue; // guards the chunks_exact_mut panic edge
-                }
-                // Residue row `rr` is the strided gather
-                // `src_c[rr], src_c[rr + stride], …`; the guarded gets
-                // bound both sides, so no per-element panic edges remain.
-                for (rr, drow) in dch.chunks_exact_mut(dlen).enumerate() {
-                    for (q, d) in drow.iter_mut().enumerate() {
-                        if let Some(&v) = src_c.get(q * stride + rr) {
-                            *d = v;
-                        }
-                    }
-                }
-            }
+        if staged {
+            stage_sample(sample, in_len, stride, stage);
         }
-        let Some(y) = dst
-            .get_mut(b * per_sample_out..)
-            .and_then(|s| s.get_mut(..per_sample_out))
-        else {
+        let hay: &[f32] = if staged { stage } else { sample };
+        // A narrow layer's tiles go to a `[filters][PANEL]` buffer, and
+        // then its live lanes to the output rows. (One `sweep` call site
+        // keeps one copy of each tile for LLVM to vectorize.)
+        let narrow = out_len < PANEL;
+        let Some(panel) = panel.get_mut(..if narrow { filters * PANEL } else { 0 }) else {
             return;
         };
-        if out_len >= PANEL {
-            let Some(deint) = col.get(..deint_len) else {
-                return;
-            };
-            let mut j0 = 0usize;
-            loop {
-                let mut f = 0usize;
-                while f + 4 <= filters {
-                    conv_tile::<4>(
-                        sample, deint, in_channels, in_len, kernel, stride, dlen, j0, k_len,
-                        w, bias, f, y, out_len,
-                    );
-                    f += 4;
-                }
-                while f + 2 <= filters {
-                    conv_tile::<2>(
-                        sample, deint, in_channels, in_len, kernel, stride, dlen, j0, k_len,
-                        w, bias, f, y, out_len,
-                    );
-                    f += 2;
-                }
-                while f < filters {
-                    conv_tile::<1>(
-                        sample, deint, in_channels, in_len, kernel, stride, dlen, j0, k_len,
-                        w, bias, f, y, out_len,
-                    );
-                    f += 1;
-                }
-                if j0 + PANEL >= out_len {
-                    break;
-                }
-                // Overlap the ragged final tile back onto the last full
-                // panel boundary; recomputed positions are simply
-                // overwritten with identical values.
-                j0 = (j0 + PANEL).min(out_len - PANEL);
-            }
+        let (out, pitch) = if narrow {
+            (&mut *panel, PANEL)
         } else {
-            // Narrow layer (out_len < PANEL): pack every tap's short
-            // run into a zero-padded `[k_len][PANEL]` panel once, then
-            // let all filter blocks sweep the shared panel.
-            let nb = out_len;
-            let Some((deint, rest)) = col.split_at_mut_checked(deint_len) else {
-                return;
-            };
-            let Some(panel) = rest.get_mut(..k_len * PANEL) else {
-                return;
-            };
-            let mut k2 = 0usize;
-            for ic in 0..in_channels {
-                for rr in 0..stride.min(kernel) {
-                    let start = if stride == 1 {
-                        ic * in_len
-                    } else {
-                        (ic * stride + rr) * dlen
-                    };
-                    let hay: &[f32] = if stride == 1 { sample } else { deint };
-                    let Some(row) = hay.get(start..) else { return };
-                    let taps = (kernel - rr).div_ceil(stride);
-                    // Panel rows follow the same residue sweep order as
-                    // the permuted weight rows, so `packed_tile` walks
-                    // both sequentially.
-                    for t in 0..taps {
-                        let Some(pk) = panel
-                            .get_mut(k2 * PANEL..)
-                            .and_then(|s| s.get_mut(..PANEL))
-                        else {
-                            return;
-                        };
-                        let Some(run) = row.get(t..).and_then(|s| s.get(..nb)) else {
-                            return;
-                        };
-                        let Some((head, tail)) = pk.split_at_mut_checked(nb) else {
-                            return;
-                        };
-                        for (d, &s) in head.iter_mut().zip(run) {
-                            *d = s;
-                        }
-                        tail.fill(0.0);
-                        k2 += 1;
-                    }
+            (&mut *y, out_len)
+        };
+        sweep(hay, taps, w, bias, filters, out_len, out, pitch);
+        if narrow {
+            for (f, row) in panel.chunks_exact(PANEL).enumerate() {
+                let Some(out) = y.get_mut(f * out_len..).and_then(|s| s.get_mut(..out_len)) else {
+                    return;
+                };
+                for (o, &v) in out.iter_mut().zip(row) {
+                    *o = v;
                 }
-            }
-            let panel = &panel[..];
-            let mut f = 0usize;
-            while f + 4 <= filters {
-                packed_tile::<4>(panel, k_len, w, bias, f, y, out_len, nb);
-                f += 4;
-            }
-            while f + 2 <= filters {
-                packed_tile::<2>(panel, k_len, w, bias, f, y, out_len, nb);
-                f += 2;
-            }
-            while f < filters {
-                packed_tile::<1>(panel, k_len, w, bias, f, y, out_len, nb);
-                f += 1;
             }
         }
     }

@@ -62,10 +62,10 @@ pub(crate) struct ScratchDims {
     /// Widest intermediate any kernel reads or writes (covers ping,
     /// pong and aux, including the LSTM's `4 × units` gate block).
     pub max_width: usize,
-    /// Largest single-sample conv scratch (the residue-deinterleave
-    /// region for strided convs, and at least `filters` for the
-    /// channelwise-softmax gather) — conv deinterleaves one sample at a
-    /// time and otherwise streams the source directly.
+    /// Largest single-sample conv scratch (the staged sample of strided
+    /// or narrow convs, and at least `filters` for the channelwise-
+    /// softmax gather) — conv stages one sample at a time and otherwise
+    /// streams the source directly.
     pub col_single: usize,
     /// Largest per-row gather width for locally-connected kernels
     /// (`in_channels × kernel`) — local1d gathers one window from every
@@ -86,27 +86,14 @@ impl ScratchDims {
                     in_channels,
                     in_len,
                     filters,
-                    kernel,
                     stride,
                     out_len,
                     ..
                 } => {
-                    // Deinterleave region (strided convs only), plus a
-                    // zero-padded `[k_len][PANEL]` pack panel for
-                    // layers narrower than a tile; `max(filters)`: the
-                    // channelwise-softmax finish reuses `col` as its
-                    // per-position gather buffer.
-                    let deint = if *stride > 1 {
-                        in_channels * stride * in_len.div_ceil(*stride)
-                    } else {
-                        0
-                    };
-                    let panel = if *out_len < conv::PANEL {
-                        in_channels * kernel * conv::PANEL
-                    } else {
-                        0
-                    };
-                    dims.col_single = dims.col_single.max((deint + panel).max(*filters));
+                    // `max(filters)`: the channelwise-softmax finish
+                    // reuses `col` as its per-position gather buffer.
+                    let col = conv::col_len(*in_channels, *in_len, *filters, *stride, *out_len);
+                    dims.col_single = dims.col_single.max(col.max(*filters));
                 }
                 BatchKernel::Local1d {
                     in_channels, kernel, ..
@@ -184,19 +171,20 @@ pub(crate) enum BatchKernel {
         wt: Vec<f32>,
         bias: Vec<f32>,
     },
-    /// Conv1d as per-sample transposed im2col + GEMM (see [`conv`]).
+    /// Conv1d as a direct register-tiled convolution (see [`conv`]).
     Conv1d {
         in_channels: usize,
         in_len: usize,
         filters: usize,
-        kernel: usize,
         stride: usize,
         out_len: usize,
         activation: Activation,
-        /// Row-major `[filters][in_channels * kernel]` weights with
-        /// each row permuted into residue sweep order (see
-        /// [`conv::permute_sweep_order`]) so the direct-conv
-        /// microkernel reads filter rows sequentially.
+        /// One run offset per tap, `in_channels * kernel` of them in
+        /// residue sweep order (see [`conv::tap_offset`]).
+        taps: Vec<u32>,
+        /// `[filters][in_channels * kernel]` weights packed per
+        /// [`conv::block_rows`] block as `[tap][M]`, taps in the order
+        /// of `taps`.
         w: Vec<f32>,
         bias: Vec<f32>,
     },
@@ -353,10 +341,10 @@ impl BatchKernel {
                 in_channels,
                 in_len,
                 filters,
-                kernel,
                 stride,
                 out_len,
                 activation,
+                taps,
                 w,
                 bias,
             } => conv::conv1d(
@@ -364,10 +352,10 @@ impl BatchKernel {
                 *in_channels,
                 *in_len,
                 *filters,
-                *kernel,
                 *stride,
                 *out_len,
                 *activation,
+                taps,
                 w,
                 bias,
                 src,

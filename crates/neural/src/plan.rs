@@ -446,17 +446,20 @@ fn compile_layer(
             kernel,
             stride,
             activation,
-        } => BatchKernel::Conv1d {
-            in_channels: channels,
-            in_len: len,
-            filters,
-            kernel,
-            stride,
-            out_len: (len - kernel) / stride + 1,
-            activation,
-            w: kernels::conv::permute_sweep_order(filters, channels, kernel, stride, &tensors[0]),
-            bias: tensors[1].clone(),
-        },
+        } => {
+            let (taps, w) = pack_conv(filters, channels, len, kernel, stride, &tensors[0]);
+            BatchKernel::Conv1d {
+                in_channels: channels,
+                in_len: len,
+                filters,
+                stride,
+                out_len: (len - kernel) / stride + 1,
+                activation,
+                taps,
+                w,
+                bias: tensors[1].clone(),
+            }
+        }
         LayerSpec::LocallyConnected1d {
             filters,
             kernel,
@@ -534,6 +537,47 @@ fn compile_layer(
             }
         }
     }
+}
+
+/// Compiles a conv layer's tap table and packed weights for
+/// [`kernels::conv::conv1d`]. Taps go in residue sweep order (`ic`, then
+/// `dk % stride`, then `dk / stride`), the order in which every output
+/// accumulates; the `[filters][channels * kernel]` weight matrix `w` is
+/// repacked per [`kernels::conv::block_rows`] block as `[tap][M]` in
+/// that same order, so the microkernel reads one sequential stream.
+fn pack_conv(
+    filters: usize,
+    channels: usize,
+    len: usize,
+    kernel: usize,
+    stride: usize,
+    w: &[f32],
+) -> (Vec<u32>, Vec<f32>) {
+    let k_len = channels * kernel;
+    let mut sweep = Vec::with_capacity(k_len);
+    for ic in 0..channels {
+        for rr in 0..stride.min(kernel) {
+            sweep.extend((rr..kernel).step_by(stride).map(|dk| (ic, dk)));
+        }
+    }
+    let taps = sweep
+        .iter()
+        .map(|&(ic, dk)| {
+            let off = kernels::conv::tap_offset(len, stride, ic, dk);
+            // An offset past `u32` only fails the kernel's guarded read.
+            u32::try_from(off).unwrap_or(u32::MAX)
+        })
+        .collect();
+    let mut packed = Vec::with_capacity(w.len());
+    let mut f = 0;
+    while f < filters {
+        let m = kernels::conv::block_rows(filters, f);
+        for &(ic, dk) in &sweep {
+            packed.extend((f..f + m).map(|row| w[row * k_len + ic * kernel + dk]));
+        }
+        f += m;
+    }
+    (taps, packed)
 }
 
 #[cfg(test)]

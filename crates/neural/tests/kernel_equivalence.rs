@@ -43,12 +43,17 @@ fn wave_inputs(len: usize, seed: u64) -> Vec<f32> {
 /// index, both values) if any pair of outputs differs by more than
 /// [`TOL`].
 fn backends_agree(spec: &NetworkSpec, seed: u64) -> Result<(), String> {
+    backends_agree_at(spec, seed, &BATCHES)
+}
+
+/// [`backends_agree`] over the given batch sizes.
+fn backends_agree_at(spec: &NetworkSpec, seed: u64, batches: &[usize]) -> Result<(), String> {
     let mut net = spec.build(seed).map_err(|e| format!("build failed: {e}"))?;
     let plan = FrozenPlan::from_spec_weights("diff", spec, &net.export_weights())
         .map_err(|e| format!("compile failed: {e}"))?;
     let out_len = plan.output_len();
     let mut scratch = Scratch::new();
-    for &batch in &BATCHES {
+    for &batch in batches {
         let inputs = wave_inputs(batch * plan.input_len(), seed.wrapping_add(batch as u64));
         let reference = network_predict(&mut net, &inputs);
         let mut batched = Vec::new();
@@ -100,10 +105,10 @@ proptest! {
 
     #[test]
     fn conv1d_matches_reference(
-        len in 8usize..64,
+        len in 8usize..129,
         channels in 1usize..4,
-        filters in 1usize..8,
-        kernel in 1usize..10,
+        filters in 1usize..33,
+        kernel in 1usize..25,
         stride in 1usize..5,
         act in 0usize..6,
         seed in 0u64..10_000,
@@ -278,6 +283,67 @@ fn every_dense_width_below_one_register_tile_matches() {
             });
         if let Err(msg) = backends_agree(&spec, 1000 + out as u64) {
             panic!("out_features={out}: {msg}");
+        }
+    }
+}
+
+/// One conv layer alone, `channels` wide on `len` inputs.
+fn conv_alone(
+    channels: usize,
+    len: usize,
+    filters: usize,
+    kernel: usize,
+    stride: usize,
+    activation: Activation,
+) -> NetworkSpec {
+    NetworkSpec::new(channels * len)
+        .layer(LayerSpec::Reshape { channels })
+        .layer(LayerSpec::Conv1d {
+            filters,
+            kernel,
+            stride,
+            activation,
+        })
+}
+
+#[test]
+fn each_table1_conv_shape_matches_alone() {
+    // The paper's four conv stages with their own input shapes: the
+    // stride-1 layer streams the raw sample, the strided ones the
+    // residue-deinterleaved copy, and the last one (10 outputs) is
+    // narrower than a tile.
+    let shapes = [
+        (1, 397, 25, 20, 1, Activation::Selu),
+        (25, 378, 25, 20, 3, Activation::Selu),
+        (25, 120, 25, 15, 2, Activation::Selu),
+        (25, 53, 15, 15, 4, Activation::Softmax),
+    ];
+    for (i, &(channels, len, filters, kernel, stride, act)) in shapes.iter().enumerate() {
+        let spec = conv_alone(channels, len, filters, kernel, stride, act);
+        if let Err(msg) = backends_agree_at(&spec, 300 + i as u64, &[1, 3, 32]) {
+            panic!("Table-1 conv {channels}->{filters} k{kernel} s{stride} on {len}: {msg}");
+        }
+    }
+}
+
+#[test]
+fn every_filter_block_and_tile_tail_matches() {
+    // Filter counts 1-11, 15 and 25 reach every block height (5-row
+    // blocks, and 4-row blocks with each {2, 1} remainder); output
+    // lengths 15/16/17/33 give a narrow layer, one exact tile, a one-
+    // position overlapped tail and a tail after two whole tiles. Each
+    // runs at stride 1 (raw sample) and stride 2 (staged copy).
+    let filter_counts = (1..=11).chain([15, 25]);
+    for filters in filter_counts {
+        for out_len in [15, 16, 17, 33] {
+            for (stride, kernel) in [(1, 3), (2, 4)] {
+                let len = (out_len - 1) * stride + kernel;
+                let spec = conv_alone(2, len, filters, kernel, stride, Activation::Tanh);
+                let seed = (filters * 100 + out_len * 10 + stride) as u64;
+                if let Err(msg) = backends_agree_at(&spec, seed, &[1, 3, 32]) {
+                    panic!("filters {filters}, out_len {out_len}, stride {stride}: {msg}");
+                }
+            }
         }
     }
 }

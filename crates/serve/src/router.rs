@@ -548,6 +548,9 @@ impl Router {
     fn shutdown_inner(&mut self) {
         self.inner.stop.store(true, Ordering::Relaxed);
         if let Some(handle) = self.supervisor.take() {
+            // Cut the supervisor's tick wait short instead of joining
+            // after it.
+            handle.thread().unpark();
             let _ = handle.join();
         }
         for shard in &self.inner.shards {
@@ -629,6 +632,22 @@ fn merge_reports(inner: &RouterInner) -> MetricsReport {
     total
 }
 
+/// Waits out one supervisor tick, returning early once `stop` is set
+/// (`shutdown_inner` unparks the supervisor after setting it). A tick
+/// too long to add to the clock waits for `stop` alone.
+fn wait_tick(inner: &RouterInner, tick: Duration) {
+    let deadline = Instant::now().checked_add(tick);
+    while !inner.stop.load(Ordering::Relaxed) {
+        match deadline {
+            Some(deadline) => match deadline.checked_duration_since(Instant::now()) {
+                Some(left) if !left.is_zero() => std::thread::park_timeout(left),
+                _ => return,
+            },
+            None => std::thread::park(),
+        }
+    }
+}
+
 /// Supervisor body: per tick, restart Down shards whose backoff has
 /// elapsed, fail over shards with dead or stalled workers (re-routing
 /// their queues to healthy siblings), and feed failure deltas into each
@@ -651,7 +670,7 @@ fn supervisor_loop(inner: &RouterInner) {
         })
         .collect();
     while !inner.stop.load(Ordering::Relaxed) {
-        std::thread::sleep(config.tick);
+        wait_tick(inner, config.tick);
         for (shard, watch) in inner.shards.iter().zip(watches.iter_mut()) {
             obs::gauge_set(
                 &format!("serve.shard{}.queue_depth", shard.id),
@@ -768,6 +787,29 @@ mod tests {
             tick: Duration::from_millis(5),
             ..SupervisorConfig::default()
         }
+    }
+
+    #[test]
+    fn shutdown_does_not_wait_out_the_supervisor_tick() {
+        let registry = registry_with_versions(&[(1, 7.0)]);
+        let started = Instant::now();
+        let router = Router::start(
+            registry,
+            RouterConfig {
+                supervisor: SupervisorConfig {
+                    tick: Duration::from_secs(10),
+                    ..SupervisorConfig::default()
+                },
+                ..RouterConfig::default()
+            },
+        )
+        .unwrap();
+        router.shutdown();
+        assert!(
+            started.elapsed() < Duration::from_secs(1),
+            "start + shutdown took {:?} with a 10 s tick",
+            started.elapsed()
+        );
     }
 
     #[test]
