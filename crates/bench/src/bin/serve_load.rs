@@ -259,12 +259,12 @@ fn main() {
     let fma_peak = fma_peak_gmac_s();
     let kernel_timings = kernel_timing_probe(&plan, &inputs, fma_peak);
     println!(
-        "kernels:    per-layer probe (batch {PROBE_BATCH}, mean of 10 reps; \
+        "kernels:    per-layer probe (batch {PROBE_BATCH}, median of 11 reps; \
          FMA roofline {fma_peak:.1} GMAC/s on one core):"
     );
     println!(
         "            {:<20} {:>9} {:>12} {:>8} {:>9}",
-        "op", "mean_us", "MACs/batch", "GMAC/s", "roofline"
+        "op", "median_us", "MACs/batch", "GMAC/s", "roofline"
     );
     for t in &kernel_timings {
         let gmacs = t["gmac_per_s"].as_f64().unwrap_or(0.0);
@@ -279,7 +279,7 @@ fn main() {
         println!(
             "            {:<20} {:>9.1} {:>12} {:>8} {:>9}",
             t["op"].as_str().unwrap_or("?"),
-            t["mean_us"].as_f64().unwrap_or(0.0),
+            t["median_us"].as_f64().unwrap_or(0.0),
             t["macs_per_batch"].as_u64().unwrap_or(0),
             rate,
             frac,
@@ -293,7 +293,7 @@ fn main() {
     let sequential_us_per_sample = sequential_seconds * 1e6 / n_requests as f64;
     let kernel_us_per_sample = kernel_timings
         .iter()
-        .map(|t| t["mean_us"].as_f64().unwrap_or(0.0))
+        .map(|t| t["median_us"].as_f64().unwrap_or(0.0))
         .sum::<f64>()
         / PROBE_BATCH as f64;
     let kernel_speedup = sequential_us_per_sample / kernel_us_per_sample;
@@ -477,8 +477,9 @@ fn fma_peak_gmac_s() -> f64 {
 
 /// Times each batched kernel of `plan` on an instrumented 32-sample
 /// probe batch: wall-clock deltas between the per-kernel observer
-/// callbacks, meaned over several reps after a warm-up (the plan stays
-/// wall-clock-free for determinism; the `Instant`s live here). The
+/// callbacks, each layer's median over an odd number of reps after a
+/// warm-up, so a rep the scheduler interrupts cannot move it (the plan
+/// stays wall-clock-free for determinism; the `Instant`s live here). The
 /// observer index aligns with the plan's op order, so each timing is
 /// paired with [`FrozenPlan::macs_per_op`] into an achieved-GMAC/s
 /// figure per layer (0-MAC shape ops report no rate), and that rate
@@ -488,7 +489,7 @@ fn kernel_timing_probe(
     inputs: &[Vec<f32>],
     fma_peak: f64,
 ) -> Vec<serde_json::Value> {
-    const REPS: u32 = 10;
+    const REPS: usize = 11;
     let mut block = Vec::with_capacity(PROBE_BATCH * INPUT_LEN);
     for x in inputs.iter().cycle().take(PROBE_BATCH) {
         block.extend_from_slice(x);
@@ -501,7 +502,7 @@ fn kernel_timing_probe(
             .expect("warm-up probe batch");
     }
     let mut names: Vec<&'static str> = Vec::new();
-    let mut totals: Vec<f64> = Vec::new();
+    let mut reps: Vec<Vec<f64>> = Vec::new();
     for _ in 0..REPS {
         outputs.clear();
         let mut last = Instant::now();
@@ -509,9 +510,9 @@ fn kernel_timing_probe(
             let now = Instant::now();
             if i == names.len() {
                 names.push(name);
-                totals.push(0.0);
+                reps.push(Vec::with_capacity(REPS));
             }
-            totals[i] += (now - last).as_secs_f64();
+            reps[i].push((now - last).as_secs_f64());
             last = now;
         })
         .expect("timed probe batch");
@@ -524,13 +525,14 @@ fn kernel_timing_probe(
     );
     names
         .iter()
-        .zip(&totals)
+        .zip(&mut reps)
         .zip(&macs_per_sample)
-        .map(|((name, total), &macs)| {
-            let mean_us = total / f64::from(REPS) * 1e6;
+        .map(|((name, seconds), &macs)| {
+            seconds.sort_by(f64::total_cmp);
+            let median_us = seconds[REPS / 2] * 1e6;
             let macs_per_batch = macs * PROBE_BATCH as u64;
-            let gmac_per_s = if mean_us > 0.0 {
-                macs_per_batch as f64 / (mean_us * 1e-6) / 1e9
+            let gmac_per_s = if median_us > 0.0 {
+                macs_per_batch as f64 / (median_us * 1e-6) / 1e9
             } else {
                 0.0
             };
@@ -541,7 +543,7 @@ fn kernel_timing_probe(
             };
             serde_json::json!({
                 "op": name,
-                "mean_us": mean_us,
+                "median_us": median_us,
                 "macs_per_batch": macs_per_batch,
                 "gmac_per_s": gmac_per_s,
                 "roofline_frac": roofline_frac,

@@ -11,8 +11,7 @@
 //! none of those regressions is visible to a lexer or a call graph.
 //!
 //! The audit drives `cargo rustc -p <package> --release -- --emit asm`
-//! into a dedicated target directory (falling back to LLVM IR when no
-//! assembly artifact appears), demangles every emitted symbol (legacy
+//! into a dedicated target directory, demangles every emitted symbol (legacy
 //! `_ZN…E` and v0 `_R…` manglings both occur: own-crate items are
 //! legacy-mangled, std callees are v0-mangled), maps the symbols named
 //! in `lint.toml`'s `[codegen]` section back to their source
@@ -44,33 +43,11 @@
 //! entries (mandatory reason), and suppressions that stop matching are
 //! stale and fail `--deny` exactly like source-rule suppressions.
 
-use std::fmt;
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
 use crate::config::{CodegenConfig, CodegenSuppression};
 use crate::findings::{Finding, Report, Severity, StaleSuppression};
-
-/// Which artifact the audit parsed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EmitMode {
-    /// Native assembly (`--emit asm`) — full fidelity, including loop
-    /// structure and vector register widths.
-    Asm,
-    /// LLVM IR fallback (`--emit llvm-ir`) — used when no `.s` artifact
-    /// appears; vector FMAs are recognised from `llvm.fma`/`fmuladd`
-    /// vector intrinsics and loop structure from `br` back-edges.
-    LlvmIr,
-}
-
-impl fmt::Display for EmitMode {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            EmitMode::Asm => write!(f, "asm"),
-            EmitMode::LlvmIr => write!(f, "llvm-ir"),
-        }
-    }
-}
 
 /// One parsed line of a function body: a local label or an instruction.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -157,11 +134,6 @@ pub struct CodegenReport {
     /// Audit patterns that matched no emitted symbol (each also emits a
     /// `codegen-symbol-coverage` finding).
     pub unmatched_patterns: Vec<String>,
-    /// Which artifact was parsed.
-    pub mode: Option<EmitMode>,
-    /// Whether the `kernel-vectorized` rule was enforced (false on
-    /// non-x86-64 hosts, where the pinned ISA cannot be emitted).
-    pub vector_isa: bool,
 }
 
 impl CodegenReport {
@@ -195,11 +167,8 @@ impl CodegenReport {
 
     /// Human-readable per-symbol coverage table for `--stats`.
     pub fn summary_table(&self) -> String {
-        let mode = self
-            .mode
-            .map_or_else(|| "none".to_string(), |m| m.to_string());
         let mut out = format!(
-            "codegen audit ({mode}): {} symbol(s) audited, {} proven vectorized \
+            "codegen audit (asm): {} symbol(s) audited, {} proven vectorized \
              (of {} required), {} panic-call-free, {} alloc-call-free, \
              {} packed vector FMA(s) and {} packed multiply(s) total\n",
             self.symbols.len(),
@@ -455,136 +424,6 @@ pub fn parse_asm(text: &str) -> Vec<AsmFunction> {
     functions
 }
 
-/// Parses LLVM IR (`--emit llvm-ir`) into the same [`AsmFunction`]
-/// shape: basic-block labels become labels, `br` edges become jumps,
-/// vector `llvm.fma`/`llvm.fmuladd` intrinsic calls become packed-FMA
-/// instructions, vector `fmul`s become packed multiplies, and other
-/// `call`s keep their `@` callee.
-pub fn parse_llvm_ir(text: &str) -> Vec<AsmFunction> {
-    let mut functions: Vec<AsmFunction> = Vec::new();
-    let mut current: Option<AsmFunction> = None;
-    for raw in text.lines() {
-        let line = raw.trim();
-        if let Some(rest) = line.strip_prefix("define") {
-            if let Some(symbol) = ir_symbol(rest) {
-                if let Some(function) = current.take() {
-                    functions.push(function);
-                }
-                current = Some(AsmFunction {
-                    path: demangle(&symbol),
-                    symbol,
-                    lines: Vec::new(),
-                });
-            }
-            continue;
-        }
-        let Some(function) = current.as_mut() else {
-            continue;
-        };
-        if line == "}" {
-            functions.push(current.take().expect("checked above"));
-            continue;
-        }
-        // Basic-block label: `bb5:` or `5:`, possibly with a preds comment.
-        let head = line.split(';').next().unwrap_or("").trim();
-        if let Some(name) = head.strip_suffix(':') {
-            if is_symbolish(name) {
-                function.lines.push(AsmLine::Label(format!(".L{name}")));
-                continue;
-            }
-        }
-        if head.starts_with("br ") || head.starts_with("br\t") {
-            // Each `label %X` operand is one control edge.
-            let mut rest = head;
-            while let Some(idx) = rest.find("label %") {
-                let target = rest[idx + 7..]
-                    .split([',', ' ', '\t'])
-                    .next()
-                    .unwrap_or("")
-                    .to_string();
-                if !target.is_empty() {
-                    function.lines.push(AsmLine::Insn {
-                        mnemonic: "jmp".to_string(),
-                        operands: format!(".L{target}"),
-                    });
-                }
-                rest = &rest[idx + 7..];
-            }
-            continue;
-        }
-        let vector_f32 = head.contains("<8 x float>") || head.contains("<16 x float>");
-        if vector_f32 && head.contains(" fmul ") {
-            function.lines.push(AsmLine::Insn {
-                mnemonic: "vmulps".to_string(),
-                operands: "%ymm0".to_string(),
-            });
-            continue;
-        }
-        if let Some(call_idx) = find_ir_call(head) {
-            let callee = head[call_idx..]
-                .find('@')
-                .map(|at| ir_callee(&head[call_idx + at + 1..]));
-            if let Some(callee) = callee {
-                if callee.contains("llvm.fma") || callee.contains("llvm.fmuladd") {
-                    let vector = callee.contains(".v8f32") || callee.contains(".v16f32");
-                    let scalar_fma = callee.ends_with(".f32");
-                    function.lines.push(AsmLine::Insn {
-                        mnemonic: if vector {
-                            "vfmadd213ps".to_string()
-                        } else if scalar_fma {
-                            "vfmadd213ss".to_string()
-                        } else {
-                            "vfmadd213ps.xmm".to_string()
-                        },
-                        operands: if vector { "%ymm0".to_string() } else { "%xmm0".to_string() },
-                    });
-                } else if !callee.starts_with("llvm.") {
-                    function.lines.push(AsmLine::Insn {
-                        mnemonic: "callq".to_string(),
-                        operands: callee,
-                    });
-                }
-            }
-        }
-    }
-    if let Some(function) = current.take() {
-        functions.push(function);
-    }
-    functions
-}
-
-/// Extracts the `@symbol` from a `define … @sym(…)` header.
-fn ir_symbol(rest: &str) -> Option<String> {
-    let at = rest.find('@')?;
-    Some(ir_callee(&rest[at + 1..]))
-}
-
-/// Reads an IR symbol (possibly quoted) up to its terminator.
-fn ir_callee(rest: &str) -> String {
-    if let Some(quoted) = rest.strip_prefix('"') {
-        quoted.split('"').next().unwrap_or("").to_string()
-    } else {
-        rest.split(['(', ' ', '\t', ',', ')'])
-            .next()
-            .unwrap_or("")
-            .to_string()
-    }
-}
-
-/// Finds a `call`/`invoke` keyword at word granularity (so `%recall`
-/// never matches).
-fn find_ir_call(line: &str) -> Option<usize> {
-    let mut offset = 0usize;
-    for word in line.split_whitespace() {
-        let idx = line[offset..].find(word).map(|i| offset + i)?;
-        if word == "call" || word == "invoke" {
-            return Some(idx);
-        }
-        offset = idx + word.len();
-    }
-    None
-}
-
 // ---------------------------------------------------------------------------
 // Instruction-level analysis
 // ---------------------------------------------------------------------------
@@ -783,21 +622,13 @@ fn source_location(root: Option<&Path>, fn_path: &str) -> (String, usize) {
 ///
 /// `root` enables symbol→source mapping (pass `None` in fixture tests:
 /// findings then carry the demangled path with line 0).
-/// `enforce_vector` disables the `kernel-vectorized` rule on hosts that
-/// cannot emit the pinned x86-64-v3 ISA.
 pub fn check_functions(
     functions: &[AsmFunction],
     config: &CodegenConfig,
     suppressions: &[CodegenSuppression],
     root: Option<&Path>,
-    mode: EmitMode,
-    enforce_vector: bool,
 ) -> CodegenReport {
-    let mut report = CodegenReport {
-        mode: Some(mode),
-        vector_isa: enforce_vector,
-        ..CodegenReport::default()
-    };
+    let mut report = CodegenReport::default();
     let mut raw_findings: Vec<(String, Finding)> = Vec::new(); // (symbol path, finding)
     let mut audited_paths: Vec<String> = Vec::new();
 
@@ -819,7 +650,7 @@ pub fn check_functions(
         let vectorized_required =
             config.vectorized.iter().any(|p| pattern_matches(p, &audit.path));
         let mut vectorized_ok = true;
-        if vectorized_required && enforce_vector {
+        if vectorized_required {
             let enough = audit.packed_fma + audit.packed_mul >= config.min_vector_fma;
             if !enough || !audit.loop_fma {
                 vectorized_ok = false;
@@ -828,7 +659,7 @@ pub fn check_functions(
                     finding(
                         "kernel-vectorized",
                         format!(
-                            "`{}` lost its vectorization in the emitted {mode}: {} packed \
+                            "`{}` lost its vectorization in the emitted asm: {} packed \
                              vector FMA(s) and {} packed multiply(s) (minimum {} together), \
                              {} scalar FMA(s), innermost loop carries a packed FMA or \
                              multiply: {}",
@@ -926,7 +757,7 @@ pub fn check_functions(
                     line: 0,
                     message: format!(
                         "[codegen] pattern `{pattern}` matched no symbol in the emitted \
-                         {mode} — was the function renamed, or its #[inline(never)] \
+                         asm — was the function renamed, or its #[inline(never)] \
                          audit anchor removed?"
                     ),
                 },
@@ -982,15 +813,22 @@ fn dedup_join(targets: &[String]) -> String {
 // Build driver
 // ---------------------------------------------------------------------------
 
-/// Runs the audit end to end: drive the compiler, parse the artifact,
+/// Runs the audit end to end: drive the compiler, parse the assembly,
 /// run the rules against `config.codegen` and the
 /// `[[codegen-suppress]]` baseline.
 ///
 /// # Errors
 ///
-/// Returns a description when the audit build fails or emits no
-/// parseable artifact.
+/// Returns a description when the host is not x86-64 (the rules read
+/// x86-64 AT&T mnemonics: `callq`, `vfmadd*ps`, `%ymm`), or when the
+/// audit build fails or emits no assembly.
 pub fn run_audit(root: &Path, config: &crate::config::LintConfig) -> Result<CodegenReport, String> {
+    if !cfg!(target_arch = "x86_64") {
+        return Err(format!(
+            "the codegen audit reads x86-64 assembly; this host is {}",
+            std::env::consts::ARCH
+        ));
+    }
     let cg = &config.codegen;
     if cg.audit.is_empty() {
         return Err(
@@ -998,25 +836,17 @@ pub fn run_audit(root: &Path, config: &crate::config::LintConfig) -> Result<Code
                 .to_string(),
         );
     }
-    let (text, mode) = emit_artifact(root, &cg.package)?;
-    let functions = match mode {
-        EmitMode::Asm => parse_asm(&text),
-        EmitMode::LlvmIr => parse_llvm_ir(&text),
-    };
-    let enforce_vector = cfg!(target_arch = "x86_64");
+    let text = emit_asm(root, &cg.package)?;
     Ok(check_functions(
-        &functions,
+        &parse_asm(&text),
         cg,
         &config.codegen_suppressions,
         Some(root),
-        mode,
-        enforce_vector,
     ))
 }
 
-/// Drives `cargo rustc … --emit asm` (then `--emit llvm-ir` as a
-/// fallback) into a dedicated target directory and returns the newest
-/// emitted artifact's text.
+/// Drives `cargo rustc … --emit asm` into a dedicated target directory
+/// and returns the newest emitted `.s` file's text.
 ///
 /// The recipe is deliberate (see DESIGN.md §16):
 ///
@@ -1027,55 +857,43 @@ pub fn run_audit(root: &Path, config: &crate::config::LintConfig) -> Result<Code
 /// * a separate `CARGO_TARGET_DIR` — the audit build must never evict
 ///   or poison the real release artifacts CI just built.
 /// * `-C codegen-units=1` — one `.s` file, stable symbol placement.
-/// * `-C target-cpu=x86-64-v3` (x86-64 hosts) — pins the ISA the
-///   vectorization rule asserts against, matching `.cargo/config.toml`.
-fn emit_artifact(root: &Path, package: &str) -> Result<(String, EmitMode), String> {
+/// * `-C target-cpu=x86-64-v3` — pins the ISA the vectorization rule
+///   asserts against, matching `.cargo/config.toml`.
+fn emit_asm(root: &Path, package: &str) -> Result<String, String> {
     let target_dir = root.join("target").join("codegen-audit");
-    for (emit, extension, mode) in [
-        ("asm", "s", EmitMode::Asm),
-        ("llvm-ir", "ll", EmitMode::LlvmIr),
-    ] {
-        let mut command = Command::new("cargo");
-        command
-            .current_dir(root)
-            .env("CARGO_PROFILE_RELEASE_LTO", "off")
-            .env("CARGO_TARGET_DIR", &target_dir)
-            .args(["rustc", "-p", package, "--release", "--lib", "--"])
-            .args(["--emit", emit, "-C", "codegen-units=1"]);
-        if cfg!(target_arch = "x86_64") {
-            command.args(["-C", "target-cpu=x86-64-v3"]);
-        }
-        let output = command
-            .output()
-            .map_err(|e| format!("running cargo rustc for the audit build: {e}"))?;
-        if !output.status.success() {
-            return Err(format!(
-                "audit build of `{package}` failed:\n{}",
-                String::from_utf8_lossy(&output.stderr)
-            ));
-        }
-        let deps = target_dir.join("release").join("deps");
-        if let Some(artifact) = newest_artifact(&deps, &package.replace('-', "_"), extension) {
-            let text = std::fs::read_to_string(&artifact)
-                .map_err(|e| format!("reading {}: {e}", artifact.display()))?;
-            return Ok((text, mode));
-        }
+    let output = Command::new("cargo")
+        .current_dir(root)
+        .env("CARGO_PROFILE_RELEASE_LTO", "off")
+        .env("CARGO_TARGET_DIR", &target_dir)
+        .args(["rustc", "-p", package, "--release", "--lib", "--"])
+        .args(["--emit", "asm", "-C", "codegen-units=1", "-C", "target-cpu=x86-64-v3"])
+        .output()
+        .map_err(|e| format!("running cargo rustc for the audit build: {e}"))?;
+    if !output.status.success() {
+        return Err(format!(
+            "audit build of `{package}` failed:\n{}",
+            String::from_utf8_lossy(&output.stderr)
+        ));
     }
-    Err(format!(
-        "audit build of `{package}` produced no .s or .ll artifact under {}",
-        target_dir.display()
-    ))
+    let deps = target_dir.join("release").join("deps");
+    let artifact = newest_asm(&deps, &package.replace('-', "_")).ok_or_else(|| {
+        format!(
+            "audit build of `{package}` produced no .s file under {}",
+            deps.display()
+        )
+    })?;
+    std::fs::read_to_string(&artifact).map_err(|e| format!("reading {}: {e}", artifact.display()))
 }
 
-/// Newest `<stem>-*.<ext>` under `dir`, by modification time.
-fn newest_artifact(dir: &Path, stem: &str, extension: &str) -> Option<PathBuf> {
+/// Newest `<stem>-*.s` under `dir`, by modification time.
+fn newest_asm(dir: &Path, stem: &str) -> Option<PathBuf> {
     let entries = std::fs::read_dir(dir).ok()?;
     let mut best: Option<(std::time::SystemTime, PathBuf)> = None;
     for entry in entries.flatten() {
         let path = entry.path();
         let name = entry.file_name();
         let name = name.to_string_lossy();
-        if !name.starts_with(stem) || !name.ends_with(&format!(".{extension}")) {
+        if !name.starts_with(stem) || !name.ends_with(".s") {
             continue;
         }
         let modified = entry
@@ -1216,27 +1034,5 @@ mod tests {
         assert!(pattern_matches("a::b::*", "a::b::c"));
         assert!(pattern_matches("a::b*", "a::b::c"));
         assert!(!pattern_matches("a::x::*", "a::b::c"));
-    }
-
-    #[test]
-    fn llvm_ir_fallback_recovers_calls_loops_and_vector_fma() {
-        let ir = r#"
-define void @f(ptr %p) {
-start:
-  br label %loop
-loop:
-  %v = call <8 x float> @llvm.fma.v8f32(<8 x float> %a, <8 x float> %b, <8 x float> %c)
-  br i1 %cond, label %loop, label %exit
-exit:
-  call void @expf(float 1.0)
-  ret void
-}
-"#;
-        let functions = parse_llvm_ir(ir);
-        assert_eq!(functions.len(), 1);
-        let audit = analyze(&functions[0]);
-        assert_eq!(audit.packed_fma, 1);
-        assert!(audit.loop_fma);
-        assert_eq!(audit.extern_calls, vec!["expf".to_string()]);
     }
 }

@@ -94,13 +94,8 @@ pub struct LintConfig {
     /// Declared lock acquisition order for the `lock-graph` rule: locks
     /// earlier in the list must be acquired before locks later in it.
     pub lock_order: Vec<String>,
-    /// Whether `panic-reachability` counts slice/array indexing as a
-    /// panic source. Off by default: indexing is pervasive and mostly
-    /// guarded, so it is opt-in per workspace.
-    pub index_panics: bool,
     /// Function-path prefixes (e.g. `neural::plan::FrozenPlan::predict`)
-    /// treated as hot by `alloc-in-hot-path`, in addition to any function
-    /// carrying a `// lint: hot` marker.
+    /// treated as hot by `alloc-in-hot-path`: the one list of hot paths.
     pub hot_paths: Vec<String>,
     /// Per-field atomic ordering contracts for the `atomic-ordering`
     /// rule. Every atomic field in the checked crates must have one.
@@ -161,10 +156,6 @@ impl LintConfig {
                         flush(&mut section, &mut config, lineno)?;
                         section = Section::LockOrder;
                     }
-                    "panic-reachability" => {
-                        flush(&mut section, &mut config, lineno)?;
-                        section = Section::PanicReachability;
-                    }
                     "alloc-hot-path" => {
                         flush(&mut section, &mut config, lineno)?;
                         section = Section::AllocHotPath;
@@ -186,11 +177,6 @@ impl LintConfig {
                 (Section::LockOrder, "order") => {
                     config.lock_order = parse_string_array(value)
                         .ok_or_else(|| format!("line {lineno}: order must be a string array"))?;
-                }
-                (Section::PanicReachability, "index-panics") => {
-                    config.index_panics = parse_bool(value).ok_or_else(|| {
-                        format!("line {lineno}: index-panics must be true or false")
-                    })?;
                 }
                 (Section::AllocHotPath, "paths") => {
                     config.hot_paths = parse_string_array(value)
@@ -311,7 +297,6 @@ struct PartialCodegenSuppression {
 enum Section {
     None,
     LockOrder,
-    PanicReachability,
     AllocHotPath,
     Codegen,
     Suppress(PartialSuppression),
@@ -418,14 +403,6 @@ fn strip_comment(line: &str) -> &str {
     line
 }
 
-fn parse_bool(value: &str) -> Option<bool> {
-    match value {
-        "true" => Some(true),
-        "false" => Some(false),
-        _ => None,
-    }
-}
-
 fn parse_string(value: &str) -> Option<String> {
     let inner = value.strip_prefix('"')?.strip_suffix('"')?;
     if inner.contains('"') {
@@ -465,7 +442,7 @@ line = 91
 reason = "exact-zero variance guard"
 
 [[suppress]]
-rule = "no-unwrap-in-lib"
+rule = "panic-reachability"
 path = "crates/neural/src/optim.rs"  # whole file
 reason = "slot invariants"
 "#;
@@ -487,19 +464,16 @@ reason = "slot invariants"
     #[test]
     fn parses_graph_rule_sections() {
         let text = r#"
-[panic-reachability]
-index-panics = true
-
 [alloc-hot-path]
 paths = ["neural::plan::FrozenPlan::predict", "serve::engine::worker_loop"]
 "#;
         let config = LintConfig::parse(text).unwrap();
-        assert!(config.index_panics);
         assert_eq!(
             config.hot_paths,
             ["neural::plan::FrozenPlan::predict", "serve::engine::worker_loop"]
         );
-        assert!(LintConfig::parse("[panic-reachability]\nindex-panics = maybe\n").is_err());
+        // `panic-reachability` takes no configuration, so has no section.
+        assert!(LintConfig::parse("[panic-reachability]\n").is_err());
     }
 
     #[test]

@@ -94,7 +94,7 @@ pub fn analyze_sources(sources: &[(String, String)], config: &LintConfig) -> Ana
         };
         rules::check_file(&input, &mut findings);
         if !is_compat && !crate_name.is_empty() {
-            parsed.push(parser::parse_file(rel, &crate_name, source, &tokens, &mask));
+            parsed.push(parser::parse_file(rel, &crate_name, &tokens, &mask));
         }
     }
 
@@ -107,7 +107,7 @@ pub fn analyze_sources(sources: &[(String, String)], config: &LintConfig) -> Ana
         calls_unresolved: call_graph.unresolved,
         ..GraphStats::default()
     };
-    graph::panic_reachability(&table, &call_graph, config, &mut stats, &mut findings);
+    graph::panic_reachability(&table, &call_graph, &mut stats, &mut findings);
     let lock_graph = graph::lock_graph(&table, &call_graph, config, &mut stats, &mut findings);
     graph::alloc_in_hot_path(&table, config, &mut stats, &mut findings);
     dataflow::dataflow_rules(&table, &call_graph, config, &mut stats, &mut findings);
@@ -300,7 +300,7 @@ mod tests {
     #[test]
     fn stale_line_suppression_hints_at_nearest_surviving_line() {
         let finding = |line: usize| Finding {
-            rule: "no-unwrap-in-lib".into(),
+            rule: "panic-reachability".into(),
             severity: Severity::Error,
             path: "crates/x/src/lib.rs".into(),
             line,
@@ -308,7 +308,7 @@ mod tests {
         };
         let config = LintConfig {
             suppressions: vec![Suppression {
-                rule: "no-unwrap-in-lib".into(),
+                rule: "panic-reachability".into(),
                 path: "crates/x/src/lib.rs".into(),
                 line: Some(40),
                 reason: "drifted".into(),
@@ -320,6 +320,6 @@ mod tests {
         assert_eq!(report.stale_suppressions[0].nearest_line, 44);
         let text = report.stale_suppressions[0].to_string();
         assert!(text.contains("line 44"), "{text}");
-        assert!(text.contains("no-unwrap-in-lib"), "{text}");
+        assert!(text.contains("panic-reachability"), "{text}");
     }
 }

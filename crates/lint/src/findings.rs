@@ -28,7 +28,7 @@ impl fmt::Display for Severity {
 /// One rule violation at a source location.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Finding {
-    /// Rule identifier (e.g. `no-unwrap-in-lib`).
+    /// Rule identifier (e.g. `panic-reachability`).
     pub rule: String,
     /// Finding severity.
     pub severity: Severity,
@@ -64,7 +64,9 @@ pub struct GraphStats {
     pub calls_external: usize,
     /// Call sites the best-effort resolver gave up on.
     pub calls_unresolved: usize,
-    /// Public entry points seeding `panic-reachability`.
+    /// Roots that seeded `panic-reachability`: every plain-`pub` library
+    /// fn of the panic-free crates, plus each other library fn there that
+    /// no `pub` fn reaches.
     pub entry_points: usize,
     /// Reachable functions containing at least one panic source.
     pub reachable_panic_fns: usize,

@@ -10,7 +10,7 @@ use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 
 use crate::config::LintConfig;
 use crate::findings::{Finding, GraphStats, Severity};
-use crate::parser::{FnItem, LockEvent, PanicKind, ParsedFile};
+use crate::parser::{FnItem, LockEvent, ParsedFile};
 use crate::resolve::{Resolution, SymbolTable};
 use crate::rules::{LOCK_ORDER_CRATES, PANIC_FREE_CRATES};
 
@@ -68,18 +68,14 @@ impl CallGraph {
     }
 }
 
-/// Entry-point predicate for `panic-reachability`: a plain-`pub` non-test
-/// function in a panic-free crate's library code (bin targets and
-/// `main.rs` are process entry points, not API surface).
-fn is_entry_point(item: &FnItem) -> bool {
-    if !item.is_pub || item.in_test {
+/// Root predicate for `panic-reachability`: a non-test function in a
+/// panic-free crate's library code (bin targets and `main.rs` are
+/// process entry points, not library code).
+fn is_panic_root(item: &FnItem) -> bool {
+    if item.in_test || item.file.contains("/src/bin/") || item.file.ends_with("/src/main.rs") {
         return false;
     }
-    if item.file.contains("/src/bin/") || item.file.ends_with("/src/main.rs") {
-        return false;
-    }
-    let crate_dir = crate_dir_of(&item.file);
-    PANIC_FREE_CRATES.contains(&crate_dir)
+    PANIC_FREE_CRATES.contains(&crate_dir_of(&item.file))
 }
 
 /// Crate directory name (`ms-sim` style) for a workspace-relative path.
@@ -92,47 +88,46 @@ pub(crate) fn crate_dir_of(path: &str) -> &str {
     }
 }
 
-/// `panic-reachability`: BFS from every public entry point of the
-/// panic-free crates; any reachable function containing a panic source
-/// yields one finding carrying the full entry-point→panic call chain.
+/// `panic-reachability`: BFS from every library function of the
+/// panic-free crates; each reachable panic site yields one finding
+/// carrying the full root→panic call chain. Plain-`pub` functions seed
+/// the search first, so a site the public API reaches is reported with
+/// its chain from that API; the remaining roots (trait-impl methods,
+/// restricted-visibility and private functions nothing calls) then pick
+/// up whatever the public API does not reach.
 pub fn panic_reachability(
     table: &SymbolTable,
     graph: &CallGraph,
-    config: &LintConfig,
     stats: &mut GraphStats,
     out: &mut Vec<Finding>,
 ) {
     let mut parent: Vec<Option<usize>> = vec![None; table.items.len()];
     let mut visited = vec![false; table.items.len()];
-    let mut queue = VecDeque::new();
-    for (idx, item) in table.items.iter().enumerate() {
-        if is_entry_point(item) {
-            visited[idx] = true;
-            queue.push_back(idx);
-            stats.entry_points += 1;
+    for public_pass in [true, false] {
+        let mut queue = VecDeque::new();
+        for (idx, item) in table.items.iter().enumerate() {
+            if !visited[idx] && item.is_pub == public_pass && is_panic_root(item) {
+                visited[idx] = true;
+                queue.push_back(idx);
+                stats.entry_points += 1;
+            }
         }
-    }
-    while let Some(node) = queue.pop_front() {
-        for edge in &graph.edges[node] {
-            if !visited[edge.target] {
-                visited[edge.target] = true;
-                parent[edge.target] = Some(node);
-                queue.push_back(edge.target);
+        while let Some(node) = queue.pop_front() {
+            for edge in &graph.edges[node] {
+                if !visited[edge.target] {
+                    visited[edge.target] = true;
+                    parent[edge.target] = Some(node);
+                    queue.push_back(edge.target);
+                }
             }
         }
     }
     for (idx, item) in table.items.iter().enumerate() {
-        if !visited[idx] {
+        if !visited[idx] || item.panics.is_empty() {
             continue;
         }
-        let sites: Vec<_> = item
-            .panics
-            .iter()
-            .filter(|p| config.index_panics || p.kind != PanicKind::Index)
-            .collect();
-        let Some(first) = sites.first() else { continue };
         stats.reachable_panic_fns += 1;
-        // Reconstruct the entry → ... → item chain.
+        // Reconstruct the root → ... → item chain.
         let mut chain = vec![idx];
         let mut cursor = idx;
         while let Some(p) = parent[cursor] {
@@ -140,26 +135,24 @@ pub fn panic_reachability(
             cursor = p;
         }
         chain.reverse();
+        let root = &table.items[chain[0]];
         let chain_text: Vec<String> = chain.iter().map(|&i| table.items[i].path()).collect();
-        let extra = if sites.len() > 1 {
-            format!(" (+{} more site(s) in this fn)", sites.len() - 1)
-        } else {
-            String::new()
-        };
-        out.push(Finding {
-            rule: "panic-reachability".to_string(),
-            severity: Severity::Error,
-            path: item.file.clone(),
-            line: first.line,
-            message: format!(
-                "{} at line {} is reachable from public entry point `{}` via {}{}",
-                first.kind.label(),
-                first.line,
-                chain_text.first().cloned().unwrap_or_default(),
-                chain_text.join(" → "),
-                extra,
-            ),
-        });
+        let visibility = if root.is_pub { "public entry point" } else { "library fn" };
+        for site in &item.panics {
+            out.push(Finding {
+                rule: "panic-reachability".to_string(),
+                severity: Severity::Error,
+                path: item.file.clone(),
+                line: site.line,
+                message: format!(
+                    "{} at line {} is reachable from {visibility} `{}` via {}",
+                    site.kind.label(),
+                    site.line,
+                    root.path(),
+                    chain_text.join(" → "),
+                ),
+            });
+        }
     }
 }
 
@@ -557,7 +550,7 @@ pub fn find_cycles(graph: &LockGraph) -> Vec<Vec<String>> {
 }
 
 /// `alloc-in-hot-path`: flags allocation-family calls inside functions
-/// marked `// lint: hot` or matching a configured hot-path prefix.
+/// matching a configured `[alloc-hot-path]` prefix.
 pub fn alloc_in_hot_path(
     table: &SymbolTable,
     config: &LintConfig,
@@ -570,19 +563,17 @@ pub fn alloc_in_hot_path(
             continue;
         }
         let path = item.path();
-        let mut configured = false;
+        let mut hot = false;
         for (prefix, used) in config.hot_paths.iter().zip(prefix_used.iter_mut()) {
             if path.starts_with(prefix.as_str()) {
                 *used = true;
-                configured = true;
+                hot = true;
             }
         }
-        let marked = item.hot_marker;
-        if !configured && !marked {
+        if !hot {
             continue;
         }
         stats.hot_fns += 1;
-        let how = if marked { "`// lint: hot` marker" } else { "lint.toml hot path" };
         for alloc in &item.allocs {
             out.push(Finding {
                 rule: "alloc-in-hot-path".to_string(),
@@ -590,7 +581,7 @@ pub fn alloc_in_hot_path(
                 path: item.file.clone(),
                 line: alloc.line,
                 message: format!(
-                    "`{}` allocates inside hot path `{path}` ({how}); preallocate, reuse a \
+                    "`{}` allocates inside hot path `{path}`; preallocate, reuse a \
                      scratch buffer, or baseline with a reason",
                     alloc.what,
                 ),

@@ -15,8 +15,6 @@
 //!
 //! The lexical rules:
 //!
-//! * `no-unwrap-in-lib` — panic-freedom at the call-site level in the
-//!   panic-free crates' non-test library code.
 //! * `no-wallclock-nondeterminism` — no wall-clock reads or unseeded RNGs
 //!   in `ms-sim`, `nmr-sim`, `neural`, `chemometrics` and `obs`.
 //! * `no-float-eq` — no `==`/`!=` against float literals outside tests.
@@ -25,16 +23,16 @@
 //!
 //! The graph rules (interprocedural, over the resolved call graph):
 //!
-//! * `panic-reachability` — flags functions reachable from public entry
-//!   points of the panic-free crates that can reach
-//!   `panic!`/`unwrap`/`expect` (and optionally indexing), reporting the
-//!   full entry-point→panic call chain.
+//! * `panic-reachability` — the one panic rule: a BFS rooted at every
+//!   library fn of the panic-free crates (plain-`pub` fns first) flags
+//!   each reachable `panic!`/`unwrap`/`expect` site, reporting the full
+//!   root→panic call chain.
 //! * `lock-graph` — builds the whole-workspace lock acquisition graph
 //!   (locks held while another is taken, including one level across
 //!   function calls), flags declared-order inversions, re-acquisitions
 //!   and cycles, and exports GraphViz DOT.
 //! * `alloc-in-hot-path` — flags allocation-family calls inside functions
-//!   marked `// lint: hot` or matching configured hot-path prefixes.
+//!   matching the `[alloc-hot-path]` prefixes in `lint.toml`.
 //!
 //! The dataflow rules (guard-liveness through bodies, one level across
 //! calls — [`dataflow`], DESIGN.md §14):
@@ -52,9 +50,9 @@
 //! The codegen audit layer ([`codegen`], `--codegen`, DESIGN.md §16)
 //! checks a different artifact entirely: the release-mode assembly the
 //! compiler actually emits for the hot kernels. It drives
-//! `cargo rustc --emit asm` (LLVM IR fallback), demangles and maps the
-//! symbols declared in `lint.toml`'s `[codegen]` section, and verifies
-//! per function:
+//! `cargo rustc --emit asm` on x86-64 (other hosts exit with an error),
+//! demangles and maps the symbols declared in `lint.toml`'s `[codegen]`
+//! section, and verifies per function:
 //!
 //! * `kernel-vectorized` — enough packed vector FMAs or multiplies, with
 //!   at least one in an innermost loop (the hot loop itself vectorized).

@@ -79,6 +79,7 @@ fn parse_args() -> Result<Options, String> {
                      --codegen        audit the emitted release assembly of the configured\n\
                      \x20                kernels (lint.toml [codegen]): vectorization,\n\
                      \x20                panic-freedom and alloc-freedom at instruction level\n\
+                     \x20                (x86-64 hosts only; elsewhere exits 2)\n\
                      --lock-dot PATH  write the lock acquisition graph as GraphViz DOT\n\
                      --sarif PATH     write active findings as SARIF 2.1.0 (PR annotations)"
                 );

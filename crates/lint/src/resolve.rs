@@ -37,14 +37,17 @@ pub enum Resolution {
 
 /// Method names too generic for the unique-name fallback: resolving
 /// `x.clone()` to the single workspace type with an inherent `clone`
-/// would create false edges everywhere.
+/// would create false edges everywhere (and `f.debug_struct(..).finish()`
+/// in a `Debug` impl is std's `DebugStruct::finish`, not a workspace
+/// type's `finish`).
 const COMMON_METHODS: &[&str] = &[
     "all", "and_then", "any", "as_bytes", "as_ref", "as_str", "abs", "chain", "clamp", "clone",
     "cloned", "cmp", "collect", "contains", "copied", "count", "default", "drain", "ends_with",
     "compare_exchange", "compare_exchange_weak", "enumerate", "eq", "extend",
     "extend_from_slice", "fetch_add", "fetch_and", "fetch_max", "fetch_min", "fetch_or",
     "fetch_sub", "fetch_update", "fetch_xor", "filter", "filter_map",
-    "find", "first", "flat_map", "flatten", "fmt", "fold", "from", "get", "get_mut", "hash",
+    "find", "finish", "first", "flat_map", "flatten", "fmt", "fold", "from", "get", "get_mut",
+    "hash",
     "insert", "into", "into_iter", "is_empty", "is_some", "is_none", "iter", "iter_mut",
     "join", "last", "len", "load", "lock", "map", "map_err", "max", "min", "new", "next",
     "notify_all", "notify_one", "ok", "ok_or", "ok_or_else", "parse", "pop", "position",
@@ -257,7 +260,7 @@ mod tests {
     fn parse(path: &str, crate_dir: &str, src: &str) -> ParsedFile {
         let tokens = lexer::lex(src);
         let mask = lexer::test_mask(&tokens);
-        parse_file(path, crate_dir, src, &tokens, &mask)
+        parse_file(path, crate_dir, &tokens, &mask)
     }
 
     fn find_call(item: &FnItem, pred: impl Fn(&CallKind) -> bool) -> &CallKind {

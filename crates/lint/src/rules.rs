@@ -8,18 +8,21 @@
 //!
 //! The graph-based rules (`panic-reachability`, `lock-graph`,
 //! `alloc-in-hot-path`) live in [`crate::graph`]; they run over the whole
-//! workspace at once rather than file-by-file.
+//! workspace at once rather than file-by-file. Panic-freedom is one of
+//! them: `panic-reachability` roots its search at every library fn of
+//! the panic-free crates, so it flags each panic site in them along with
+//! the call chain that reaches it.
 
 use crate::findings::{Finding, Severity};
 use crate::lexer::{Token, TokenKind};
 
 /// Crates whose non-test library code must be panic-free
-/// (`no-unwrap-in-lib` and `panic-reachability`): the serving path, the
-/// model runtime, persistence, the orchestration core, the observability
-/// layer (which instruments all of them and must never take a hot path
-/// down), the chemometrics/chem analysis stack the paper's pipelines
-/// call from batch jobs, and the closed monitoring loop (which runs
-/// unattended and must degrade to accounted errors, never aborts).
+/// (`panic-reachability`): the serving path, the model runtime,
+/// persistence, the orchestration core, the observability layer (which
+/// instruments all of them and must never take a hot path down), the
+/// chemometrics/chem analysis stack the paper's pipelines call from
+/// batch jobs, and the closed monitoring loop (which runs unattended and
+/// must degrade to accounted errors, never aborts).
 pub const PANIC_FREE_CRATES: &[&str] = &[
     "serve",
     "neural",
@@ -74,52 +77,9 @@ impl FileInput<'_> {
 
 /// Runs every lexical rule over one file.
 pub fn check_file(file: &FileInput<'_>, out: &mut Vec<Finding>) {
-    no_unwrap_in_lib(file, out);
     no_wallclock_nondeterminism(file, out);
     no_float_eq(file, out);
     forbid_unsafe_coverage(file, out);
-}
-
-fn prev_is(tokens: &[Token], i: usize, c: char) -> bool {
-    i > 0 && tokens[i - 1].is_punct(c)
-}
-
-fn next_is(tokens: &[Token], i: usize, c: char) -> bool {
-    tokens.get(i + 1).is_some_and(|t| t.is_punct(c))
-}
-
-/// `no-unwrap-in-lib`: forbids `.unwrap()`, `.expect(..)` and the panic
-/// macro family (`panic!`, `unreachable!`, `todo!`, `unimplemented!`) in
-/// the non-test library code of the panic-free crates. Test modules,
-/// `#[test]` functions, `tests/` trees and bench binaries are exempt.
-fn no_unwrap_in_lib(file: &FileInput<'_>, out: &mut Vec<Finding>) {
-    if !PANIC_FREE_CRATES.contains(&file.crate_name) || file.is_compat {
-        return;
-    }
-    for (i, token) in file.tokens.iter().enumerate() {
-        if file.test_mask[i] || token.kind != TokenKind::Ident {
-            continue;
-        }
-        let method_call = prev_is(file.tokens, i, '.') && next_is(file.tokens, i, '(');
-        let flagged = match token.text.as_str() {
-            "unwrap" | "expect" if method_call => Some(format!(
-                ".{}() panics on the error path; return a typed error instead",
-                token.text
-            )),
-            "panic" | "unreachable" | "todo" | "unimplemented"
-                if next_is(file.tokens, i, '!') =>
-            {
-                Some(format!(
-                    "{}! aborts the thread; library code must surface a typed error",
-                    token.text
-                ))
-            }
-            _ => None,
-        };
-        if let Some(message) = flagged {
-            out.push(file.finding("no-unwrap-in-lib", Severity::Error, token.line, message));
-        }
-    }
 }
 
 /// `no-wallclock-nondeterminism`: forbids wall-clock reads and unseeded

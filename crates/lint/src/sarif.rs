@@ -14,10 +14,6 @@ use crate::findings::{Report, Severity};
 /// viewers show next to each result.
 pub const RULES: &[(&str, &str)] = &[
     (
-        "no-unwrap-in-lib",
-        "No unwrap/expect in the panic-free crates' non-test library code",
-    ),
-    (
         "no-wallclock-nondeterminism",
         "No wall-clock reads or unseeded RNGs in deterministic crates",
     ),
@@ -28,7 +24,7 @@ pub const RULES: &[(&str, &str)] = &[
     ),
     (
         "panic-reachability",
-        "No panic site reachable from a public entry point of a panic-free crate",
+        "No panic site reachable from the library code of a panic-free crate",
     ),
     (
         "lock-graph",

@@ -9,10 +9,7 @@
 //! kernels, which multiply and add separately and never fuse, prove
 //! their vectorization with packed multiplies instead of FMAs.
 
-use lint::codegen::{
-    analyze, check_functions, demangle, merge_into, parse_asm, parse_llvm_ir, CodegenReport,
-    EmitMode,
-};
+use lint::codegen::{analyze, check_functions, demangle, merge_into, parse_asm, CodegenReport};
 use lint::config::{CodegenConfig, CodegenSuppression, LintConfig};
 use lint::findings::{GraphStats, Report};
 
@@ -37,14 +34,7 @@ fn config(audit: &[&str], vectorized: &[&str], no_extern: &[&str]) -> CodegenCon
 }
 
 fn run(asm: &str, config: &CodegenConfig, suppressions: &[CodegenSuppression]) -> CodegenReport {
-    check_functions(
-        &parse_asm(asm),
-        config,
-        suppressions,
-        None,
-        EmitMode::Asm,
-        true,
-    )
+    check_functions(&parse_asm(asm), config, suppressions, None)
 }
 
 fn count_rule(report: &CodegenReport, rule: &str) -> usize {
@@ -270,63 +260,6 @@ fn codegen_findings_round_trip_through_sarif() {
 }
 
 #[test]
-fn llvm_ir_fallback_flags_the_same_families() {
-    let ir = r#"
-define internal void @_ZN6neural7kernels4gemm8gemm_acc17h0123456789abcdefE(ptr %x) {
-start:
-  br label %loop
-loop:
-  %i = phi i64 [ 0, %start ], [ %n, %loop ]
-  %v = call <8 x float> @llvm.fma.v8f32(<8 x float> %a, <8 x float> %b, <8 x float> %c)
-  %n = add i64 %i, 1
-  %c2 = icmp ult i64 %n, 128
-  br i1 %c2, label %loop, label %exit
-exit:
-  call void @_ZN4core9panicking18panic_bounds_check17hfeedfacefeedfaceE(i64 1, i64 0)
-  unreachable
-}
-"#;
-    let functions = parse_llvm_ir(ir);
-    assert_eq!(functions.len(), 1);
-    assert_eq!(functions[0].path, GEMM);
-    let mut cfg = config(&[GEMM], &[GEMM], &[]);
-    cfg.min_vector_fma = 1;
-    let report = check_functions(&functions, &cfg, &[], None, EmitMode::LlvmIr, true);
-    assert_eq!(count_rule(&report, "kernel-no-panic"), 1);
-    assert_eq!(count_rule(&report, "kernel-vectorized"), 0);
-    assert!(report.symbols[0].audit.loop_fma);
-}
-
-#[test]
-fn llvm_ir_fallback_counts_vector_fmul_as_packed_multiply() {
-    let ir = r#"
-define internal void @_ZN6neural6layers4lstm12project_tile17h0123456789abcdefE(ptr %x) {
-start:
-  br label %loop
-loop:
-  %i = phi i64 [ 0, %start ], [ %n, %loop ]
-  %p = fmul <8 x float> %w, %xs
-  %a = fadd <8 x float> %acc, %p
-  %s = fmul float %u, %v
-  %n = add i64 %i, 1
-  %c2 = icmp ult i64 %n, 128
-  br i1 %c2, label %loop, label %exit
-exit:
-  ret void
-}
-"#;
-    let functions = parse_llvm_ir(ir);
-    let mut cfg = config(&[TILE], &[TILE], &[]);
-    cfg.min_vector_fma = 1;
-    let report = check_functions(&functions, &cfg, &[], None, EmitMode::LlvmIr, true);
-    let audit = &report.symbols[0].audit;
-    assert_eq!(audit.packed_mul, 1);
-    assert_eq!(audit.packed_fma, 0);
-    assert!(audit.loop_fma);
-    assert!(report.findings.is_empty(), "{:?}", report.findings);
-}
-
-#[test]
 fn lint_toml_codegen_section_drives_the_rules() {
     // End-to-end: config text -> parsed [codegen] -> rules.
     let toml = r#"
@@ -349,8 +282,6 @@ reason = "fixture kernel is scalar on purpose"
         &parsed.codegen,
         &parsed.codegen_suppressions,
         None,
-        EmitMode::Asm,
-        true,
     );
     // vectorized only audits gemm_acc (suppressed); extern rule applies
     // to both via the glob but only gemm_acc calls expf.

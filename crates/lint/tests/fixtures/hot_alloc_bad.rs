@@ -1,7 +1,7 @@
-//! Known-bad fixture: allocation-family calls inside a `// lint: hot`
-//! function, plus a cold function that only becomes hot via lint.toml.
+//! Known-bad fixture: allocation-family calls inside `tick`, plus a
+//! second allocating function `cold`; each is hot only when lint.toml's
+//! `[alloc-hot-path]` lists it.
 
-// lint: hot
 pub fn tick(buf: &mut Vec<f32>, xs: &[f32]) {
     let mut scratch = Vec::new();
     scratch.push(1.0);

@@ -1,6 +1,6 @@
-//! Fixture tests for the graph rules: `panic-reachability` call chains,
-//! the workspace `lock-graph` (including the cross-function cycle the old
-//! lexical rule could not see) and `alloc-in-hot-path`.
+//! Fixture tests for the graph rules: `panic-reachability` call chains
+//! and roots, the workspace `lock-graph` (including the cross-function
+//! cycle the old lexical rule could not see) and `alloc-in-hot-path`.
 //!
 //! Fixtures are fed through [`lint::engine::analyze_sources`] as
 //! synthetic multi-file workspaces, so resolution and the graph rules run
@@ -69,9 +69,9 @@ fn panic_reachability_reports_the_full_cross_crate_chain() {
         "{}",
         finding.message
     );
-    // The lexical rule independently flags the unwrap call site.
-    assert_eq!(rule_findings(&analysis, "no-unwrap-in-lib").len(), 1);
-    assert_eq!(analysis.report.stats.entry_points, 1, "only `handle` is plain pub");
+    // Every library fn of serve and neural is a root, but the plain-pub
+    // `handle` seeds first and reaches the other three.
+    assert_eq!(analysis.report.stats.entry_points, 1, "only `handle` seeds");
     assert_eq!(analysis.report.stats.reachable_panic_fns, 1);
 }
 
@@ -99,15 +99,63 @@ fn panic_reachability_good_fixture_is_clean() {
 }
 
 #[test]
-fn panic_reachability_indexing_is_config_gated() {
-    let entry = "pub fn peek(xs: &[f32]) -> f32 { xs[0] }\n";
-    let files = [("crates/serve/src/peek.rs", entry)];
-    let off = analyze(&files, "");
-    assert!(rule_findings(&off, "panic-reachability").is_empty());
-    let on = analyze(&files, "[panic-reachability]\nindex-panics = true\n");
-    let findings = rule_findings(&on, "panic-reachability");
-    assert_eq!(findings.len(), 1, "findings: {findings:?}");
-    assert!(findings[0].message.contains("indexing"), "{}", findings[0].message);
+fn panic_reachability_roots_every_library_fn_not_just_the_public_api() {
+    // A trait-impl method, a `pub(crate)` method and a private fn that
+    // nothing calls, plus a closure inside a `pub` fn. A search rooted at
+    // the public API alone sees only the closure.
+    let analysis = analyze(
+        &[(
+            "crates/serve/src/payload.rs",
+            include_str!("fixtures/panic_blind_spots.rs"),
+        )],
+        "",
+    );
+    let findings = rule_findings(&analysis, "panic-reachability");
+    let lines: Vec<usize> = findings.iter().map(|f| f.line).collect();
+    assert_eq!(lines, [14, 20, 25, 29], "findings: {findings:?}");
+    for (finding, root) in findings.iter().zip([
+        "library fn `serve::payload::Payload::fmt`",
+        "library fn `serve::payload::Payload::head`",
+        "library fn `serve::payload::checksum`",
+        "public entry point `serve::payload::lengths`",
+    ]) {
+        assert!(finding.message.contains(root), "{}", finding.message);
+    }
+    assert_eq!(analysis.report.stats.reachable_panic_fns, 4);
+}
+
+#[test]
+fn std_debug_struct_finish_never_resolves_to_a_workspace_finish() {
+    // `finish()` in a `Debug` impl is std's `DebugStruct::finish`. The
+    // unique-name method fallback must not bind it to the one workspace
+    // type with a `finish` method, here in a crate obs cannot even
+    // depend on: that edge would be a false panic chain.
+    let guard = "use std::fmt;
+                 pub struct InstallGuard { depth: usize }
+                 impl fmt::Debug for InstallGuard {
+                     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+                         f.debug_struct(\"InstallGuard\").field(\"depth\", &self.depth).finish()
+                     }
+                 }
+";
+    let session = "pub struct TraceSession { path: Option<String> }
+                   impl TraceSession {
+                       pub fn finish(self) -> usize { self.path.expect(\"trace path\").len() }
+                   }
+";
+    let analysis = analyze(
+        &[
+            ("crates/obs/src/install.rs", guard),
+            ("crates/bench/src/lib.rs", session),
+        ],
+        "",
+    );
+    assert_eq!(analysis.report.stats.calls_resolved, 0, "no edge to TraceSession::finish");
+    assert!(
+        rule_findings(&analysis, "panic-reachability").is_empty(),
+        "findings: {:?}",
+        analysis.report.findings
+    );
 }
 
 #[test]
@@ -222,8 +270,13 @@ fn alloc_in_hot_path_flags_marked_and_configured_functions() {
         "crates/serve/src/hot.rs",
         include_str!("fixtures/hot_alloc_bad.rs"),
     )];
-    // Marker only: `tick` is hot, `cold` is not.
-    let marked = analyze(&files, "");
+    // Nothing is hot unless lint.toml lists it.
+    let unlisted = analyze(&files, "");
+    assert!(rule_findings(&unlisted, "alloc-in-hot-path").is_empty());
+    assert_eq!(unlisted.report.stats.hot_fns, 0);
+
+    // `tick` listed: hot, `cold` is not.
+    let marked = analyze(&files, "[alloc-hot-path]\npaths = [\"serve::hot::tick\"]\n");
     let findings = rule_findings(&marked, "alloc-in-hot-path");
     let whats: Vec<&str> = findings
         .iter()
@@ -233,10 +286,10 @@ fn alloc_in_hot_path_flags_marked_and_configured_functions() {
     assert!(findings.iter().all(|f| f.message.contains("serve::hot::tick")));
     assert_eq!(marked.report.stats.hot_fns, 1);
 
-    // Configured prefix additionally pulls `cold` in.
+    // A second prefix additionally pulls `cold` in.
     let configured = analyze(
         &files,
-        "[alloc-hot-path]\npaths = [\"serve::hot::cold\"]\n",
+        "[alloc-hot-path]\npaths = [\"serve::hot::tick\", \"serve::hot::cold\"]\n",
     );
     let findings = rule_findings(&configured, "alloc-in-hot-path");
     assert_eq!(findings.len(), 5, "findings: {findings:?}");
@@ -256,7 +309,7 @@ fn alloc_hot_path_prefix_matching_no_function_is_stale() {
             "crates/serve/src/hot.rs",
             include_str!("fixtures/hot_alloc_bad.rs"),
         )],
-        "[alloc-hot-path]\npaths = [\"serve::hot::cold\", \"serve::moved::worker_loop\"]\n",
+        "[alloc-hot-path]\npaths = [\"serve::hot::\", \"serve::moved::worker_loop\"]\n",
     );
     let findings = rule_findings(&analysis, "stale-config");
     assert_eq!(findings.len(), 1, "findings: {findings:?}");
@@ -266,7 +319,7 @@ fn alloc_hot_path_prefix_matching_no_function_is_stale() {
         "{}",
         findings[0].message
     );
-    // The live prefix still pulls `cold` in.
+    // The live prefix still pulls `tick` and `cold` in.
     assert_eq!(analysis.report.stats.hot_fns, 2);
 }
 

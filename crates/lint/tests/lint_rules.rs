@@ -1,15 +1,17 @@
 //! Fixture tests for the lexical rules: every rule against a known-bad
 //! and a known-good snippet, suppression/baseline behaviour, and JSON
-//! round-tripping. The graph rules have their own suite in
-//! `graph_rules.rs`.
+//! round-tripping. The `no_unwrap_*` fixtures check panic-freedom, which
+//! only the graph rule `panic-reachability` enforces; the other graph
+//! rules have their own suite in `graph_rules.rs`.
 //!
 //! Fixtures live under `tests/fixtures/` (the workspace walker skips
 //! `tests/` trees, so they never pollute a real `lint` run) and are fed
-//! through [`lint::engine::lint_source`] with synthetic workspace paths
+//! through [`lint::engine::lint_source`] (or, for the panic fixtures,
+//! [`lint::engine::analyze_sources`]) with synthetic workspace paths
 //! that place them in the crates each rule scopes to.
 
 use lint::config::LintConfig;
-use lint::engine::{apply_baseline, lint_source};
+use lint::engine::{analyze_sources, apply_baseline, lint_source};
 use lint::findings::{Finding, Report, Severity};
 
 fn findings_for(rel_path: &str, source: &str) -> Vec<Finding> {
@@ -18,18 +20,25 @@ fn findings_for(rel_path: &str, source: &str) -> Vec<Finding> {
     out
 }
 
+/// Every finding of a one-file workspace, graph rules included: the
+/// panic rule needs the symbol table and call graph.
+fn workspace_findings_for(rel_path: &str, source: &str) -> Vec<Finding> {
+    let sources = [(rel_path.to_string(), source.to_string())];
+    analyze_sources(&sources, &LintConfig::default()).report.findings
+}
+
 fn rule_counts(findings: &[Finding], rule: &str) -> usize {
     findings.iter().filter(|f| f.rule == rule).count()
 }
 
 #[test]
 fn no_unwrap_bad_fixture_yields_exactly_four_errors() {
-    let findings = findings_for(
+    let findings = workspace_findings_for(
         "crates/serve/src/payload.rs",
         include_str!("fixtures/no_unwrap_bad.rs"),
     );
     assert_eq!(findings.len(), 4, "findings: {findings:?}");
-    assert_eq!(rule_counts(&findings, "no-unwrap-in-lib"), 4);
+    assert_eq!(rule_counts(&findings, "panic-reachability"), 4);
     assert!(findings.iter().all(|f| f.severity == Severity::Error));
     let lines: Vec<usize> = findings.iter().map(|f| f.line).collect();
     assert_eq!(lines, vec![4, 5, 7, 13]);
@@ -37,7 +46,7 @@ fn no_unwrap_bad_fixture_yields_exactly_four_errors() {
 
 #[test]
 fn no_unwrap_good_fixture_is_clean() {
-    let findings = findings_for(
+    let findings = workspace_findings_for(
         "crates/serve/src/payload.rs",
         include_str!("fixtures/no_unwrap_good.rs"),
     );
@@ -47,12 +56,12 @@ fn no_unwrap_good_fixture_is_clean() {
 #[test]
 fn no_unwrap_applies_to_chemometrics_and_chem() {
     for krate in ["chemometrics", "chem"] {
-        let findings = findings_for(
+        let findings = workspace_findings_for(
             &format!("crates/{krate}/src/payload.rs"),
             include_str!("fixtures/no_unwrap_bad.rs"),
         );
         assert_eq!(
-            rule_counts(&findings, "no-unwrap-in-lib"),
+            rule_counts(&findings, "panic-reachability"),
             4,
             "{krate}: {findings:?}"
         );
@@ -62,11 +71,11 @@ fn no_unwrap_applies_to_chemometrics_and_chem() {
 #[test]
 fn no_unwrap_does_not_apply_outside_panic_free_crates() {
     // The same bad source in a non-panic-free crate is fine.
-    let findings = findings_for(
+    let findings = workspace_findings_for(
         "crates/spectrum/src/payload.rs",
         include_str!("fixtures/no_unwrap_bad.rs"),
     );
-    assert_eq!(rule_counts(&findings, "no-unwrap-in-lib"), 0);
+    assert_eq!(rule_counts(&findings, "panic-reachability"), 0);
 }
 
 #[test]
@@ -156,7 +165,7 @@ line = 4
 reason = "fixture: exact zero guard, honored"
 
 [[suppress]]
-rule = "no-unwrap-in-lib"
+rule = "panic-reachability"
 path = "crates/serve/src/deleted_file.rs"
 reason = "fixture: refers to a file that no longer exists"
 "#,
@@ -177,7 +186,7 @@ reason = "fixture: refers to a file that no longer exists"
     assert_eq!(report.findings[0].line, 8);
     // The suppression pointing at a vanished file is reported stale.
     assert_eq!(report.stale_suppressions.len(), 1);
-    assert_eq!(report.stale_suppressions[0].rule, "no-unwrap-in-lib");
+    assert_eq!(report.stale_suppressions[0].rule, "panic-reachability");
     assert_eq!(
         report.stale_suppressions[0].path,
         "crates/serve/src/deleted_file.rs"
@@ -242,8 +251,8 @@ reason = "fixture: whole-file baseline"
 fn report_round_trips_through_serde_json() {
     let mut findings = Vec::new();
     lint_source(
-        "crates/serve/src/payload.rs",
-        include_str!("fixtures/no_unwrap_bad.rs"),
+        "crates/spectrum/src/guards.rs",
+        include_str!("fixtures/float_eq_bad.rs"),
         &mut findings,
     );
     let report = apply_baseline(findings, &LintConfig::default(), 1);

@@ -68,7 +68,6 @@ fn exp_fast(x: f32) -> f32 {
 /// delegated to the exact reference implementation.
 #[inline(never)] // codegen-audit anchor: keep a standalone symbol (lint.toml [codegen])
 pub(crate) fn apply_fast(activation: Activation, values: &mut [f32], group: usize) {
-    // lint: hot
     match activation {
         Activation::Linear => {}
         Activation::Relu => {

@@ -251,7 +251,6 @@ pub(crate) fn conv1d(
     dst: &mut [f32],
     col: &mut [f32],
 ) {
-    // lint: hot
     debug_assert!(w.len() == filters * taps.len() && bias.len() == filters);
     debug_assert!(stride >= 1);
     // A provably nonzero stride removes every division-by-zero panic
@@ -326,7 +325,6 @@ fn softmax_channelwise(
     dst: &mut [f32],
     tmp: &mut [f32],
 ) {
-    // lint: hot
     let per_sample = filters * out_len;
     for b in 0..batch {
         let d = &mut dst[b * per_sample..][..per_sample];
@@ -361,7 +359,6 @@ pub(crate) fn local1d(
     col: &mut [f32],
     aux: &mut [f32],
 ) {
-    // lint: hot
     let k_len = in_channels * kernel;
     let posmajor_len = out_len * filters;
     for op in 0..out_len {
@@ -431,7 +428,6 @@ fn finish_channelwise(
     posmajor: &mut [f32],
     dst: &mut [f32],
 ) {
-    // lint: hot
     if filters == 0 || out_len == 0 {
         return; // guards the chunks_exact nonzero-assert panic edges
     }

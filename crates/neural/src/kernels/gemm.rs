@@ -62,7 +62,6 @@ pub(crate) fn gemm_bias(
     y_stride: usize,
     y_offset: usize,
 ) {
-    // lint: hot
     debug_assert!(y_stride >= n && bias.len() == n && wt.len() == k_len * n);
     for r in 0..rows {
         let base = y_offset + r * y_stride;
@@ -99,7 +98,6 @@ pub(crate) fn gemm_acc(
     y_stride: usize,
     y_offset: usize,
 ) {
-    // lint: hot
     debug_assert!(y_stride >= n && wt.len() == k_len * n);
     #[inline(always)]
     fn row_of(x: &[f32], r: usize, x_stride: usize, k_len: usize) -> Option<&[f32]> {

@@ -322,7 +322,6 @@ impl BatchKernel {
         aux: &mut [f32],
         cell: &mut [f32],
     ) {
-        // lint: hot
         match self {
             BatchKernel::Identity { len } => {
                 dst[..batch * len].copy_from_slice(&src[..batch * len]);
@@ -460,7 +459,6 @@ pub(crate) fn run_all(
     scratch: &mut Scratch,
     observe: &mut dyn FnMut(usize, &'static str, &[f32]),
 ) {
-    // lint: hot
     let Scratch {
         ping,
         pong,

@@ -21,7 +21,6 @@ pub(crate) fn maxpool(
     src: &[f32],
     dst: &mut [f32],
 ) {
-    // lint: hot
     if out_len == 0 {
         return; // guards the chunks_exact_mut panic edge on degenerate shapes
     }
@@ -68,7 +67,6 @@ pub(crate) fn avgpool(
     src: &[f32],
     dst: &mut [f32],
 ) {
-    // lint: hot
     if out_len == 0 {
         return; // guards the chunks_exact_mut panic edge on degenerate shapes
     }

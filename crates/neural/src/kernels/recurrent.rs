@@ -31,7 +31,6 @@ pub(crate) fn lstm(
     aux: &mut [f32],
     cell: &mut [f32],
 ) {
-    // lint: hot
     let h = units;
     let d = features;
     if h == 0 {

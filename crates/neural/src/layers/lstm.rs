@@ -135,7 +135,6 @@ fn same_bits(a: &[f32], b: &[f32]) -> bool {
 /// packed multiplies whatever the compiler's own unrolling decides.
 #[inline(never)] // codegen-audit anchor: keep a standalone symbol (lint.toml [codegen])
 fn project_tile(w: &[f32], x: &[[f32; LANES]]) -> [[f32; LANES]; ROWS] {
-    // lint: hot
     let mut acc = [[0.0f32; LANES]; ROWS];
     let d = x.len();
     let Some((w0, rest)) = w.split_at_checked(d) else {

@@ -409,7 +409,6 @@ impl FrozenPlan {
         scratch: &mut Scratch,
         observe: &mut dyn FnMut(usize, &'static str),
     ) {
-        // lint: hot
         scratch.ensure(&self.scratch_dims, batch);
         let mut tracker = crate::checked::FiniteTracker::new(inputs);
         kernels::run_all(
