@@ -146,7 +146,7 @@ fn main() {
         let per = validation.per_output_mae(&mut network);
         let sim_mae = per.iter().sum::<f64>() / per.len() as f64;
         // Inference timing.
-        let probe = &train.inputs()[0];
+        let probe = train.input(0).expect("a training sample");
         let start = Instant::now();
         let reps = 200;
         for _ in 0..reps {

@@ -10,9 +10,9 @@
 //!   sequential `Network::predict`, the one forward reference;
 //! * `kernel_speedup` — the per-sample sum of per-layer kernel timings
 //!   from an instrumented single-thread probe batch of 32, against the
-//!   per-sample sequential time — stays ≥ 4×; each layer also reports
-//!   its GMAC/s as a `roofline_frac` of the host's measured one-core
-//!   FMA peak (`fma_peak_gmac_s`);
+//!   per-sample sequential time of the median 25-request chunk — stays
+//!   ≥ 4×; each layer also reports its GMAC/s as a `roofline_frac` of
+//!   the host's measured one-core FMA peak (`fma_peak_gmac_s`);
 //! * a span-wrapped predict with no collector installed stays within 5%
 //!   of the bare call (median of 21 interleaved trials);
 //! * `--gate-baseline PATH`: the run drops no more than 25% against a
@@ -57,6 +57,9 @@ const OUTPUTS: usize = 8;
 const TOLERANCE: f32 = 1e-4;
 /// Samples per batch in the single-thread kernel timing probe.
 const PROBE_BATCH: usize = 32;
+/// Requests per timed chunk of the sequential baseline; `kernel_speedup`
+/// divides the median chunk's per-sample time.
+const SEQUENTIAL_CHUNK: usize = 25;
 
 /// The command line. `--trace PATH` is accepted here and read by
 /// [`TraceSession::from_args`].
@@ -236,10 +239,21 @@ fn main() {
         .map(|_| (0..INPUT_LEN).map(|_| rng.gen_range(0.0f32..1.0)).collect())
         .collect();
 
-    // Single-thread sequential baseline — also the tolerance oracle.
+    // Single-thread sequential baseline — also the tolerance oracle —
+    // timed in fixed-size chunks so that one descheduled stretch moves a
+    // chunk, not the median chunk's per-sample time.
+    let mut expected: Vec<Vec<f32>> = Vec::with_capacity(n_requests);
+    let mut chunk_us_per_sample = Vec::new();
     let started = Instant::now();
-    let expected: Vec<Vec<f32>> = inputs.iter().map(|x| network.predict(x)).collect();
+    for chunk in inputs.chunks(SEQUENTIAL_CHUNK) {
+        let chunk_started = Instant::now();
+        expected.extend(chunk.iter().map(|x| network.predict(x)));
+        let us = chunk_started.elapsed().as_secs_f64() * 1e6;
+        chunk_us_per_sample.push(us / chunk.len() as f64);
+    }
     let sequential_seconds = started.elapsed().as_secs_f64();
+    chunk_us_per_sample.sort_by(f64::total_cmp);
+    let sequential_us_per_sample = chunk_us_per_sample[chunk_us_per_sample.len() / 2];
     let sequential_rps = n_requests as f64 / sequential_seconds;
     println!(
         "sequential: {n_requests} predictions in {sequential_seconds:.3}s ({sequential_rps:.0} req/s)"
@@ -287,10 +301,9 @@ fn main() {
     }
 
     // Kernel speedup gate: single-thread batched kernels against
-    // single-thread sequential `Network::predict`, both per sample and
-    // both measured in this process, so the ratio is independent of
-    // worker count and host speed.
-    let sequential_us_per_sample = sequential_seconds * 1e6 / n_requests as f64;
+    // single-thread sequential `Network::predict` (the median chunk),
+    // both per sample and both measured in this process, so the ratio is
+    // independent of worker count and host speed.
     let kernel_us_per_sample = kernel_timings
         .iter()
         .map(|t| t["median_us"].as_f64().unwrap_or(0.0))

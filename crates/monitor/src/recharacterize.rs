@@ -254,7 +254,7 @@ fn publish_candidate(
     registry.publish_gated(&config.model_name, receipt.version, &exported, |plan| {
         let mut total = 0.0f64;
         let mut count = 0usize;
-        for (input, target) in validation.inputs().iter().zip(validation.targets()) {
+        for (input, target) in validation.inputs().zip(validation.targets()) {
             let output = plan
                 .predict(input)
                 .map_err(|err| format!("candidate inference failed: {err}"))?;

@@ -66,15 +66,17 @@ impl<'a> Rows<'a> {
     /// among the `timesteps` rows before it, if there is one: that is
     /// where sliding windows keep their predecessor's rows and
     /// plateau-repeat windows their repeats. Rows are equal only if
-    /// every value is equal by `to_bits`.
+    /// every value is equal by `to_bits`. Windows that are views of one
+    /// row buffer share their rows' memory, so the same slice (pointer
+    /// and length) matches first, without comparing values; the recent
+    /// ids never hold two equal rows, so either search finds the same id.
     fn push(&mut self, window: &'a [f32], features: usize, timesteps: usize) {
         for x in window.chunks_exact(features) {
             let recent = &self.ids[self.ids.len().saturating_sub(timesteps)..];
-            let id = match recent
-                .iter()
-                .copied()
-                .find(|&id| same_bits(self.distinct[id], x))
-            {
+            let find = |eq: fn(&[f32], &[f32]) -> bool| {
+                recent.iter().copied().find(|&id| eq(self.distinct[id], x))
+            };
+            let id = match find(|a, b| std::ptr::eq(a, b)).or_else(|| find(same_bits)) {
                 Some(id) => id,
                 None => {
                     self.distinct.push(x);
@@ -936,13 +938,18 @@ mod tests {
             let rows = row_stream(3 * GROUP / 2 + t, d, &mut draw);
             let sliding: Vec<Vec<f32>> = rows.windows(t).map(|w| w.concat()).collect();
             let disjoint: Vec<Vec<f32>> = rows.chunks_exact(t).map(|w| w.concat()).collect();
-            for (kind, windows) in [("sliding", &sliding), ("disjoint", &disjoint)] {
+            // Sliding windows as views of one buffer share their rows' memory.
+            let buffer = rows.concat();
+            let views: Vec<&[f32]> = buffer.windows(t * d).step_by(d).collect();
+            let copies: Vec<&[f32]> = sliding.iter().map(Vec::as_slice).collect();
+            let disjoint: Vec<&[f32]> = disjoint.iter().map(Vec::as_slice).collect();
+            let kinds = [("sliding", &copies), ("views", &views), ("disjoint", &disjoint)];
+            for (kind, windows) in kinds {
                 let want: Vec<Vec<f32>> = windows.iter().map(|w| layer.forward(w, false)).collect();
                 for size in [1, 7, GROUP + 1, windows.len()] {
                     let mut got = Vec::new();
-                    for batch in windows.chunks(size) {
-                        let refs: Vec<&[f32]> = batch.iter().map(Vec::as_slice).collect();
-                        got.extend(layer.forward_batch(&refs));
+                    for refs in windows.chunks(size) {
+                        got.extend(layer.forward_batch(refs));
                     }
                     assert_eq!(got.len(), want.len());
                     for (i, (g, w)) in got.iter().zip(&want).enumerate() {

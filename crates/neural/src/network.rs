@@ -620,7 +620,7 @@ mod tests {
             for batch in order.chunks(config.batch_size) {
                 net.zero_grads();
                 for &i in batch {
-                    let (x, t) = (&train.inputs()[i], &train.targets()[i]);
+                    let (x, t) = (train.input(i).unwrap(), &train.targets()[i]);
                     let prediction = net.forward(x, true);
                     epoch_loss += f64::from(config.loss.value(&prediction, t));
                     let mut g = config.loss.gradient(&prediction, t);
@@ -641,7 +641,6 @@ mod tests {
             train_loss.push((epoch_loss / train.len() as f64) as f32);
             let total: f32 = validation
                 .inputs()
-                .iter()
                 .zip(validation.targets())
                 .map(|(x, t)| config.loss.value(&net.predict(x), t))
                 .sum();

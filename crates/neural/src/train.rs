@@ -22,23 +22,34 @@ use crate::optim::{Optimizer, OptimizerSpec};
 use crate::{Loss, Network, NeuralError};
 
 /// A supervised dataset of flat `f32` samples.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// The inputs live in one buffer of rows laid end to end. Sample `i` is
+/// the `window` consecutive rows that start at row `i`, so consecutive
+/// samples overlap by `window - 1` rows and a sliding window over a time
+/// series holds each spectrum once. A plain dataset is the `window = 1`
+/// case: each row is one sample.
+#[derive(Debug, Clone)]
 pub struct Dataset {
-    inputs: Vec<Vec<f32>>,
+    /// The rows, laid end to end.
+    rows: Vec<f32>,
+    /// Values per row; sample `i` starts at `i * row_len`.
+    row_len: usize,
+    /// Values per sample, `window * row_len`.
+    width: usize,
     targets: Vec<Vec<f32>>,
 }
 
 impl Dataset {
-    /// Creates a dataset.
+    /// Creates a dataset with one sample per input.
     ///
     /// # Errors
     ///
     /// Returns [`NeuralError::InvalidDataset`] if the collections are
     /// empty, differ in length, or samples have inconsistent widths.
     pub fn new(inputs: Vec<Vec<f32>>, targets: Vec<Vec<f32>>) -> Result<Self, NeuralError> {
-        if inputs.is_empty() {
+        let Some(width) = inputs.first().map(Vec::len) else {
             return Err(NeuralError::InvalidDataset("no samples".into()));
-        }
+        };
         if inputs.len() != targets.len() {
             return Err(NeuralError::InvalidDataset(format!(
                 "{} inputs vs {} targets",
@@ -46,50 +57,110 @@ impl Dataset {
                 targets.len()
             )));
         }
-        let in_width = inputs[0].len();
-        let out_width = targets[0].len();
-        if in_width == 0 || out_width == 0 {
-            return Err(NeuralError::InvalidDataset("zero-width samples".into()));
+        if let Some(i) = inputs.iter().position(|x| x.len() != width) {
+            return Err(NeuralError::InvalidDataset(format!(
+                "sample {i} has inconsistent width"
+            )));
         }
-        for (i, (x, t)) in inputs.iter().zip(&targets).enumerate() {
-            if x.len() != in_width || t.len() != out_width {
-                return Err(NeuralError::InvalidDataset(format!(
-                    "sample {i} has inconsistent width"
-                )));
+        let mut rows = Vec::with_capacity(inputs.len() * width);
+        for x in inputs {
+            rows.extend(x);
+        }
+        Self::windows(rows, width, 1, targets)
+    }
+
+    /// Creates a dataset of sliding windows over a time series: `rows`
+    /// holds `rows.len() / row_len` time-ordered rows end to end, sample
+    /// `i` is rows `i .. i + window` and `targets[i]` is its target. No
+    /// row is copied into a window.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NeuralError::InvalidDataset`] if `row_len` or `window` is
+    /// zero, `rows` is not a whole number of rows or holds fewer than
+    /// `window` of them, the target count is not the window count, the
+    /// targets are empty or ragged, or any value is non-finite.
+    pub fn windows(
+        rows: Vec<f32>,
+        row_len: usize,
+        window: usize,
+        targets: Vec<Vec<f32>>,
+    ) -> Result<Self, NeuralError> {
+        let invalid = |message: String| Err(NeuralError::InvalidDataset(message));
+        if row_len == 0 || window == 0 {
+            return invalid("zero-width samples".into());
+        }
+        if !rows.len().is_multiple_of(row_len) {
+            return invalid(format!(
+                "{} values are not a whole number of {row_len}-value rows",
+                rows.len()
+            ));
+        }
+        let n_rows = rows.len() / row_len;
+        if n_rows < window {
+            return invalid(format!("{n_rows} rows cannot form a window of {window}"));
+        }
+        let windows = n_rows - window + 1;
+        if targets.len() != windows {
+            return invalid(format!("{windows} windows vs {} targets", targets.len()));
+        }
+        let out_width = targets.first().map_or(0, Vec::len);
+        if out_width == 0 {
+            return invalid("zero-width targets".into());
+        }
+        for (i, t) in targets.iter().enumerate() {
+            if t.len() != out_width {
+                return invalid(format!("target {i} has inconsistent width"));
             }
-            if x.iter().chain(t.iter()).any(|v| !v.is_finite()) {
-                return Err(NeuralError::InvalidDataset(format!(
-                    "sample {i} contains non-finite values"
-                )));
+            if t.iter().any(|v| !v.is_finite()) {
+                return invalid(format!("target {i} contains non-finite values"));
             }
         }
-        Ok(Self { inputs, targets })
+        // Each row once, however many windows share it.
+        if let Some(r) = rows
+            .chunks_exact(row_len)
+            .position(|row| row.iter().any(|v| !v.is_finite()))
+        {
+            return invalid(format!("row {r} contains non-finite values"));
+        }
+        Ok(Self {
+            rows,
+            row_len,
+            width: window * row_len,
+            targets,
+        })
     }
 
     /// Number of samples.
     pub fn len(&self) -> usize {
-        self.inputs.len()
+        self.targets.len()
     }
 
     /// Returns `true` if the dataset has no samples (never, by
     /// construction).
     pub fn is_empty(&self) -> bool {
-        self.inputs.is_empty()
+        self.targets.is_empty()
     }
 
     /// Input width.
     pub fn input_width(&self) -> usize {
-        self.inputs[0].len()
+        self.width
     }
 
     /// Target width.
     pub fn target_width(&self) -> usize {
-        self.targets[0].len()
+        self.targets.first().map_or(0, Vec::len)
     }
 
-    /// The input samples.
-    pub fn inputs(&self) -> &[Vec<f32>] {
-        &self.inputs
+    /// The input samples, in order; windows are views of the row buffer.
+    pub fn inputs(&self) -> impl ExactSizeIterator<Item = &[f32]> + Clone {
+        self.rows.windows(self.width).step_by(self.row_len)
+    }
+
+    /// Input sample `i`, or `None` past the end.
+    pub fn input(&self, i: usize) -> Option<&[f32]> {
+        let start = i.checked_mul(self.row_len)?;
+        self.rows.get(start..start.checked_add(self.width)?)
     }
 
     /// The target samples.
@@ -98,7 +169,8 @@ impl Dataset {
     }
 
     /// Splits into `(front, back)` with `front` holding `fraction` of the
-    /// samples (the paper's 80/20 train/test split uses `0.8`).
+    /// samples (the paper's 80/20 train/test split uses `0.8`). Both sides
+    /// are plain datasets holding copies of their samples.
     ///
     /// # Errors
     ///
@@ -111,24 +183,30 @@ impl Dataset {
                 "split fraction {fraction} leaves an empty side"
             )));
         }
-        Ok((
-            Dataset {
-                inputs: self.inputs[..cut].to_vec(),
-                targets: self.targets[..cut].to_vec(),
-            },
-            Dataset {
-                inputs: self.inputs[cut..].to_vec(),
-                targets: self.targets[cut..].to_vec(),
-            },
-        ))
+        Ok((self.gather(0..cut), self.gather(cut..self.len())))
     }
 
-    /// A copy with samples shuffled by `seed`.
+    /// A plain copy with samples shuffled by `seed`.
     pub fn shuffled(&self, seed: u64) -> Dataset {
-        let order = self.order(Some(seed));
+        self.gather(self.order(Some(seed)))
+    }
+
+    /// The samples at `indices`, copied out into a plain dataset.
+    fn gather(&self, indices: impl IntoIterator<Item = usize>) -> Dataset {
+        let indices = indices.into_iter();
+        let mut rows = Vec::with_capacity(indices.size_hint().0 * self.width);
+        let mut targets = Vec::with_capacity(indices.size_hint().0);
+        for i in indices {
+            if let (Some(x), Some(t)) = (self.input(i), self.targets.get(i)) {
+                rows.extend_from_slice(x);
+                targets.push(t.clone());
+            }
+        }
         Dataset {
-            inputs: order.iter().map(|&i| self.inputs[i].clone()).collect(),
-            targets: order.iter().map(|&i| self.targets[i].clone()).collect(),
+            rows,
+            row_len: self.width,
+            width: self.width,
+            targets,
         }
     }
 
@@ -146,7 +224,8 @@ impl Dataset {
     /// order. A network whose input width differs from the dataset's
     /// scores NaN.
     pub fn evaluate(&self, network: &mut Network, loss: Loss) -> f32 {
-        let Ok(predictions) = network.predict_batch(&self.inputs) else {
+        let inputs: Vec<&[f32]> = self.inputs().collect();
+        let Ok(predictions) = network.predict_batch(&inputs) else {
             return f32::NAN;
         };
         let total: f32 = predictions
@@ -162,7 +241,8 @@ impl Dataset {
     /// whose input width differs from the dataset's scores NaN.
     pub fn per_output_mae(&self, network: &mut Network) -> Vec<f64> {
         let width = self.target_width();
-        let Ok(predictions) = network.predict_batch(&self.inputs) else {
+        let inputs: Vec<&[f32]> = self.inputs().collect();
+        let Ok(predictions) = network.predict_batch(&inputs) else {
             return vec![f64::NAN; width];
         };
         let mut acc = vec![0.0f64; width];
@@ -175,6 +255,14 @@ impl Dataset {
             *v /= self.len() as f64;
         }
         acc
+    }
+}
+
+impl PartialEq for Dataset {
+    /// Datasets are equal if they hold the same samples, whether or not
+    /// their windows share rows.
+    fn eq(&self, other: &Self) -> bool {
+        self.targets == other.targets && self.inputs().eq(other.inputs())
     }
 }
 
@@ -433,11 +521,14 @@ impl Trainer {
                 .then(|| vec![f32::NAN; train.input_width()]);
             network.zero_grads();
             for (k, &i) in indices.iter().enumerate() {
+                let (Some(x), Some(target)) = (train.input(i), train.targets.get(i)) else {
+                    continue;
+                };
                 let input = match &poison {
                     Some(nan) if k == 0 => nan,
-                    _ => &train.inputs[i],
+                    _ => x,
                 };
-                let value = network.train_step(input, &train.targets[i], self.config.loss);
+                let value = network.train_step(input, target, self.config.loss);
                 if !value.is_finite() {
                     return Err(diverged(DivergenceCause::NonFiniteLoss));
                 }
@@ -531,12 +622,15 @@ pub(crate) mod tests {
         let data = linear_dataset(50);
         let shuffled = data.shuffled(4);
         assert_eq!(shuffled.len(), data.len());
-        let mut original: Vec<_> = data.inputs().to_vec();
-        let mut after: Vec<_> = shuffled.inputs().to_vec();
+        let mut original: Vec<_> = data.inputs().collect();
+        let mut after: Vec<_> = shuffled.inputs().collect();
         original.sort_by(|a, b| a.partial_cmp(b).unwrap());
         after.sort_by(|a, b| a.partial_cmp(b).unwrap());
         assert_eq!(original, after);
-        assert_ne!(data.inputs(), shuffled.inputs());
+        assert_ne!(
+            data.inputs().collect::<Vec<_>>(),
+            shuffled.inputs().collect::<Vec<_>>()
+        );
     }
 
     #[test]

@@ -60,7 +60,7 @@ fn conv_network_learns_peak_amplitudes() {
         history.best_val_loss()
     );
     // Check an actual prediction.
-    let probe = &train.inputs()[4];
+    let probe = train.input(4).unwrap();
     let target = &train.targets()[4];
     let out = net.predict(probe);
     assert!((out[0] - target[0]).abs() < 0.1, "{out:?} vs {target:?}");

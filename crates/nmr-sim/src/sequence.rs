@@ -14,14 +14,15 @@ use rand_chacha::ChaCha8Rng;
 use crate::augment::NmrDataset;
 use crate::NmrSimError;
 
-/// A sequence dataset: each input is `window` consecutive spectra
-/// flattened time-major; the target is the concentration at the *last*
-/// timestep.
+/// A sequence dataset: time-ordered spectra, each held once, read as
+/// sliding windows. Window `i` is spectra `i .. i + window` flattened
+/// time-major, a view of the row buffer; its target is the concentration
+/// at its *last* timestep.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SequenceDataset {
-    /// Flattened `window × spectrum_len` inputs.
-    pub inputs: Vec<Vec<f64>>,
-    /// Concentration targets (last timestep of each window).
+    /// The time-ordered spectra, `spectrum_len` values each, end to end.
+    pub rows: Vec<f64>,
+    /// Concentration targets, one per window (its last timestep's).
     pub targets: Vec<Vec<f64>>,
     /// Window length in timesteps.
     pub window: usize,
@@ -32,19 +33,37 @@ pub struct SequenceDataset {
 impl SequenceDataset {
     /// Number of windows.
     pub fn len(&self) -> usize {
-        self.inputs.len()
+        self.targets.len()
     }
 
     /// Returns `true` if there are no windows.
     pub fn is_empty(&self) -> bool {
-        self.inputs.is_empty()
+        self.targets.is_empty()
     }
 
-    /// Inputs as `f32` rows.
+    /// Window `i`, flattened `window × spectrum_len`, or `None` past the
+    /// end.
+    pub fn input(&self, i: usize) -> Option<&[f64]> {
+        let start = i.checked_mul(self.spectrum_len)?;
+        let width = self.window.checked_mul(self.spectrum_len)?;
+        self.rows.get(start..start.checked_add(width)?)
+    }
+
+    /// Every window, in order.
+    pub fn inputs(&self) -> impl Iterator<Item = &[f64]> {
+        (0..self.len()).filter_map(|i| self.input(i))
+    }
+
+    /// The spectra as `f32`, each once, end to end: the row buffer of
+    /// `neural::train::Dataset::windows`.
+    pub fn rows_f32(&self) -> Vec<f32> {
+        self.rows.iter().map(|&v| v as f32).collect()
+    }
+
+    /// Every window copied out as an `f32` row.
     pub fn inputs_f32(&self) -> Vec<Vec<f32>> {
-        self.inputs
-            .iter()
-            .map(|r| r.iter().map(|&v| v as f32).collect())
+        self.inputs()
+            .map(|w| w.iter().map(|&v| v as f32).collect())
             .collect()
     }
 
@@ -71,6 +90,15 @@ pub fn sliding_windows(
     targets: &[Vec<f64>],
     window: usize,
 ) -> Result<SequenceDataset, NmrSimError> {
+    windows_over(spectra, targets, window)
+}
+
+/// [`sliding_windows`] over any slices: lays the spectra end to end once.
+fn windows_over<S: AsRef<[f64]>, T: AsRef<[f64]>>(
+    spectra: &[S],
+    targets: &[T],
+    window: usize,
+) -> Result<SequenceDataset, NmrSimError> {
     if window == 0 {
         return Err(NmrSimError::InvalidConfig("window must be non-zero".into()));
     }
@@ -87,26 +115,24 @@ pub fn sliding_windows(
             spectra.len()
         )));
     }
-    let spectrum_len = spectra[0].len();
-    let mut inputs = Vec::with_capacity(spectra.len() - window + 1);
-    let mut out_targets = Vec::with_capacity(inputs.capacity());
-    for end in (window - 1)..spectra.len() {
-        let mut row = Vec::with_capacity(window * spectrum_len);
-        for t in 0..window {
-            let spec = &spectra[end + 1 - window + t];
-            if spec.len() != spectrum_len {
-                return Err(NmrSimError::InvalidConfig(
-                    "inconsistent spectrum lengths".into(),
-                ));
-            }
-            row.extend_from_slice(spec);
+    let spectrum_len = spectra.first().map_or(0, |s| s.as_ref().len());
+    let mut rows = Vec::with_capacity(spectra.len() * spectrum_len);
+    for spec in spectra {
+        let spec = spec.as_ref();
+        if spec.len() != spectrum_len {
+            return Err(NmrSimError::InvalidConfig(
+                "inconsistent spectrum lengths".into(),
+            ));
         }
-        inputs.push(row);
-        out_targets.push(targets[end].clone());
+        rows.extend_from_slice(spec);
     }
     Ok(SequenceDataset {
-        inputs,
-        targets: out_targets,
+        rows,
+        targets: targets
+            .iter()
+            .skip(window - 1)
+            .map(|t| t.as_ref().to_vec())
+            .collect(),
         window,
         spectrum_len,
     })
@@ -137,20 +163,18 @@ pub fn plateau_training_sequences(
     }
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
     let needed = target_windows + window - 1;
-    let mut sequence_inputs: Vec<Vec<f64>> = Vec::with_capacity(needed);
-    let mut sequence_targets: Vec<Vec<f64>> = Vec::with_capacity(needed);
-    while sequence_inputs.len() < needed {
+    let mut spectra: Vec<&[f64]> = Vec::with_capacity(needed);
+    let mut targets: Vec<&[f64]> = Vec::with_capacity(needed);
+    while spectra.len() < needed {
         let idx = rng.gen_range(0..dataset.len());
-        let repeats = rng.gen_range(1..=20usize);
-        for _ in 0..repeats {
-            if sequence_inputs.len() >= needed {
-                break;
-            }
-            sequence_inputs.push(dataset.inputs[idx].clone());
-            sequence_targets.push(dataset.concentrations[idx].clone());
-        }
+        let repeats = rng.gen_range(1..=20usize).min(needed - spectra.len());
+        spectra.extend(std::iter::repeat_n(dataset.inputs[idx].as_slice(), repeats));
+        targets.extend(std::iter::repeat_n(
+            dataset.concentrations[idx].as_slice(),
+            repeats,
+        ));
     }
-    sliding_windows(&sequence_inputs, &sequence_targets, window)
+    windows_over(&spectra, &targets, window)
 }
 
 #[cfg(test)]
@@ -173,7 +197,7 @@ mod tests {
         let targets: Vec<Vec<f64>> = (0..10).map(|i| vec![i as f64 * 10.0]).collect();
         let set = sliding_windows(&spectra, &targets, 3).unwrap();
         assert_eq!(set.len(), 8);
-        assert_eq!(set.inputs[0], vec![0.0, 0.0, 1.0, 0.0, 2.0, 0.0]);
+        assert_eq!(set.input(0), Some(&[0.0, 0.0, 1.0, 0.0, 2.0, 0.0][..]));
         assert_eq!(set.targets[0], vec![20.0]); // last step of window
         assert_eq!(set.targets[7], vec![90.0]);
     }
@@ -200,7 +224,7 @@ mod tests {
         let set = plateau_training_sequences(&data, 5, 100, 1).unwrap();
         assert_eq!(set.len(), 100);
         assert_eq!(set.window, 5);
-        assert_eq!(set.inputs[0].len(), 20);
+        assert_eq!(set.input(0).map(<[f64]>::len), Some(20));
     }
 
     #[test]
@@ -210,7 +234,7 @@ mod tests {
         // Within many windows, at least one window should span a constant
         // plateau (all 5 timesteps identical).
         let spectrum_len = set.spectrum_len;
-        let constant = set.inputs.iter().any(|row| {
+        let constant = set.inputs().any(|row| {
             let first = &row[..spectrum_len];
             (1..5).all(|t| &row[t * spectrum_len..(t + 1) * spectrum_len] == first)
         });

@@ -55,6 +55,6 @@ proptest! {
             prop_assert_eq!(t[0], (k + window - 1) as f64 * 2.0);
         }
         // Inputs are the concatenation of `window` spectra.
-        prop_assert!(set.inputs.iter().all(|row| row.len() == window * 2));
+        prop_assert!(set.inputs().all(|row| row.len() == window * 2));
     }
 }

@@ -22,6 +22,42 @@ fn nmr_pipeline_trains_both_models() {
     assert!(report.ihm.is_none(), "quick config skips IHM");
 }
 
+/// spectrobench's toolflow configuration, where the LSTM datasets are
+/// windows over one row buffer each.
+fn toolflow_config() -> NmrPipelineConfig {
+    NmrPipelineConfig {
+        augmented_spectra: 200,
+        cnn_epochs: 3,
+        lstm_epochs: 1,
+        lstm_windows: 30,
+        run_ihm: true,
+        ihm_max_spectra: Some(2),
+        seed: 42,
+        ..NmrPipelineConfig::default()
+    }
+}
+
+#[test]
+fn toolflow_scores_are_bit_identical() {
+    // Recorded when every LSTM window was a copy of its five spectra;
+    // holding each spectrum once as a row must not move a bit.
+    let report = NmrPipeline::new(toolflow_config()).unwrap().run().unwrap();
+    let scores = [
+        ("lstm.mse", report.lstm.mse, 0x3fb7_d206_03d0_c538_u64),
+        ("cnn.mse", report.cnn.mse, 0x3fa3_1ce7_261a_b30c),
+        ("lstm.plateau_std", report.lstm.plateau_std, 0x3f98_78d1_38ae_bd44),
+        ("cnn.plateau_std", report.cnn.plateau_std, 0x3fac_dc42_8002_2851),
+    ];
+    for (name, value, bits) in scores {
+        assert_eq!(
+            value.to_bits(),
+            bits,
+            "{name} = {value}, expected {}",
+            f64::from_bits(bits)
+        );
+    }
+}
+
 #[test]
 fn ihm_baseline_recovers_concentrations_on_experimental_data() {
     use chem::nmr::lithiation_components;
