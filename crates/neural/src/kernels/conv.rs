@@ -405,7 +405,6 @@ pub(crate) fn local1d(
             k_len,
             filters,
             packed,
-            k_len,
             wt_op,
             bias_op,
             aux,

@@ -40,7 +40,7 @@ pub(crate) fn pack_transposed(rows: usize, cols: usize, w: &[f32]) -> Vec<f32> {
 
 /// `y_row(r) = bias + x_row(r) · wt` for `rows` rows.
 ///
-/// * `x_row(r)` is `x[r * x_stride ..][.. k_len]`.
+/// * `x_row(r)` is `x[r * k_len ..][.. k_len]`.
 /// * `y_row(r)` is `y[y_offset + r * y_stride ..][.. n]` (strided output
 ///   lets conv/local kernels write position-major blocks in place).
 /// * `wt` is `[k_len][n]` packed transposed (see [`pack_transposed`]).
@@ -55,7 +55,6 @@ pub(crate) fn gemm_bias(
     k_len: usize,
     n: usize,
     x: &[f32],
-    x_stride: usize,
     wt: &[f32],
     bias: &[f32],
     y: &mut [f32],
@@ -72,13 +71,12 @@ pub(crate) fn gemm_bias(
             *d = s;
         }
     }
-    gemm_acc(rows, k_len, n, x, x_stride, wt, y, y_stride, y_offset);
+    gemm_acc(rows, k_len, n, x, wt, y, y_stride, y_offset);
 }
 
 /// Like [`gemm_bias`] but accumulates into the existing contents of `y`
-/// instead of initializing from a bias vector (used for the recurrent
-/// `U·h` term that stacks onto `W·x + b`, and by conv's im2col GEMM
-/// after a bias row-fill).
+/// instead of initializing from a bias vector: `gemm_bias` runs it after
+/// its bias row-fill.
 ///
 /// Panic-free by construction (codegen-audited `kernel-no-panic`): the
 /// slice guards that were previously panic edges now bail out of the
@@ -92,7 +90,6 @@ pub(crate) fn gemm_acc(
     k_len: usize,
     n: usize,
     x: &[f32],
-    x_stride: usize,
     wt: &[f32],
     y: &mut [f32],
     y_stride: usize,
@@ -100,8 +97,8 @@ pub(crate) fn gemm_acc(
 ) {
     debug_assert!(y_stride >= n && wt.len() == k_len * n);
     #[inline(always)]
-    fn row_of(x: &[f32], r: usize, x_stride: usize, k_len: usize) -> Option<&[f32]> {
-        x.get(r * x_stride..).and_then(|s| s.get(..k_len))
+    fn row_of(x: &[f32], r: usize, k_len: usize) -> Option<&[f32]> {
+        x.get(r * k_len..).and_then(|s| s.get(..k_len))
     }
     if n == 0 {
         return; // guards the chunks_exact(n) panic edge on degenerate shapes
@@ -110,10 +107,10 @@ pub(crate) fn gemm_acc(
     let mut r = 0usize;
     while r + MR <= rows {
         let (Some(x0), Some(x1), Some(x2), Some(x3)) = (
-            row_of(x, r, x_stride, k_len),
-            row_of(x, r + 1, x_stride, k_len),
-            row_of(x, r + 2, x_stride, k_len),
-            row_of(x, r + 3, x_stride, k_len),
+            row_of(x, r, k_len),
+            row_of(x, r + 1, k_len),
+            row_of(x, r + 2, k_len),
+            row_of(x, r + 3, k_len),
         ) else {
             return;
         };
@@ -152,7 +149,7 @@ pub(crate) fn gemm_acc(
             // Column tail (< NR wide): k-major axpy over the leftover
             // columns of these four rows.
             for m in 0..MR {
-                let Some(xm) = row_of(x, r + m, x_stride, k_len) else {
+                let Some(xm) = row_of(x, r + m, k_len) else {
                     return;
                 };
                 let base = y_offset + (r + m) * y_stride;
@@ -175,7 +172,7 @@ pub(crate) fn gemm_acc(
     while r < rows {
         // Row tail (< MR rows): full-width k-major axpy, contiguous
         // inner loop over all n output units.
-        let Some(x0) = row_of(x, r, x_stride, k_len) else {
+        let Some(x0) = row_of(x, r, k_len) else {
             return;
         };
         let base = y_offset + r * y_stride;
@@ -211,7 +208,7 @@ mod tests {
         for rows in [1usize, 2, 3, 8] {
             let x: Vec<f32> = (0..rows * k_len).map(|i| (i as f32 * 0.7).cos()).collect();
             let mut y = vec![0.0f32; rows * n];
-            gemm_bias(rows, k_len, n, &x, k_len, &wt, &bias, &mut y, n, 0);
+            gemm_bias(rows, k_len, n, &x, &wt, &bias, &mut y, n, 0);
             for r in 0..rows {
                 for u in 0..n {
                     let mut want = bias[u];
@@ -234,7 +231,7 @@ mod tests {
         let bias: Vec<f32> = (0..n).map(|i| (i as f32 * 0.21).cos()).collect();
         let x: Vec<f32> = (0..rows * k_len).map(|i| (i as f32 * 0.37).sin()).collect();
         let mut y = vec![0.0f32; rows * n];
-        gemm_bias(rows, k_len, n, &x, k_len, &wt, &bias, &mut y, n, 0);
+        gemm_bias(rows, k_len, n, &x, &wt, &bias, &mut y, n, 0);
         for r in 0..rows {
             for u in 0..n {
                 let mut want = bias[u];
@@ -253,7 +250,7 @@ mod tests {
         let wt = pack_transposed(n, k_len, &w);
         let x: Vec<f32> = (0..rows * k_len).map(|i| i as f32 * 0.05).collect();
         let mut y = vec![1.0f32; rows * n];
-        gemm_acc(rows, k_len, n, &x, k_len, &wt, &mut y, n, 0);
+        gemm_acc(rows, k_len, n, &x, &wt, &mut y, n, 0);
         for r in 0..rows {
             for u in 0..n {
                 let mut want = 1.0f32;
@@ -273,7 +270,7 @@ mod tests {
         let bias = [0.0f32; 2];
         let x = [1.0f32; 6];
         let mut y = vec![9.0f32; rows * 4];
-        gemm_bias(rows, k_len, n, &x, k_len, &wt, &bias, &mut y, 4, 0);
+        gemm_bias(rows, k_len, n, &x, &wt, &bias, &mut y, 4, 0);
         assert_eq!(y[2], 9.0);
         assert_eq!(y[3], 9.0);
         assert_eq!(y[6], 9.0);

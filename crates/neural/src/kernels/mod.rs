@@ -2,29 +2,32 @@
 //!
 //! [`crate::Network::predict`] evaluates each output element as a strict
 //! left-to-right `f32` reduction, which is exact to the training-time
-//! arithmetic but unvectorizable. These kernels are the plan's only
-//! forward path: weights are packed *transposed* at plan-compile time so
-//! the innermost loops become contiguous rank-1 updates over output
-//! units (no reduction, no cross-iteration dependency), which LLVM
-//! autovectorizes. All intermediates live in a caller-owned [`Scratch`]
-//! arena so the steady-state forward pass performs zero heap allocation
-//! per batch — the `serve` engine allocates one `Scratch` per worker at
-//! startup and reuses it for every batch (enforced by the
-//! `alloc-in-hot-path` lint rule plus an obs-counter test in
-//! `serve/tests/stress.rs`).
+//! arithmetic but unvectorizable. For every layer but the LSTM these
+//! kernels are the plan's forward path: weights are packed *transposed*
+//! at plan-compile time so the innermost loops become contiguous rank-1
+//! updates over output units (no reduction, no cross-iteration
+//! dependency), which LLVM autovectorizes. The LSTM runs the layer's own
+//! exact batched recurrence (`layers::lstm`) on its exported weights.
+//! All intermediates, the LSTM's row table and state included, live in a
+//! caller-owned [`Scratch`] arena so the steady-state forward pass
+//! performs zero heap allocation per batch — the `serve` engine
+//! allocates one `Scratch` per worker at startup and reuses it for every
+//! batch (enforced by the `alloc-in-hot-path` lint rule plus an
+//! obs-counter test in `serve/tests/stress.rs`).
 //!
 //! Because the kernels re-associate accumulation (same terms, different
 //! parenthesization), their outputs are *not* bit-identical to
 //! [`crate::Network::predict`]: they are gated by a max-abs-error
 //! tolerance against it instead (see [`max_abs_divergence`],
-//! `neural/tests/kernel_equivalence.rs` and DESIGN.md §15).
+//! `neural/tests/kernel_equivalence.rs` and DESIGN.md §15). An LSTM-only
+//! plan is bit-identical to it.
 
 pub(crate) mod act;
 pub(crate) mod conv;
 pub(crate) mod gemm;
 pub(crate) mod pool;
-pub(crate) mod recurrent;
 
+use crate::layers::{FrozenLstm, LstmBuffers, Windows};
 use crate::Activation;
 
 /// Maximum absolute elementwise divergence between two equally-sized
@@ -60,7 +63,7 @@ pub fn max_abs_divergence(a: &[f32], b: &[f32]) -> f32 {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub(crate) struct ScratchDims {
     /// Widest intermediate any kernel reads or writes (covers ping,
-    /// pong and aux, including the LSTM's `4 × units` gate block).
+    /// pong and aux).
     pub max_width: usize,
     /// Largest single-sample conv scratch (the staged sample of strided
     /// or narrow convs, and at least `filters` for the channelwise-
@@ -71,8 +74,6 @@ pub(crate) struct ScratchDims {
     /// (`in_channels × kernel`) — local1d gathers one window from every
     /// batch row at once.
     pub col_batch: usize,
-    /// Hidden + cell state per sample (`2 × units` over all LSTMs).
-    pub cell: usize,
 }
 
 impl ScratchDims {
@@ -100,10 +101,6 @@ impl ScratchDims {
                 } => {
                     dims.col_batch = dims.col_batch.max(in_channels * kernel);
                 }
-                BatchKernel::Lstm { units, .. } => {
-                    dims.max_width = dims.max_width.max(4 * units);
-                    dims.cell = dims.cell.max(2 * units);
-                }
                 _ => {}
             }
         }
@@ -125,7 +122,7 @@ pub struct Scratch {
     pong: Vec<f32>,
     col: Vec<f32>,
     aux: Vec<f32>,
-    cell: Vec<f32>,
+    lstm: LstmBuffers,
 }
 
 impl Scratch {
@@ -149,7 +146,6 @@ impl Scratch {
         grow(&mut self.pong, width, &mut grew);
         grow(&mut self.aux, width, &mut grew);
         grow(&mut self.col, col, &mut grew);
-        grow(&mut self.cell, batch * dims.cell, &mut grew);
         if grew {
             obs::counter_add("neural.scratch_grow", 1);
         }
@@ -235,17 +231,9 @@ pub(crate) enum BatchKernel {
         wt: Vec<f32>,
         bias: Vec<f32>,
     },
-    /// LSTM returning last hidden state (see [`recurrent`]).
-    Lstm {
-        timesteps: usize,
-        features: usize,
-        units: usize,
-        /// `[features][4 * units]` packed transposed.
-        wt: Vec<f32>,
-        /// `[units][4 * units]` packed transposed.
-        ut: Vec<f32>,
-        b: Vec<f32>,
-    },
+    /// LSTM returning the last hidden state: the layer's own exact
+    /// recurrence on the weights as exported.
+    Lstm(FrozenLstm),
 }
 
 impl BatchKernel {
@@ -267,9 +255,7 @@ impl BatchKernel {
                 channels, in_len, ..
             } => channels * in_len,
             BatchKernel::Highway { width, .. } | BatchKernel::ResidualDense { width, .. } => *width,
-            BatchKernel::Lstm {
-                timesteps, features, ..
-            } => timesteps * features,
+            BatchKernel::Lstm(lstm) => lstm.input_len(),
         }
     }
 
@@ -291,7 +277,7 @@ impl BatchKernel {
                 channels, out_len, ..
             } => channels * out_len,
             BatchKernel::Highway { width, .. } | BatchKernel::ResidualDense { width, .. } => *width,
-            BatchKernel::Lstm { units, .. } => *units,
+            BatchKernel::Lstm(lstm) => lstm.units,
         }
     }
 
@@ -306,12 +292,12 @@ impl BatchKernel {
             BatchKernel::AvgPool { .. } => "avgpool",
             BatchKernel::Highway { .. } => "highway",
             BatchKernel::ResidualDense { .. } => "residual_dense",
-            BatchKernel::Lstm { .. } => "lstm",
+            BatchKernel::Lstm(_) => "lstm",
         }
     }
 
     /// Runs the kernel for `batch` samples: `src` is `[batch][in_len]`,
-    /// `dst` receives `[batch][out_len]`; `col`/`aux`/`cell` are arena
+    /// `dst` receives `[batch][out_len]`; `col`/`aux`/`lstm` are arena
     /// buffers sized by [`Scratch::ensure`].
     pub(crate) fn run(
         &self,
@@ -320,7 +306,7 @@ impl BatchKernel {
         dst: &mut [f32],
         col: &mut [f32],
         aux: &mut [f32],
-        cell: &mut [f32],
+        lstm_bufs: &mut LstmBuffers,
     ) {
         match self {
             BatchKernel::Identity { len } => {
@@ -333,7 +319,7 @@ impl BatchKernel {
                 wt,
                 bias,
             } => {
-                gemm::gemm_bias(batch, *input_len, *units, src, *input_len, wt, bias, dst, *units, 0);
+                gemm::gemm_bias(batch, *input_len, *units, src, wt, bias, dst, *units, 0);
                 act::apply_fast(*activation, &mut dst[..batch * units], *units);
             }
             BatchKernel::Conv1d {
@@ -410,9 +396,9 @@ impl BatchKernel {
                 b_t,
             } => {
                 let n = batch * width;
-                gemm::gemm_bias(batch, *width, *width, src, *width, wt_h, b_h, dst, *width, 0);
+                gemm::gemm_bias(batch, *width, *width, src, wt_h, b_h, dst, *width, 0);
                 act::apply_fast(*activation, &mut dst[..n], *width);
-                gemm::gemm_bias(batch, *width, *width, src, *width, wt_t, b_t, aux, *width, 0);
+                gemm::gemm_bias(batch, *width, *width, src, wt_t, b_t, aux, *width, 0);
                 act::apply_fast(Activation::Sigmoid, &mut aux[..n], 1);
                 for i in 0..n {
                     let t = aux[i];
@@ -426,22 +412,20 @@ impl BatchKernel {
                 bias,
             } => {
                 let n = batch * width;
-                gemm::gemm_bias(batch, *width, *width, src, *width, wt, bias, dst, *width, 0);
+                gemm::gemm_bias(batch, *width, *width, src, wt, bias, dst, *width, 0);
                 act::apply_fast(*activation, &mut dst[..n], *width);
                 for (d, &x) in dst[..n].iter_mut().zip(src) {
                     *d += x;
                 }
             }
-            BatchKernel::Lstm {
-                timesteps,
-                features,
-                units,
-                wt,
-                ut,
-                b,
-            } => recurrent::lstm(
-                batch, *timesteps, *features, *units, wt, ut, b, src, dst, aux, cell,
-            ),
+            BatchKernel::Lstm(lstm) => {
+                // The LSTM's buffers grow here, kernel by kernel, and count
+                // like the arena's own.
+                if lstm_bufs.ensure(lstm, batch) {
+                    obs::counter_add("neural.scratch_grow", 1);
+                }
+                lstm.infer(Windows::Block(src), lstm_bufs, dst, None);
+            }
         }
     }
 }
@@ -464,7 +448,7 @@ pub(crate) fn run_all(
         pong,
         col,
         aux,
-        cell,
+        lstm,
     } = scratch;
     let mut src_in_ping = false;
     let mut first = true;
@@ -473,16 +457,16 @@ pub(crate) fn run_all(
         let n_in = batch * kernel.in_len();
         let n_out = batch * kernel.out_len_total();
         let written: &[f32] = if first {
-            kernel.run(batch, &inputs[..n_in], &mut ping[..n_out], col, aux, cell);
+            kernel.run(batch, &inputs[..n_in], &mut ping[..n_out], col, aux, lstm);
             first = false;
             src_in_ping = true;
             &ping[..n_out]
         } else if src_in_ping {
-            kernel.run(batch, &ping[..n_in], &mut pong[..n_out], col, aux, cell);
+            kernel.run(batch, &ping[..n_in], &mut pong[..n_out], col, aux, lstm);
             src_in_ping = false;
             &pong[..n_out]
         } else {
-            kernel.run(batch, &pong[..n_in], &mut ping[..n_out], col, aux, cell);
+            kernel.run(batch, &pong[..n_in], &mut ping[..n_out], col, aux, lstm);
             src_in_ping = true;
             &ping[..n_out]
         };

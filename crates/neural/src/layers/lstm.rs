@@ -5,6 +5,11 @@
 //! 1700-point spectrum per timestep, the layer holds
 //! `4·32·(1700 + 32 + 1) = 221 824` parameters; a Dense(4) head adds 132
 //! for the paper's exact total of 221 956.
+//!
+//! [`FrozenLstm`] is the one LSTM recurrence in the workspace: [`Lstm`]
+//! wraps it with gradients and forward caches for training, and
+//! `FrozenPlan` serves it on the exported weights, with its buffers in
+//! the plan's `Scratch` arena.
 
 use rand_chacha::ChaCha8Rng;
 
@@ -18,27 +23,30 @@ const LANES: usize = 8;
 const ROWS: usize = 4;
 /// Features per step of the projection tile's loop.
 const UNROLL: usize = 4;
-/// Windows per group in batched inference. It bounds the projections
-/// held at once, and as a multiple of `LANES` it lets the one new row of
-/// each sliding window fill whole tiles.
-const GROUP: usize = 32;
+
+/// The inference half of an LSTM: its shape and its weights as exported.
+/// Gate order in the stacked weight matrices is `[i, f, g, o]`.
+#[derive(Debug, Clone)]
+pub(crate) struct FrozenLstm {
+    pub(crate) features: usize,
+    pub(crate) units: usize,
+    pub(crate) timesteps: usize,
+    /// Input weights `W`, shape `4*units × features`.
+    pub(crate) w: Vec<f32>,
+    /// Recurrent weights `U`, shape `4*units × units`.
+    pub(crate) u: Vec<f32>,
+    /// Bias, `4*units`.
+    pub(crate) b: Vec<f32>,
+}
 
 /// An LSTM over a fixed-length sequence, returning the last hidden state.
 ///
 /// Input layout: `timesteps × features`, flattened time-major
 /// (`input[t * features + d]`). Output: the final hidden state (`units`
-/// values). Gate order in the stacked weight matrices is `[i, f, g, o]`.
+/// values). The forget-gate slice of the bias is initialized to 1.0.
 #[derive(Debug, Clone)]
 pub struct Lstm {
-    features: usize,
-    units: usize,
-    timesteps: usize,
-    /// Input weights `W`, shape `4*units × features`.
-    w: Vec<f32>,
-    /// Recurrent weights `U`, shape `4*units × units`.
-    u: Vec<f32>,
-    /// Bias, `4*units` (forget-gate slice initialized to 1.0).
-    b: Vec<f32>,
+    frozen: FrozenLstm,
     grad_w: Vec<f32>,
     grad_u: Vec<f32>,
     grad_b: Vec<f32>,
@@ -49,65 +57,72 @@ pub struct Lstm {
     cached_hidden: Vec<f32>, // h_t, t * units
 }
 
-/// The timestep rows of a run of windows, numbered so that each distinct
-/// row goes through `W` once.
-#[derive(Default)]
-struct Rows<'a> {
-    /// Distinct rows, in first-seen order.
-    distinct: Vec<&'a [f32]>,
-    /// Per window and timestep, the index of its row in `distinct`.
+/// The windows of one inference call, each `timesteps × features` long.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Windows<'a> {
+    /// Windows laid end to end in one block, as a plan batch holds them.
+    Block(&'a [f32]),
+    /// One slice per window.
+    Slices(&'a [&'a [f32]]),
+}
+
+impl<'a> Windows<'a> {
+    /// Row `r` of the call: timestep `r % timesteps` of window
+    /// `r / timesteps`.
+    fn row(self, r: usize, features: usize, timesteps: usize) -> Option<&'a [f32]> {
+        match self {
+            Windows::Block(data) => data.get(r * features..)?.get(..features),
+            Windows::Slices(windows) => windows
+                .get(r.checked_div(timesteps)?)?
+                .get(r.checked_rem(timesteps)? * features..)?
+                .get(..features),
+        }
+    }
+}
+
+/// The timestep rows of one call, numbered so that each distinct row
+/// goes through `W` once. [`LstmBuffers::ensure`] sizes the buffers, so
+/// that filling them never allocates.
+#[derive(Debug, Default)]
+struct Rows {
+    /// Distinct rows in first-seen order, as row numbers of the call (see
+    /// [`Windows::row`]); the first `distinct_len` are live.
+    distinct: Vec<usize>,
+    distinct_len: usize,
+    /// Per row of the call, the index of its row in `distinct`.
     ids: Vec<usize>,
-    /// `W·x` of the leading distinct rows, `4·units` values per row.
+    /// `W·x` of the distinct rows, `4·units` values per row.
     wx: Vec<f32>,
 }
 
-impl<'a> Rows<'a> {
-    /// Appends one window's rows. A row takes the index of an equal row
-    /// among the `timesteps` rows before it, if there is one: that is
-    /// where sliding windows keep their predecessor's rows and
-    /// plateau-repeat windows their repeats. Rows are equal only if
-    /// every value is equal by `to_bits`. Windows that are views of one
-    /// row buffer share their rows' memory, so the same slice (pointer
-    /// and length) matches first, without comparing values; the recent
-    /// ids never hold two equal rows, so either search finds the same id.
-    fn push(&mut self, window: &'a [f32], features: usize, timesteps: usize) {
-        for x in window.chunks_exact(features) {
-            let recent = &self.ids[self.ids.len().saturating_sub(timesteps)..];
-            let find = |eq: fn(&[f32], &[f32]) -> bool| {
-                recent.iter().copied().find(|&id| eq(self.distinct[id], x))
-            };
-            let id = match find(|a, b| std::ptr::eq(a, b)).or_else(|| find(same_bits)) {
-                Some(id) => id,
-                None => {
-                    self.distinct.push(x);
-                    self.distinct.len() - 1
-                }
-            };
-            self.ids.push(id);
+impl Rows {
+    /// Numbers the first `rows` rows of the call, forgetting every row of
+    /// an earlier call. A row takes the index of an equal row among the
+    /// `timesteps` rows before it, if there is one: that is where sliding
+    /// windows keep their predecessor's rows and plateau-repeat windows
+    /// their repeats. Rows are equal only if every value is equal by
+    /// `to_bits`; the same slice (pointer and length) is equal without
+    /// comparing values, which is how windows that are views of one row
+    /// buffer match. The recent ids never hold two equal rows, so the
+    /// first match is the only one.
+    fn number(&mut self, windows: Windows<'_>, rows: usize, features: usize, timesteps: usize) {
+        self.distinct_len = 0;
+        for r in 0..rows {
+            let x = windows.row(r, features, timesteps).unwrap_or_default();
+            let recent = self.ids.get(r.saturating_sub(timesteps)..r).unwrap_or_default();
+            let found = recent.iter().copied().find(|&id| {
+                let seen = self.distinct.get(id).and_then(|&s| windows.row(s, features, timesteps));
+                seen.is_some_and(|y| std::ptr::eq(y, x) || same_bits(y, x))
+            });
+            let id = found.unwrap_or(self.distinct_len);
+            if id == self.distinct_len {
+                let Some(slot) = self.distinct.get_mut(id) else { return };
+                *slot = r;
+                self.distinct_len += 1;
+            }
+            let Some(slot) = self.ids.get_mut(r) else { return };
+            *slot = id;
         }
-    }
-
-    /// Keeps the last `timesteps` indices and the projected rows they
-    /// name, so that the next window can still match its predecessor.
-    fn keep_last(&mut self, timesteps: usize, width: usize) {
-        let tail = self.ids.split_off(self.ids.len().saturating_sub(timesteps));
-        let mut kept: Vec<usize> = Vec::with_capacity(tail.len());
-        let ids = tail
-            .into_iter()
-            .map(|id| match kept.iter().position(|&k| k == id) {
-                Some(new) => new,
-                None => {
-                    kept.push(id);
-                    kept.len() - 1
-                }
-            })
-            .collect();
-        let mut wx = Vec::with_capacity(kept.len() * width);
-        for &k in &kept {
-            wx.extend_from_slice(&self.wx[k * width..(k + 1) * width]);
-        }
-        let distinct = kept.iter().map(|&k| self.distinct[k]).collect();
-        *self = Self { distinct, ids, wx };
     }
 }
 
@@ -124,6 +139,72 @@ fn same_bits(a: &[f32], b: &[f32]) -> bool {
     a.len() == b.len()
         && block_eq(x_tail, y_tail)
         && xs.iter().zip(ys).all(|(x, y)| block_eq(x, y))
+}
+
+/// The buffers of LSTM inference: the row table, one transposed input
+/// tile and the state of `LANES` windows. A plan keeps one set in its
+/// `Scratch` arena for every call; `Lstm` makes a fresh set per call.
+#[derive(Debug, Default)]
+pub(crate) struct LstmBuffers {
+    rows: Rows,
+    /// One tile of input rows transposed to `features × LANES`.
+    tile: Vec<[f32; LANES]>,
+    state: State,
+}
+
+/// Hidden state, cell state and gate block of `LANES` windows, one
+/// window per lane.
+#[derive(Debug, Default)]
+struct State {
+    h: Vec<[f32; LANES]>,
+    c: Vec<[f32; LANES]>,
+    z: Vec<[f32; LANES]>,
+}
+
+impl LstmBuffers {
+    /// Grows the buffers (never shrinks) to fit one call of `lstm` over
+    /// `windows` windows. Returns whether any buffer grew.
+    pub(crate) fn ensure(&mut self, lstm: &FrozenLstm, windows: usize) -> bool {
+        fn grow<T: Clone + Default>(buf: &mut Vec<T>, want: usize) -> bool {
+            let short = buf.len() < want;
+            if short {
+                buf.resize(want, T::default());
+            }
+            short
+        }
+        let (rows, width) = (windows * lstm.timesteps, 4 * lstm.units);
+        [
+            grow(&mut self.rows.distinct, rows),
+            grow(&mut self.rows.ids, rows),
+            grow(&mut self.rows.wx, rows * width),
+            grow(&mut self.tile, lstm.features),
+            grow(&mut self.state.h, lstm.units),
+            grow(&mut self.state.c, lstm.units),
+            grow(&mut self.state.z, width),
+        ]
+        .contains(&true)
+    }
+}
+
+/// Where [`recur`] records its first window's states, `t`-major, as
+/// `Lstm::backward` needs them.
+pub(crate) struct Trace<'a> {
+    gates: &'a mut [f32],
+    cell: &'a mut [f32],
+    hidden: &'a mut [f32],
+}
+
+impl Trace<'_> {
+    /// Records lane 0 of timestep `t`: the activated gates left in `z`,
+    /// the cells and the hidden states.
+    fn record(&mut self, t: usize, z: &[[f32; LANES]], c: &[[f32; LANES]], h: &[[f32; LANES]]) {
+        for (dst, src) in [(&mut *self.gates, z), (&mut *self.cell, c), (&mut *self.hidden, h)] {
+            let row = dst.get_mut(t * src.len()..).unwrap_or_default();
+            for (d, s) in row.iter_mut().zip(src) {
+                *d = s[0];
+            }
+        }
+    }
 }
 
 /// One `ROWS × LANES` tile of `W·x`: the `ROWS` gate rows in `w` (each
@@ -185,6 +266,159 @@ fn accumulate(acc: &mut [[f32; LANES]; ROWS], w: [f32; ROWS], x: &[f32; LANES]) 
     }
 }
 
+/// The gate sigmoid.
+fn sigmoid(x: f32) -> f32 {
+    1.0 / (1.0 + (-x).exp())
+}
+
+/// The recurrence of up to `LANES` windows at once, one per lane: window
+/// `l`'s timestep `t` has the projection row `ids[l * timesteps + t]` of
+/// `wx`. Writes every window's last hidden state to `out`, `units`
+/// values per window, and with `trace` the first window's states.
+///
+/// Each lane computes exactly the per-window recurrence: the gate
+/// pre-activation `z = b + (W x + U h_prev)` continues the `W x`
+/// accumulator with `U h_prev` in ascending order, and the gate math is
+/// elementwise. Slices are split, zipped or read with `get`, and a lane
+/// index stays below `lanes <= LANES`, so the compiled body has no panic
+/// edge.
+#[inline(never)] // codegen-audit anchor: keep a standalone symbol (lint.toml [codegen])
+fn recur(
+    lstm: &FrozenLstm,
+    wx: &[f32],
+    ids: &[usize],
+    state: &mut State,
+    out: &mut [f32],
+    mut trace: Option<Trace<'_>>,
+) {
+    let (h, t_max) = (lstm.units, lstm.timesteps);
+    // `4·units` is `ROWS·units`: a tile of gate rows, and a row of `wx`.
+    let width = 4 * h;
+    // Testing the widths themselves removes the `chunks_exact` panic edges.
+    if t_max == 0 || width == 0 {
+        return;
+    }
+    let lanes = (ids.len() / t_max).min(LANES);
+    let (hs, cs, z) = (state.h.get_mut(..h), state.c.get_mut(..h), state.z.get_mut(..width));
+    let (Some(hs), Some(cs), Some(z)) = (hs, cs, z) else { return };
+    hs.fill([0.0; LANES]);
+    cs.fill([0.0; LANES]);
+    for t in 0..t_max {
+        // `ROWS` gate rows at a time, every lane its own accumulator.
+        let (u_tiles, b_tiles) = (lstm.u.chunks_exact(width), lstm.b.chunks_exact(ROWS));
+        let tiles = z.chunks_exact_mut(ROWS).zip(u_tiles).zip(b_tiles);
+        for (tile, ((z_tile, u_tile), b_tile)) in tiles.enumerate() {
+            let mut acc = [[0.0f32; LANES]; ROWS];
+            for (l, window) in ids.chunks_exact(t_max).take(LANES).enumerate() {
+                let row = window.get(t).and_then(|&id| wx.get(id * width + tile * ROWS..));
+                for (acc_r, &v) in acc.iter_mut().zip(row.unwrap_or_default()) {
+                    if let Some(a) = acc_r.get_mut(l) {
+                        *a = v;
+                    }
+                }
+            }
+            let Some((u0, rest)) = u_tile.split_at_checked(h) else { return };
+            let Some((u1, rest)) = rest.split_at_checked(h) else { return };
+            let Some((u2, u3)) = rest.split_at_checked(h) else { return };
+            for ((((h_k, &a), &b), &c), &e) in hs.iter().zip(u0).zip(u1).zip(u2).zip(u3) {
+                accumulate(&mut acc, [a, b, c, e], h_k);
+            }
+            for ((z_r, acc_r), &b) in z_tile.iter_mut().zip(&acc).zip(b_tile) {
+                for (z_l, &a) in z_r.iter_mut().zip(acc_r) {
+                    *z_l = b + a;
+                }
+            }
+        }
+        // Gates: [i, f, g, o], each written back over its pre-activation.
+        let Some((zi, rest)) = z.split_at_mut_checked(h) else { return };
+        let Some((zf, rest)) = rest.split_at_mut_checked(h) else { return };
+        let Some((zg, zo)) = rest.split_at_mut_checked(h) else { return };
+        let units = zi.iter_mut().zip(zf.iter_mut()).zip(zg.iter_mut()).zip(zo.iter_mut());
+        for ((((i, f), g), o), (c_k, h_k)) in units.zip(cs.iter_mut().zip(hs.iter_mut())) {
+            for l in 0..lanes {
+                let (i_g, f_g) = (sigmoid(i[l]), sigmoid(f[l]));
+                let (g_g, o_g) = (g[l].tanh(), sigmoid(o[l]));
+                let c = f_g * c_k[l] + i_g * g_g;
+                c_k[l] = c;
+                h_k[l] = o_g * c.tanh();
+                (i[l], f[l], g[l], o[l]) = (i_g, f_g, g_g, o_g);
+            }
+        }
+        if let Some(trace) = trace.as_mut() {
+            trace.record(t, z, cs, hs);
+        }
+    }
+    for (k, h_k) in hs.iter().enumerate() {
+        for (l, &v) in h_k.iter().enumerate().take(lanes) {
+            if let Some(o) = out.get_mut(l * h + k) {
+                *o = v;
+            }
+        }
+    }
+}
+
+impl FrozenLstm {
+    /// Input length of one window, `timesteps × features`.
+    pub(crate) fn input_len(&self) -> usize {
+        self.timesteps * self.features
+    }
+
+    /// Runs `windows` through the layer and writes each window's last
+    /// hidden state to `out`, `units` values per window in order.
+    ///
+    /// Each distinct timestep row of the call is projected once (see
+    /// [`Rows::number`]); then the windows' recurrences run `LANES` at a
+    /// time on the shared projections. `bufs` must be sized by
+    /// [`LstmBuffers::ensure`] for at least this many windows. With
+    /// `trace`, the first window's gates, cells and hidden states are
+    /// recorded too.
+    pub(crate) fn infer(
+        &self,
+        windows: Windows<'_>,
+        bufs: &mut LstmBuffers,
+        out: &mut [f32],
+        mut trace: Option<Trace<'_>>,
+    ) {
+        let (h, t_max) = (self.units, self.timesteps);
+        let rows = out.len() / h * t_max;
+        let LstmBuffers { rows: table, tile, state } = bufs;
+        table.number(windows, rows, self.features, t_max);
+        self.project(windows, table, tile);
+        let ids = table.ids.get(..rows).unwrap_or_default();
+        for (lane_ids, lane_out) in ids.chunks(t_max * LANES).zip(out.chunks_mut(LANES * h)) {
+            recur(self, &table.wx, lane_ids, state, lane_out, trace.take());
+        }
+    }
+
+    /// Computes `W·x` for every distinct row, in one pass over `W` per
+    /// `LANES` rows. The rows of a tile are transposed to
+    /// `features × LANES` in `tile`, with zero-padded tail lanes.
+    fn project(&self, windows: Windows<'_>, rows: &mut Rows, tile: &mut [[f32; LANES]]) {
+        let d = self.features;
+        let width = 4 * self.units;
+        let distinct = rows.distinct.get(..rows.distinct_len).unwrap_or_default();
+        let Some(lanes) = tile.get_mut(..d) else { return };
+        for (tile_rows, out) in distinct.chunks(LANES).zip(rows.wx.chunks_mut(LANES * width)) {
+            lanes.fill([0.0; LANES]);
+            for (l, &r) in tile_rows.iter().enumerate() {
+                let x = windows.row(r, d, self.timesteps).unwrap_or_default();
+                for (lane, &v) in lanes.iter_mut().zip(x) {
+                    lane[l] = v;
+                }
+            }
+            // `4·units` rows always split into whole tiles.
+            for (r, w_tile) in self.w.chunks_exact(ROWS * d).enumerate() {
+                let acc = project_tile(w_tile, lanes);
+                for (l, wx_row) in out.chunks_exact_mut(width).enumerate() {
+                    for (slot, acc_r) in wx_row[r * ROWS..(r + 1) * ROWS].iter_mut().zip(&acc) {
+                        *slot = acc_r[l];
+                    }
+                }
+            }
+        }
+    }
+}
+
 impl Lstm {
     /// Creates an LSTM layer.
     ///
@@ -212,15 +446,10 @@ impl Lstm {
             *v = 1.0;
         }
         Ok(Self {
-            features,
-            units,
-            timesteps,
             grad_w: vec![0.0; w.len()],
             grad_u: vec![0.0; u.len()],
             grad_b: vec![0.0; b.len()],
-            w,
-            u,
-            b,
+            frozen: FrozenLstm { features, units, timesteps, w, u, b },
             cached_input: Vec::new(),
             cached_gates: Vec::new(),
             cached_cell: Vec::new(),
@@ -230,126 +459,13 @@ impl Lstm {
 
     /// Number of hidden units.
     pub fn units(&self) -> usize {
-        self.units
+        self.frozen.units
     }
 
     /// Number of timesteps the layer expects.
     pub fn timesteps(&self) -> usize {
-        self.timesteps
+        self.frozen.timesteps
     }
-
-    fn sigmoid(x: f32) -> f32 {
-        1.0 / (1.0 + (-x).exp())
-    }
-
-    /// Appends `W·x` for every distinct row not projected yet, in one pass
-    /// over `W` per `LANES` rows. The rows of a tile are transposed to
-    /// `features × LANES`, with zero-padded tail lanes.
-    fn project(&self, rows: &mut Rows<'_>) {
-        let d = self.features;
-        let width = 4 * self.units;
-        let done = rows.wx.len() / width;
-        let Rows { distinct, wx, .. } = rows;
-        wx.resize(distinct.len() * width, 0.0);
-        let mut lanes = vec![[0.0f32; LANES]; d];
-        let fresh = distinct[done..].chunks(LANES);
-        let tiles_out = wx[done * width..].chunks_mut(LANES * width);
-        for (tile, out) in fresh.zip(tiles_out) {
-            lanes.fill([0.0; LANES]);
-            for (l, x) in tile.iter().enumerate() {
-                for (lane, &v) in lanes.iter_mut().zip(*x) {
-                    lane[l] = v;
-                }
-            }
-            // `4·units` rows always split into whole tiles.
-            for (r, w_tile) in self.w.chunks_exact(ROWS * d).enumerate() {
-                let acc = project_tile(w_tile, &lanes);
-                for (l, wx_row) in out.chunks_exact_mut(width).enumerate() {
-                    for (slot, acc_r) in wx_row[r * ROWS..(r + 1) * ROWS].iter_mut().zip(&acc) {
-                        *slot = acc_r[l];
-                    }
-                }
-            }
-        }
-    }
-
-    /// The recurrence of up to `LANES` windows at once, one per lane:
-    /// window `l`'s timestep `t` has the projection row `windows[l][t]`
-    /// of `wx`. Returns every window's last hidden state. With `trace`,
-    /// the first window's gates, cells and hidden states are written to
-    /// it (`t`-major), as `backward` needs them.
-    ///
-    /// Each lane computes exactly the per-window recurrence: the gate
-    /// pre-activation `z = b + (W x + U h_prev)` continues the `W x`
-    /// accumulator with `U h_prev` in ascending order, and the gate math
-    /// is elementwise.
-    fn recur(&self, wx: &[f32], windows: &[&[usize]], mut trace: Option<Trace<'_>>) -> Vec<Vec<f32>> {
-        let h = self.units;
-        let width = 4 * h;
-        let mut h_state = vec![[0.0f32; LANES]; h];
-        let mut c_state = vec![[0.0f32; LANES]; h];
-        let mut z = vec![[0.0f32; LANES]; width];
-        for t in 0..self.timesteps {
-            // `ROWS` gate rows at a time, every lane its own accumulator.
-            for (tile, ((z_tile, u_tile), b_tile)) in z
-                .chunks_exact_mut(ROWS)
-                .zip(self.u.chunks_exact(ROWS * h))
-                .zip(self.b.chunks_exact(ROWS))
-                .enumerate()
-            {
-                let mut acc = [[0.0f32; LANES]; ROWS];
-                for (l, ids) in windows.iter().enumerate() {
-                    let first = ids[t] * width + tile * ROWS;
-                    for (acc_r, &v) in acc.iter_mut().zip(&wx[first..first + ROWS]) {
-                        acc_r[l] = v;
-                    }
-                }
-                let (u0, rest) = u_tile.split_at(h);
-                let (u1, rest) = rest.split_at(h);
-                let (u2, u3) = rest.split_at(h);
-                for ((((h_k, &a), &b), &c), &e) in h_state.iter().zip(u0).zip(u1).zip(u2).zip(u3) {
-                    accumulate(&mut acc, [a, b, c, e], h_k);
-                }
-                for ((z_r, acc_r), &b) in z_tile.iter_mut().zip(&acc).zip(b_tile) {
-                    for l in 0..LANES {
-                        z_r[l] = b + acc_r[l];
-                    }
-                }
-            }
-            // Gates: [i, f, g, o].
-            for j in 0..h {
-                for l in 0..windows.len() {
-                    let i_g = Self::sigmoid(z[j][l]);
-                    let f_g = Self::sigmoid(z[h + j][l]);
-                    let g_g = z[2 * h + j][l].tanh();
-                    let o_g = Self::sigmoid(z[3 * h + j][l]);
-                    let c = f_g * c_state[j][l] + i_g * g_g;
-                    let h_t = o_g * c.tanh();
-                    c_state[j][l] = c;
-                    h_state[j][l] = h_t;
-                    if let (0, Some(trace)) = (l, trace.as_mut()) {
-                        let gates = &mut trace.gates[t * width..(t + 1) * width];
-                        gates[j] = i_g;
-                        gates[h + j] = f_g;
-                        gates[2 * h + j] = g_g;
-                        gates[3 * h + j] = o_g;
-                        trace.cell[t * h + j] = c;
-                        trace.hidden[t * h + j] = h_t;
-                    }
-                }
-            }
-        }
-        (0..windows.len())
-            .map(|l| h_state.iter().map(|h_k| h_k[l]).collect())
-            .collect()
-    }
-}
-
-/// Where [`Lstm::recur`] records one window's states, `t`-major.
-struct Trace<'a> {
-    gates: &'a mut [f32],
-    cell: &'a mut [f32],
-    hidden: &'a mut [f32],
 }
 
 impl Layer for Lstm {
@@ -358,77 +474,60 @@ impl Layer for Lstm {
     }
 
     fn input_len(&self) -> usize {
-        self.timesteps * self.features
+        self.frozen.input_len()
     }
 
     fn output_len(&self) -> usize {
-        self.units
+        self.frozen.units
     }
 
     /// The one-window case of [`Layer::forward_batch`], keeping the
     /// window's states for `backward`.
     fn forward(&mut self, input: &[f32], _training: bool) -> Vec<f32> {
         assert_eq!(input.len(), self.input_len(), "lstm input length");
-        let h = self.units;
-        let t_max = self.timesteps;
-        let mut rows = Rows::default();
-        rows.push(input, self.features, t_max);
-        self.project(&mut rows);
-        let mut gates = std::mem::take(&mut self.cached_gates);
-        let mut cell = std::mem::take(&mut self.cached_cell);
-        let mut hidden = std::mem::take(&mut self.cached_hidden);
-        gates.resize(t_max * 4 * h, 0.0);
-        cell.resize(t_max * h, 0.0);
-        hidden.resize(t_max * h, 0.0);
+        let lstm = &self.frozen;
+        let (h, t_max) = (lstm.units, lstm.timesteps);
+        let mut bufs = LstmBuffers::default();
+        bufs.ensure(lstm, 1);
+        self.cached_gates.resize(t_max * 4 * h, 0.0);
+        self.cached_cell.resize(t_max * h, 0.0);
+        self.cached_hidden.resize(t_max * h, 0.0);
         let trace = Trace {
-            gates: &mut gates,
-            cell: &mut cell,
-            hidden: &mut hidden,
+            gates: &mut self.cached_gates,
+            cell: &mut self.cached_cell,
+            hidden: &mut self.cached_hidden,
         };
-        let out = self.recur(&rows.wx, &[&rows.ids], Some(trace)).pop();
-        self.cached_gates = gates;
-        self.cached_cell = cell;
-        self.cached_hidden = hidden;
+        let mut out = vec![0.0; h];
+        lstm.infer(Windows::Block(input), &mut bufs, &mut out, Some(trace));
         self.cached_input.clear();
         self.cached_input.extend_from_slice(input);
-        out.unwrap_or_default()
+        out
     }
 
-    /// Projects each distinct timestep row of the batch once (see
-    /// [`Rows::push`]), `GROUP` windows at a time, then runs the windows'
-    /// recurrences `LANES` at a time on the shared projections.
+    /// Every window through [`FrozenLstm::infer`], which projects each
+    /// distinct timestep row of the batch once.
     fn forward_batch(&mut self, inputs: &[&[f32]]) -> Vec<Vec<f32>> {
         for x in inputs {
             assert_eq!(x.len(), self.input_len(), "lstm input length");
         }
-        let t_max = self.timesteps;
-        let mut out = Vec::with_capacity(inputs.len());
-        let mut rows = Rows::default();
-        for group in inputs.chunks(GROUP) {
-            rows.keep_last(t_max, 4 * self.units);
-            let carried = rows.ids.len();
-            for x in group {
-                rows.push(x, self.features, t_max);
-            }
-            self.project(&mut rows);
-            for lanes in rows.ids[carried..].chunks(t_max * LANES) {
-                let windows: Vec<&[usize]> = lanes.chunks_exact(t_max).collect();
-                out.extend(self.recur(&rows.wx, &windows, None));
-            }
-        }
-        out
+        let h = self.frozen.units;
+        let mut bufs = LstmBuffers::default();
+        bufs.ensure(&self.frozen, inputs.len());
+        let mut out = vec![0.0; inputs.len() * h];
+        self.frozen.infer(Windows::Slices(inputs), &mut bufs, &mut out, None);
+        out.chunks_exact(h).map(<[f32]>::to_vec).collect()
     }
 
     fn backward(&mut self, grad_output: &[f32], input_grad: bool) -> Vec<f32> {
-        assert_eq!(grad_output.len(), self.units, "lstm grad length");
+        assert_eq!(grad_output.len(), self.frozen.units, "lstm grad length");
         assert!(
             !self.cached_input.is_empty(),
             "backward called before forward"
         );
-        let h = self.units;
-        let d = self.features;
+        let h = self.frozen.units;
+        let d = self.frozen.features;
         let rows = 4 * h;
-        let t_max = self.timesteps;
+        let t_max = self.frozen.timesteps;
 
         // Pass 1, the recurrence: every dz_t, grad_b, grad_u and dh_{t-1}.
         // It touches U only, so W is left for one sweep below.
@@ -470,7 +569,7 @@ impl Layer for Lstm {
                 .iter()
                 .zip(&mut self.grad_b)
                 .zip(self.grad_u.chunks_exact_mut(h))
-                .zip(self.u.chunks_exact(h))
+                .zip(self.frozen.u.chunks_exact(h))
             {
                 if g == 0.0 {
                     continue;
@@ -495,6 +594,7 @@ impl Layer for Lstm {
             Vec::new()
         };
         for (row, (wr, gw)) in self
+            .frozen
             .w
             .chunks_exact(d)
             .zip(self.grad_w.chunks_exact_mut(d))
@@ -521,13 +621,13 @@ impl Layer for Lstm {
     }
 
     fn param_count(&self) -> usize {
-        self.w.len() + self.u.len() + self.b.len()
+        self.frozen.w.len() + self.frozen.u.len() + self.frozen.b.len()
     }
 
     fn visit_params(&mut self, visitor: &mut dyn FnMut(&mut [f32], &mut [f32])) {
-        visitor(&mut self.w, &mut self.grad_w);
-        visitor(&mut self.u, &mut self.grad_u);
-        visitor(&mut self.b, &mut self.grad_b);
+        visitor(&mut self.frozen.w, &mut self.grad_w);
+        visitor(&mut self.frozen.u, &mut self.grad_u);
+        visitor(&mut self.frozen.b, &mut self.grad_b);
     }
 
     fn zero_grads(&mut self) {
@@ -539,10 +639,10 @@ impl Layer for Lstm {
     fn summary(&self) -> LayerSummary {
         LayerSummary {
             kind: "LSTM".into(),
-            output_shape: format!("{}", self.units),
+            output_shape: format!("{}", self.frozen.units),
             config: format!(
                 "units={} timesteps={} features={}",
-                self.units, self.timesteps, self.features
+                self.frozen.units, self.frozen.timesteps, self.frozen.features
             ),
             activation: Activation::Tanh.short_name().into(),
             parameters: self.param_count(),
@@ -550,11 +650,12 @@ impl Layer for Lstm {
     }
 
     fn export_params(&self) -> Vec<Vec<f32>> {
-        vec![self.w.clone(), self.u.clone(), self.b.clone()]
+        let FrozenLstm { w, u, b, .. } = &self.frozen;
+        vec![w.clone(), u.clone(), b.clone()]
     }
 
     fn import_params(&mut self, params: &[Vec<f32>]) -> Result<(), NeuralError> {
-        let Self { w, u, b, .. } = self;
+        let FrozenLstm { w, u, b, .. } = &mut self.frozen;
         import_into("LSTM", &mut [w, u, b], params)
     }
 }
@@ -703,9 +804,9 @@ mod tests {
     /// The per-timestep, per-row loops the layer is checked against:
     /// `W` is read once per timestep and every dot product is one chain.
     fn textbook_forward(l: &mut Lstm, input: &[f32]) -> Vec<f32> {
-        let h = l.units;
-        let d = l.features;
-        let t_max = l.timesteps;
+        let h = l.frozen.units;
+        let d = l.frozen.features;
+        let t_max = l.frozen.timesteps;
         l.cached_input = input.to_vec();
         l.cached_gates = vec![0.0; t_max * 4 * h];
         l.cached_cell = vec![0.0; t_max * h];
@@ -716,14 +817,14 @@ mod tests {
         for t in 0..t_max {
             let x_t = &input[t * d..(t + 1) * d];
             // z = W x + U h_prev + b, z has 4h entries.
-            let mut z = l.b.clone();
+            let mut z = l.frozen.b.clone();
             for (row, slot) in z.iter_mut().enumerate() {
-                let wr = &l.w[row * d..(row + 1) * d];
+                let wr = &l.frozen.w[row * d..(row + 1) * d];
                 let mut acc = 0.0f32;
                 for (wi, xi) in wr.iter().zip(x_t) {
                     acc += wi * xi;
                 }
-                let ur = &l.u[row * h..(row + 1) * h];
+                let ur = &l.frozen.u[row * h..(row + 1) * h];
                 for (ui, hi) in ur.iter().zip(&h_prev) {
                     acc += ui * hi;
                 }
@@ -732,10 +833,10 @@ mod tests {
             // Gates: [i, f, g, o].
             let gates = &mut l.cached_gates[t * 4 * h..(t + 1) * 4 * h];
             for j in 0..h {
-                let i_g = Lstm::sigmoid(z[j]);
-                let f_g = Lstm::sigmoid(z[h + j]);
+                let i_g = sigmoid(z[j]);
+                let f_g = sigmoid(z[h + j]);
                 let g_g = z[2 * h + j].tanh();
-                let o_g = Lstm::sigmoid(z[3 * h + j]);
+                let o_g = sigmoid(z[3 * h + j]);
                 gates[j] = i_g;
                 gates[h + j] = f_g;
                 gates[2 * h + j] = g_g;
@@ -751,9 +852,9 @@ mod tests {
     }
 
     fn textbook_backward(l: &mut Lstm, grad_output: &[f32]) -> Vec<f32> {
-        let h = l.units;
-        let d = l.features;
-        let t_max = l.timesteps;
+        let h = l.frozen.units;
+        let d = l.frozen.features;
+        let t_max = l.frozen.timesteps;
         let mut grad_in = vec![0.0f32; l.input_len()];
         let mut dh = grad_output.to_vec();
         let mut dc = vec![0.0f32; h];
@@ -801,14 +902,14 @@ mod tests {
                 let wr_base = row * d;
                 for k in 0..d {
                     gw[k] += g * x_t[k];
-                    gx[k] += g * l.w[wr_base + k];
+                    gx[k] += g * l.frozen.w[wr_base + k];
                 }
                 if t > 0 {
                     let gu = &mut l.grad_u[row * h..(row + 1) * h];
                     let ur_base = row * h;
                     for k in 0..h {
                         gu[k] += g * h_prev[k];
-                        dh_prev[k] += g * l.u[ur_base + k];
+                        dh_prev[k] += g * l.frozen.u[ur_base + k];
                     }
                 }
             }
@@ -885,18 +986,23 @@ mod tests {
         let w = [0.25f32, 1.0];
         let first: Vec<f32> = [x, x, neg_zero, ulp, neg_zero].concat();
         let second: Vec<f32> = [x, neg_zero, ulp, w, w].concat();
-        let mut rows = Rows::default();
-        rows.push(&first, 2, 5);
-        assert_eq!(rows.ids, [0, 0, 1, 2, 1]);
-        rows.push(&second, 2, 5);
-        assert_eq!(rows.ids[5..], [0, 1, 2, 3, 3]);
-        assert_eq!(rows.distinct.len(), 4);
-        // Only the last window's rows survive a group boundary.
-        rows.wx = vec![0.0; 4 * 3];
-        rows.keep_last(5, 3);
-        assert_eq!(rows.ids, [0, 1, 2, 3, 3]);
-        assert_eq!(rows.distinct, [&x[..], &neg_zero, &ulp, &w]);
-        assert_eq!(rows.wx.len(), 4 * 3);
+        let windows = [&first[..], &second[..]];
+        let windows = Windows::Slices(&windows);
+        let lstm = Lstm::new(5, 2, 1, &mut rng()).unwrap();
+        let mut bufs = LstmBuffers::default();
+        bufs.ensure(&lstm.frozen, 2);
+        let rows = &mut bufs.rows;
+        rows.number(windows, 10, 2, 5);
+        assert_eq!(rows.ids[..10], [0, 0, 1, 2, 1, 0, 1, 2, 3, 3]);
+        let distinct: Vec<&[f32]> = rows.distinct[..rows.distinct_len]
+            .iter()
+            .map(|&r| windows.row(r, 2, 5).unwrap())
+            .collect();
+        assert_eq!(distinct, [&x[..], &neg_zero, &ulp, &w]);
+        // A new call forgets the rows of the last one.
+        rows.number(Windows::Slices(&[&second[..]]), 5, 2, 5);
+        assert_eq!(rows.ids[..5], [0, 1, 2, 3, 3]);
+        assert_eq!(rows.distinct[..rows.distinct_len], [0, 1, 2, 3]);
     }
 
     /// Rows in plateaus, with neighbours that differ only in the sign of
@@ -935,7 +1041,7 @@ mod tests {
         // Timesteps below, at and above the 8-lane tile; odd unit counts.
         for (t, d, h) in [(1, 3, 2), (5, 13, 7), (8, 1, 3), (9, 6, 4), (5, 1700, 32)] {
             let mut layer = Lstm::new(t, d, h, &mut draw).unwrap();
-            let rows = row_stream(3 * GROUP / 2 + t, d, &mut draw);
+            let rows = row_stream(48 + t, d, &mut draw);
             let sliding: Vec<Vec<f32>> = rows.windows(t).map(|w| w.concat()).collect();
             let disjoint: Vec<Vec<f32>> = rows.chunks_exact(t).map(|w| w.concat()).collect();
             // Sliding windows as views of one buffer share their rows' memory.
@@ -946,7 +1052,7 @@ mod tests {
             let kinds = [("sliding", &copies), ("views", &views), ("disjoint", &disjoint)];
             for (kind, windows) in kinds {
                 let want: Vec<Vec<f32>> = windows.iter().map(|w| layer.forward(w, false)).collect();
-                for size in [1, 7, GROUP + 1, windows.len()] {
+                for size in [1, 7, 33, windows.len()] {
                     let mut got = Vec::new();
                     for refs in windows.chunks(size) {
                         got.extend(layer.forward_batch(refs));

@@ -23,6 +23,7 @@ pub use dropout::Dropout;
 pub use highway::{Highway, ResidualDense};
 pub use local1d::LocallyConnected1d;
 pub use lstm::Lstm;
+pub(crate) use lstm::{FrozenLstm, LstmBuffers, Windows};
 pub use pool::{AvgPool1d, MaxPool1d};
 pub use shape::{Flatten, Reshape};
 

@@ -5,19 +5,21 @@
 //! network cannot be shared between threads. A [`FrozenPlan`] is the
 //! deployment counterpart: compiled once from an exported artifact, it
 //! holds nothing but pre-resolved layer shapes and the batched kernels'
-//! packed weights (see [`crate::kernels`]), all methods take `&self`,
+//! weights (see [`crate::kernels`]), all methods take `&self`,
 //! and the plan is `Send + Sync` — one `Arc` serves any number of
 //! worker threads (the `serve` crate's engine is built on exactly this
 //! property).
 //!
 //! Every prediction — [`FrozenPlan::predict`] for one sample, or
 //! [`FrozenPlan::predict_batch`] / [`FrozenPlan::predict_batch_scratch`]
-//! for a contiguous block — runs the same cache-blocked vectorized
-//! kernels, so a single-sample prediction equals the matching row of a
-//! batched one bit for bit. The kernels re-associate accumulation
-//! relative to the layers' training-time forward pass, so plan outputs
-//! are *tolerance-equal* (max-abs-error ≤ 1e-4), not bit-equal, to
-//! [`crate::Network::predict`], which stays the one forward reference:
+//! for a contiguous block — runs the same batched kernels, so a
+//! single-sample prediction equals the matching row of a batched one bit
+//! for bit. [`crate::Network::predict`] stays the one forward reference.
+//! An LSTM layer runs the layer's own exact batched recurrence on the
+//! weights as exported, so an LSTM-only plan equals it bit for bit. The
+//! other kernels re-associate accumulation relative to the layers'
+//! training-time forward pass, so their outputs are *tolerance-equal*
+//! (max-abs-error ≤ 1e-4), not bit-equal, to it:
 //! `neural/tests/kernel_equivalence.rs` differentially pins the plan to
 //! it, and `serve_load` in the bench crate gates the serving tier on it
 //! end to end.
@@ -47,7 +49,7 @@
 
 use crate::export::ExportedNetwork;
 use crate::kernels::{self, gemm::pack_transposed, BatchKernel, Scratch, ScratchDims};
-use crate::layers::conv_output_len;
+use crate::layers::{conv_output_len, FrozenLstm};
 use crate::spec::{LayerSpec, NetworkSpec};
 use crate::NeuralError;
 
@@ -67,7 +69,10 @@ pub fn expected_tensor_shapes(spec: &NetworkSpec) -> Result<Vec<Vec<usize>>, Neu
 
 /// Walks a spec layer by layer, resolving the running `channels × len`
 /// shape exactly like [`NetworkSpec::build`], and hands each layer's spec,
-/// resolved input shape and expected tensor lengths to `visit`.
+/// resolved input shape and expected tensor lengths to `visit`. Every
+/// product of declared sizes is checked, so a size that wraps is an
+/// [`NeuralError::InvalidSpec`], not a tensor length wrapped to a small
+/// number.
 fn walk_spec(
     spec: &NetworkSpec,
     mut visit: impl FnMut(&LayerSpec, (usize, usize), Vec<usize>),
@@ -82,10 +87,14 @@ fn walk_spec(
     let mut len = spec.input_len;
     for (i, layer) in spec.layers.iter().enumerate() {
         let invalid = |msg: String| NeuralError::InvalidSpec(format!("layer {i}: {msg}"));
+        let mul = |a: usize, b: usize| {
+            a.checked_mul(b)
+                .ok_or_else(|| invalid(format!("declared size {a} × {b} overflows")))
+        };
         let in_shape = (channels, len);
         let expected: Vec<usize> = match *layer {
             LayerSpec::Reshape { channels: ch } => {
-                let total = channels * len;
+                let total = mul(channels, len)?;
                 if ch == 0 || !total.is_multiple_of(ch) {
                     return Err(invalid(format!("cannot reshape {total} into {ch} channels")));
                 }
@@ -103,7 +112,7 @@ fn walk_spec(
                     return Err(invalid("conv1d filters must be non-zero".into()));
                 }
                 let out_len = conv_output_len(len, kernel, stride).map_err(|e| invalid(e.to_string()))?;
-                let w = filters * channels * kernel;
+                let w = mul(mul(filters, channels)?, kernel)?;
                 channels = filters;
                 len = out_len;
                 vec![w, filters]
@@ -118,8 +127,8 @@ fn walk_spec(
                     return Err(invalid("locally connected filters must be non-zero".into()));
                 }
                 let out_len = conv_output_len(len, kernel, stride).map_err(|e| invalid(e.to_string()))?;
-                let w = out_len * filters * channels * kernel;
-                let b = out_len * filters;
+                let b = mul(out_len, filters)?;
+                let w = mul(mul(b, channels)?, kernel)?;
                 channels = filters;
                 len = out_len;
                 vec![w, b]
@@ -129,7 +138,7 @@ fn walk_spec(
                 Vec::new()
             }
             LayerSpec::Flatten => {
-                len *= channels;
+                len = mul(len, channels)?;
                 channels = 1;
                 Vec::new()
             }
@@ -137,33 +146,34 @@ fn walk_spec(
                 if units == 0 {
                     return Err(invalid("dense units must be non-zero".into()));
                 }
-                let input = channels * len;
+                let input = mul(channels, len)?;
                 channels = 1;
                 len = units;
-                vec![input * units, units]
+                vec![mul(input, units)?, units]
             }
             LayerSpec::Dropout { rate } => {
                 if !(0.0..1.0).contains(&rate) {
                     return Err(invalid(format!("dropout rate {rate} must lie in [0, 1)")));
                 }
-                len *= channels;
+                len = mul(len, channels)?;
                 channels = 1;
                 Vec::new()
             }
             LayerSpec::Highway { .. } => {
-                let width = channels * len;
+                let width = mul(channels, len)?;
                 channels = 1;
                 len = width;
-                vec![width * width, width, width * width, width]
+                let w = mul(width, width)?;
+                vec![w, width, w, width]
             }
             LayerSpec::ResidualDense { .. } => {
-                let width = channels * len;
+                let width = mul(channels, len)?;
                 channels = 1;
                 len = width;
-                vec![width * width, width]
+                vec![mul(width, width)?, width]
             }
             LayerSpec::Lstm { units, timesteps } => {
-                let total = channels * len;
+                let total = mul(channels, len)?;
                 if timesteps == 0 || !total.is_multiple_of(timesteps) {
                     return Err(invalid(format!(
                         "lstm timesteps {timesteps} must divide input {total}"
@@ -173,9 +183,10 @@ fn walk_spec(
                     return Err(invalid("lstm units must be non-zero".into()));
                 }
                 let features = total / timesteps;
+                let gates = mul(4, units)?;
                 channels = 1;
                 len = units;
-                vec![4 * units * features, 4 * units * units, 4 * units]
+                vec![mul(gates, features)?, mul(gates, units)?, gates]
             }
         };
         visit(layer, in_shape, expected);
@@ -251,8 +262,8 @@ impl FrozenPlan {
 
     /// Compiles a spec + weight tensors (in
     /// [`crate::Network::export_weights`] layout) into a frozen plan,
-    /// packing every weight matrix straight into the layout its batched
-    /// kernel streams (see [`crate::kernels`]).
+    /// packing every weight matrix but the LSTM's straight into the
+    /// layout its batched kernel streams (see [`crate::kernels`]).
     ///
     /// # Errors
     ///
@@ -277,10 +288,10 @@ impl FrozenPlan {
             // at every timestep, everything else once.
             let reuse = match kernel {
                 BatchKernel::Conv1d { out_len, .. } => out_len,
-                BatchKernel::Lstm { timesteps, .. } => timesteps,
+                BatchKernel::Lstm(ref lstm) => lstm.timesteps,
                 _ => 1,
             };
-            macs_per_op.push((params * reuse) as u64);
+            macs_per_op.push(params.saturating_mul(reuse) as u64);
             batch_kernels.push(kernel);
         })?;
         let output_len = batch_kernels.last().map_or(0, BatchKernel::out_len_total);
@@ -427,7 +438,8 @@ impl FrozenPlan {
 
 /// Compiles one layer of a validated spec, whose input is resolved to
 /// `channels × len`, into its batched kernel, packing weight matrices
-/// transposed into the k-major layout the vectorized kernels stream.
+/// transposed into the k-major layout the vectorized kernels stream. The
+/// LSTM keeps its weights as exported, the layout its recurrence reads.
 fn compile_layer(
     layer: &LayerSpec,
     channels: usize,
@@ -524,17 +536,14 @@ fn compile_layer(
                 bias: tensors[1].clone(),
             }
         }
-        LayerSpec::Lstm { units, timesteps } => {
-            let features = channels * len / timesteps;
-            BatchKernel::Lstm {
-                timesteps,
-                features,
-                units,
-                wt: pack_transposed(4 * units, features, &tensors[0]),
-                ut: pack_transposed(4 * units, units, &tensors[1]),
-                b: tensors[2].clone(),
-            }
-        }
+        LayerSpec::Lstm { units, timesteps } => BatchKernel::Lstm(FrozenLstm {
+            features: channels * len / timesteps,
+            units,
+            timesteps,
+            w: tensors[0].clone(),
+            u: tensors[1].clone(),
+            b: tensors[2].clone(),
+        }),
     }
 }
 
@@ -651,20 +660,92 @@ mod tests {
 
     #[test]
     fn plan_matches_network_on_lstm() {
-        let spec = NetworkSpec::new(20)
-            .layer(LayerSpec::Lstm {
-                units: 6,
-                timesteps: 4,
-            })
-            .layer(LayerSpec::Dense {
-                units: 3,
-                activation: Activation::Linear,
-            });
+        // The plan runs the layer's own recurrence: exact, not within TOL.
+        let spec = NetworkSpec::new(20).layer(LayerSpec::Lstm {
+            units: 6,
+            timesteps: 4,
+        });
         let mut net = spec.build(9).unwrap();
         let plan = FrozenPlan::from_spec_weights("lstm", &spec, &net.export_weights()).unwrap();
         let x = sample(20);
-        let err = kernels::max_abs_divergence(&plan.predict(&x).unwrap(), &net.predict(&x));
-        assert!(err <= TOL, "plan drifted {err} from Network::predict");
+        let got: Vec<u32> = plan
+            .predict(&x)
+            .unwrap()
+            .iter()
+            .map(|v| v.to_bits())
+            .collect();
+        let want: Vec<u32> = net.predict(&x).iter().map(|v| v.to_bits()).collect();
+        assert_eq!(got, want, "plan must equal Network::predict bit for bit");
+    }
+
+    #[test]
+    fn declared_sizes_that_wrap_are_typed_errors() {
+        let huge = 1usize << 62;
+        let relu = Activation::Relu;
+        let cases = [
+            (
+                10,
+                LayerSpec::Lstm {
+                    units: huge,
+                    timesteps: 5,
+                },
+                3,
+            ),
+            (
+                10,
+                LayerSpec::Conv1d {
+                    filters: huge,
+                    kernel: 5,
+                    stride: 1,
+                    activation: relu,
+                },
+                2,
+            ),
+            (
+                10,
+                LayerSpec::LocallyConnected1d {
+                    filters: huge,
+                    kernel: 2,
+                    stride: 1,
+                    activation: relu,
+                },
+                2,
+            ),
+            (
+                10,
+                LayerSpec::Dense {
+                    units: huge,
+                    activation: relu,
+                },
+                2,
+            ),
+            (1 << 33, LayerSpec::Highway { activation: relu }, 4),
+        ];
+        for (input_len, layer, tensors) in cases {
+            let ctx = format!("{layer:?}");
+            let spec = NetworkSpec::new(input_len).layer(layer);
+            let weights = vec![vec![Vec::new(); tensors]];
+            let exported = ExportedNetwork {
+                format_version: crate::export::EXPORT_FORMAT_VERSION,
+                name: "wrap".into(),
+                spec: spec.clone(),
+                weights: weights.clone(),
+            };
+            let is_spec_error =
+                |r: Result<(), NeuralError>| matches!(r, Err(NeuralError::InvalidSpec(_)));
+            assert!(
+                is_spec_error(FrozenPlan::compile(&exported).map(drop)),
+                "{ctx}: compile"
+            );
+            assert!(
+                is_spec_error(validate_weights(&spec, &weights)),
+                "{ctx}: validate_weights"
+            );
+            assert!(
+                is_spec_error(exported.instantiate().map(drop)),
+                "{ctx}: instantiate"
+            );
+        }
     }
 
     #[test]

@@ -4,8 +4,9 @@
 //! [`FrozenPlan`]'s vectorized kernels as through the one forward
 //! reference, per-sample [`neural::Network::predict`] — within `TOL` of
 //! max-abs-error, across batch sizes that straddle the kernels' row-pair
-//! blocking (1, 2, 7, 32, 33). Failures report the first diverging
-//! sample and output index so a kernel bug localizes immediately.
+//! blocking (1, 2, 7, 32, 33). An LSTM-only plan must match bit for
+//! bit. Failures report the first diverging sample and output index so a
+//! kernel bug localizes immediately.
 
 use neural::kernels::{max_abs_divergence, Scratch};
 use neural::plan::FrozenPlan;
@@ -15,7 +16,8 @@ use proptest::prelude::*;
 
 /// The tolerance gate: the batched kernels associate additions
 /// differently (k-major axpy vs per-unit dot product), so outputs are
-/// tolerance-equal, never bit-equal, to `Network::predict`.
+/// tolerance-equal, not bit-equal, to `Network::predict`. The LSTM is
+/// the exception: the plan runs the layer's own recurrence.
 const TOL: f32 = 1e-4;
 
 /// Batch sizes straddling the kernels' blocking factors: 1 (no
@@ -43,11 +45,18 @@ fn wave_inputs(len: usize, seed: u64) -> Vec<f32> {
 /// index, both values) if any pair of outputs differs by more than
 /// [`TOL`].
 fn backends_agree(spec: &NetworkSpec, seed: u64) -> Result<(), String> {
-    backends_agree_at(spec, seed, &BATCHES)
+    backends_agree_at(spec, seed, &BATCHES, false)
 }
 
-/// [`backends_agree`] over the given batch sizes.
-fn backends_agree_at(spec: &NetworkSpec, seed: u64, batches: &[usize]) -> Result<(), String> {
+/// [`backends_agree`] over the given batch sizes; with `exact`, every
+/// output must equal the reference bit for bit, for plans whose kernels
+/// run the layers' own arithmetic.
+fn backends_agree_at(
+    spec: &NetworkSpec,
+    seed: u64,
+    batches: &[usize],
+    exact: bool,
+) -> Result<(), String> {
     let mut net = spec.build(seed).map_err(|e| format!("build failed: {e}"))?;
     let plan = FrozenPlan::from_spec_weights("diff", spec, &net.export_weights())
         .map_err(|e| format!("compile failed: {e}"))?;
@@ -59,11 +68,21 @@ fn backends_agree_at(spec: &NetworkSpec, seed: u64, batches: &[usize]) -> Result
         let mut batched = Vec::new();
         plan.predict_batch_scratch(&inputs, &mut batched, &mut scratch, &mut |_, _| {})
             .map_err(|e| format!("batched kernels, batch {batch}: {e}"))?;
+        if batched.len() != reference.len() {
+            let (got, want) = (batched.len(), reference.len());
+            return Err(format!("batch {batch}: {got} outputs, want {want}"));
+        }
+        let tol = if exact { 0.0 } else { TOL };
         for (i, (&r, &b)) in reference.iter().zip(&batched).enumerate() {
-            if max_abs_divergence(&[r], &[b]) > TOL {
+            let diverged = if exact {
+                r.to_bits() != b.to_bits()
+            } else {
+                max_abs_divergence(&[r], &[b]) > TOL
+            };
+            if diverged {
                 return Err(format!(
                     "batch {batch}: first divergence at sample {} output {} (flat index {i}): \
-                     reference {r:e} vs batched {b:e} (|delta| {:e} > {TOL:e})",
+                     reference {r:e} vs batched {b:e} (|delta| {:e}, tolerance {tol:e})",
                     i / out_len,
                     i % out_len,
                     (r - b).abs(),
@@ -185,11 +204,19 @@ proptest! {
         features in 1usize..8,
         units in 1usize..12,
         seed in 0u64..10_000,
+        head in 0u8..2,
     ) {
-        let spec = NetworkSpec::new(timesteps * features)
-            .layer(LayerSpec::Lstm { units, timesteps })
-            .layer(LayerSpec::Dense { units: 3, activation: Activation::Softmax });
-        if let Err(msg) = backends_agree(&spec, seed) {
+        let lstm = NetworkSpec::new(timesteps * features)
+            .layer(LayerSpec::Lstm { units, timesteps });
+        // The plan runs the layer's own recurrence, so without a head it
+        // is exact; the Dense head's FMA GEMM keeps the tolerance.
+        let result = if head == 1 {
+            let spec = lstm.layer(LayerSpec::Dense { units: 3, activation: Activation::Softmax });
+            backends_agree(&spec, seed)
+        } else {
+            backends_agree_at(&lstm, seed, &BATCHES, true)
+        };
+        if let Err(msg) = result {
             prop_assert!(false, "{}", msg);
         }
     }
@@ -320,7 +347,7 @@ fn each_table1_conv_shape_matches_alone() {
     ];
     for (i, &(channels, len, filters, kernel, stride, act)) in shapes.iter().enumerate() {
         let spec = conv_alone(channels, len, filters, kernel, stride, act);
-        if let Err(msg) = backends_agree_at(&spec, 300 + i as u64, &[1, 3, 32]) {
+        if let Err(msg) = backends_agree_at(&spec, 300 + i as u64, &[1, 3, 32], false) {
             panic!("Table-1 conv {channels}->{filters} k{kernel} s{stride} on {len}: {msg}");
         }
     }
@@ -340,7 +367,7 @@ fn every_filter_block_and_tile_tail_matches() {
                 let len = (out_len - 1) * stride + kernel;
                 let spec = conv_alone(2, len, filters, kernel, stride, Activation::Tanh);
                 let seed = (filters * 100 + out_len * 10 + stride) as u64;
-                if let Err(msg) = backends_agree_at(&spec, seed, &[1, 3, 32]) {
+                if let Err(msg) = backends_agree_at(&spec, seed, &[1, 3, 32], false) {
                     panic!("filters {filters}, out_len {out_len}, stride {stride}: {msg}");
                 }
             }

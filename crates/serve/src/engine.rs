@@ -122,8 +122,8 @@ impl Request {
 /// A completed prediction.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Prediction {
-    /// The model output, from the plan's batched kernels: within
-    /// max-abs-error tolerance of `Network::predict`.
+    /// The model output, from the plan's batched kernels: within 1e-4 of
+    /// `Network::predict`, and bit-equal to it for an LSTM-only model.
     pub output: Vec<f32>,
     /// Version the request actually executed on.
     pub model_version: u32,

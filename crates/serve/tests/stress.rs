@@ -180,19 +180,48 @@ fn batched_scratch_is_reused_with_zero_hot_path_allocations_after_warmup() {
     // the `neural.scratch_grow` obs counter on every growth. After a
     // warm-up at the full batch size, steady-state serving must never
     // grow again — that counter staying flat is the observable proof of
-    // "zero allocations on the batched hot path".
+    // "zero allocations on the batched hot path". The worker serves an
+    // LSTM plan too, whose row table and state live in the same arena.
     let obs_guard = obs::install(obs::Collector::new());
 
     const MAX_BATCH: usize = 8;
-    let router = one_shard(ServeConfig {
-        workers: 1, // a single worker so one arena sees every batch
-        queue_capacity: 256,
-        max_batch: MAX_BATCH,
-        // Generous linger so a burst of MAX_BATCH submissions
-        // coalesces into one full-width batch.
-        max_linger: Duration::from_millis(5),
-        default_deadline: Duration::from_secs(60),
+    const TIMESTEPS: usize = 5;
+    const FEATURES: usize = 6;
+    let lstm_spec = NetworkSpec::new(TIMESTEPS * FEATURES).layer(LayerSpec::Lstm {
+        units: 4,
+        timesteps: TIMESTEPS,
     });
+    let mut lstm_net = lstm_spec.build(2).expect("valid spec");
+    let lstm_plan = FrozenPlan::from_spec_weights("lstm", &lstm_spec, &lstm_net.export_weights())
+        .expect("lstm plan");
+    // Plateau windows: each row repeated, as the NMR traffic does.
+    let lstm_inputs: Vec<Vec<f32>> = (0..MAX_BATCH)
+        .map(|i| {
+            (0..TIMESTEPS * FEATURES)
+                .map(|k| ((i * 3 + k / (2 * FEATURES)) as f32 * 0.7).sin())
+                .collect()
+        })
+        .collect();
+    let lstm_want: Vec<Vec<f32>> = lstm_inputs.iter().map(|x| lstm_net.predict(x)).collect();
+    let registry = registry();
+    registry.publish_plan("lstm", 1, Arc::new(lstm_plan));
+    let router = Router::start(
+        registry,
+        RouterConfig {
+            shards: 1,
+            engine: ServeConfig {
+                workers: 1, // a single worker so one arena sees every batch
+                queue_capacity: 256,
+                max_batch: MAX_BATCH,
+                // Generous linger so a burst of MAX_BATCH submissions
+                // coalesces into one full-width batch.
+                max_linger: Duration::from_millis(5),
+                default_deadline: Duration::from_secs(60),
+            },
+            ..RouterConfig::default()
+        },
+    )
+    .expect("start router");
 
     let wave = |router: &Router| {
         let tickets: Vec<Ticket> = (0..MAX_BATCH)
@@ -205,6 +234,18 @@ fn batched_scratch_is_reused_with_zero_hot_path_allocations_after_warmup() {
         for ticket in tickets {
             let prediction = ticket.wait().expect("request completes");
             assert_eq!(prediction.output, vec![1.5f32; OUTPUT]);
+        }
+        let tickets: Vec<Ticket> = lstm_inputs
+            .iter()
+            .map(|x| {
+                router
+                    .submit(Request::new("lstm", x.clone()))
+                    .expect("queue has room")
+            })
+            .collect();
+        for (ticket, want) in tickets.into_iter().zip(&lstm_want) {
+            let prediction = ticket.wait().expect("request completes");
+            assert_eq!(&prediction.output, want);
         }
     };
 
