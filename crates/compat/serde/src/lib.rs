@@ -14,8 +14,10 @@
 
 #![forbid(unsafe_code)]
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::Arc;
 
 pub use serde_derive::{Deserialize, Serialize};
 
@@ -58,6 +60,12 @@ impl std::error::Error for DeError {}
 pub trait Serialize {
     /// Converts `self` into a [`Value`] tree.
     fn to_value(&self) -> Value;
+
+    /// `self` as a [`Value`] tree, borrowed when `self` already is one.
+    /// Text writers walk this, so writing a [`Value`] never copies it.
+    fn as_value(&self) -> Cow<'_, Value> {
+        Cow::Owned(self.to_value())
+    }
 }
 
 /// Deserialization from the [`Value`] data model.
@@ -83,11 +91,35 @@ impl<T: Serialize + ?Sized> Serialize for &T {
     fn to_value(&self) -> Value {
         (**self).to_value()
     }
+
+    fn as_value(&self) -> Cow<'_, Value> {
+        (**self).as_value()
+    }
+}
+
+impl<T: Serialize + ?Sized> Serialize for Arc<T> {
+    fn to_value(&self) -> Value {
+        (**self).to_value()
+    }
+
+    fn as_value(&self) -> Cow<'_, Value> {
+        (**self).as_value()
+    }
+}
+
+impl<T: Deserialize> Deserialize for Arc<T> {
+    fn from_value(value: &Value) -> Result<Self, DeError> {
+        T::from_value(value).map(Arc::new)
+    }
 }
 
 impl Serialize for Value {
     fn to_value(&self) -> Value {
         self.clone()
+    }
+
+    fn as_value(&self) -> Cow<'_, Value> {
+        Cow::Borrowed(self)
     }
 }
 
@@ -395,6 +427,17 @@ mod tests {
         let t = ("k".to_string(), 2.5f64);
         let back: (String, f64) = Deserialize::from_value(&t.to_value()).unwrap();
         assert_eq!(back, t);
+    }
+
+    #[test]
+    fn values_are_borrowed_not_copied() {
+        let v = Value::Array(vec![Value::Bool(true)]);
+        assert!(matches!(v.as_value(), Cow::Borrowed(b) if std::ptr::eq(b, &v)));
+        let shared = Arc::new(v.clone());
+        assert!(matches!(shared.as_value(), Cow::Borrowed(b) if std::ptr::eq(b, &*shared)));
+        assert!(matches!(7u32.as_value(), Cow::Owned(_)));
+        let back: Arc<Vec<bool>> = Deserialize::from_value(&shared.to_value()).unwrap();
+        assert_eq!(*back, vec![true]);
     }
 
     #[test]

@@ -54,9 +54,8 @@ pub fn deploy_network(
     let exported = ExportedNetwork::from_network(spec, network, name);
     exported.validate()?;
     let version = store
-        .collection(collection)
+        .query(collection, MODEL_PARAM, name)
         .iter()
-        .filter(|d| d.metadata.params.get(MODEL_PARAM).map(String::as_str) == Some(name))
         .filter_map(|d| d.metadata.params.get(VERSION_PARAM)?.parse::<u32>().ok())
         .max()
         .map_or(1, |v| v + 1);

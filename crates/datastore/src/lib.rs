@@ -16,6 +16,12 @@
 //! by default and can be persisted to / loaded from a directory of JSON
 //! files.
 //!
+//! A stored payload is immutable and shared: [`Document::payload`] is an
+//! `Arc`, so reads ([`Store::get`], [`Store::collection`],
+//! [`Store::query`], [`Store::latest`]) hand out a reference-counted
+//! pointer to the stored tree instead of a copy of it, and
+//! [`Store::get_payload`] deserializes straight from that tree.
+//!
 //! # Durability
 //!
 //! Persistence is crash-safe: every document is written to a temporary
@@ -57,6 +63,7 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use parking_lot::RwLock;
 use serde::de::DeserializeOwned;
@@ -164,6 +171,8 @@ impl Metadata {
 }
 
 /// A stored document: metadata plus a JSON payload.
+///
+/// Cloning a document is cheap: the payload is shared, never copied.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Document {
     /// The document id.
@@ -172,8 +181,42 @@ pub struct Document {
     pub collection: String,
     /// Provenance metadata.
     pub metadata: Metadata,
-    /// The JSON payload.
-    pub payload: serde_json::Value,
+    /// The JSON payload, shared immutably by the store and every reader.
+    pub payload: Arc<serde_json::Value>,
+}
+
+impl Document {
+    /// The canonical compact JSON of the document, which persistence
+    /// checksums: exactly what `serde_json::to_string(self)` writes (keys
+    /// sorted, so `payload` comes last), but with the payload written
+    /// from the shared tree rather than from a copy of it.
+    fn to_json(&self) -> Result<String, serde_json::Error> {
+        let head = serde_json::json!({
+            "collection": self.collection,
+            "id": self.id,
+            "metadata": self.metadata
+        });
+        let mut json = serde_json::to_string(&head)?;
+        json.pop(); // the head object's closing brace
+        json.push_str(",\"payload\":");
+        json.push_str(&serde_json::to_string(&*self.payload)?);
+        json.push('}');
+        Ok(json)
+    }
+
+    /// Deserializes a document, moving its payload into the `Arc` instead
+    /// of copying it out of `value`.
+    fn from_json_value(mut value: serde_json::Value) -> Result<Self, serde::DeError> {
+        let payload = match &mut value {
+            serde_json::Value::Object(fields) => fields.get_mut("payload").map(std::mem::take),
+            _ => None,
+        };
+        let mut doc = Self::from_value(&value)?;
+        if let Some(payload) = payload {
+            doc.payload = Arc::new(payload);
+        }
+        Ok(doc)
+    }
 }
 
 /// The document store. Cheap to share: all methods take `&self` and the
@@ -222,14 +265,15 @@ impl Store {
                 id,
                 collection: collection.to_string(),
                 metadata,
-                payload: value,
+                payload: Arc::new(value),
             },
         );
         obs::counter_add("store.inserts", 1);
         Ok(id)
     }
 
-    /// Fetches a document by id.
+    /// Fetches a document by id. The returned payload is the stored one,
+    /// shared.
     ///
     /// # Errors
     ///
@@ -242,14 +286,15 @@ impl Store {
             .ok_or(StoreError::NotFound(id))
     }
 
-    /// Deserializes a document's payload into `T`.
+    /// Deserializes a document's payload into `T`, reading the stored
+    /// tree in place.
     ///
     /// # Errors
     ///
     /// Returns [`StoreError::NotFound`] or [`StoreError::Serde`].
     pub fn get_payload<T: DeserializeOwned>(&self, id: DocumentId) -> Result<T, StoreError> {
         let doc = self.get(id)?;
-        serde_json::from_value(doc.payload).map_err(|e| StoreError::Serde(e.to_string()))
+        T::from_value(&doc.payload).map_err(|e| StoreError::Serde(e.to_string()))
     }
 
     /// All documents of a collection, in insertion order.
@@ -398,8 +443,7 @@ impl Store {
         let _span = obs::span!("store.save");
         std::fs::create_dir_all(dir)?;
         for doc in self.documents.read().values() {
-            let doc_json =
-                serde_json::to_string(doc).map_err(|e| StoreError::Serde(e.to_string()))?;
+            let doc_json = doc.to_json().map_err(|e| StoreError::Serde(e.to_string()))?;
             let envelope = format!(
                 "{{\"crc32\":{},\"doc\":{}}}",
                 crc32(doc_json.as_bytes()),
@@ -512,23 +556,27 @@ pub struct QuarantinedFile {
 }
 
 /// Parses a persisted file: a `{"crc32": N, "doc": {...}}` envelope
-/// (checksum verified), or a bare pre-checksum document.
+/// (checksum verified), or a bare pre-checksum document. The parsed tree
+/// is checksummed from a borrow and then moved into the document, never
+/// copied.
 fn verify_envelope(json: &str) -> Result<Document, String> {
     let value: serde_json::Value =
         serde_json::from_str(json).map_err(|e| format!("invalid JSON: {e}"))?;
-    let envelope = value
-        .as_object()
-        .filter(|o| o.contains_key("crc32") && o.contains_key("doc"));
-    let Some(obj) = envelope else {
+    let mut obj = match value {
+        serde_json::Value::Object(obj) if obj.contains_key("crc32") && obj.contains_key("doc") => {
+            obj
+        }
         // Legacy layout: the file is the document itself.
-        return serde_json::from_value(value)
-            .map_err(|e| format!("not an envelope and not a document: {e}"));
+        legacy => {
+            return Document::from_json_value(legacy)
+                .map_err(|e| format!("not an envelope and not a document: {e}"))
+        }
     };
     let stored = obj
         .get("crc32")
         .and_then(serde_json::Value::as_u64)
         .ok_or_else(|| "crc32 field is not an integer".to_string())?;
-    let doc_value = obj.get("doc").cloned().unwrap_or(serde_json::Value::Null);
+    let doc_value = obj.remove("doc").unwrap_or_default();
     // Checksums cover the canonical (compact) document JSON; re-serializing
     // the parsed value reproduces it exactly.
     let doc_json =
@@ -537,7 +585,8 @@ fn verify_envelope(json: &str) -> Result<Document, String> {
     if actual != stored {
         return Err(format!("crc32 mismatch: stored {stored}, computed {actual}"));
     }
-    serde_json::from_value(doc_value).map_err(|e| format!("checksum ok but not a document: {e}"))
+    Document::from_json_value(doc_value)
+        .map_err(|e| format!("checksum ok but not a document: {e}"))
 }
 
 /// Moves a corrupt file into `dir/quarantine/`, keeping its name.
@@ -862,6 +911,50 @@ mod tests {
         assert!(report.quarantined.is_empty());
         assert_eq!(report.store.get(DocumentId(1)).unwrap(), doc);
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn reads_share_the_stored_payload() {
+        let store = Store::in_memory();
+        let id = store
+            .insert(
+                "models",
+                Metadata::created_by("deploy").with_param("model", "ms"),
+                &payload(1),
+            )
+            .unwrap();
+        let stored = store.get(id).unwrap().payload;
+        let reads = [
+            store.get(id).unwrap().payload,
+            store.collection("models")[0].payload.clone(),
+            store.query("models", "model", "ms")[0].payload.clone(),
+            store.latest("models", "model", "ms").unwrap().payload,
+        ];
+        for read in &reads {
+            assert!(Arc::ptr_eq(&stored, read));
+        }
+        // The store's own reference plus the ones held here, nothing else.
+        assert_eq!(Arc::strong_count(&stored), 2 + reads.len());
+        drop(reads);
+        assert_eq!(Arc::strong_count(&stored), 2);
+    }
+
+    #[test]
+    fn document_json_is_the_derived_serialization() {
+        let store = seeded_store(1);
+        let child = store
+            .insert(
+                "s",
+                Metadata::created_by("y")
+                    .with_param("k", "v")
+                    .with_parent(DocumentId(1)),
+                &serde_json::json!({"z": [1.5, -2.0], "a": serde_json::json!({}), "s": "q\"\n"}),
+            )
+            .unwrap();
+        for id in [DocumentId(1), child] {
+            let doc = store.get(id).unwrap();
+            assert_eq!(doc.to_json().unwrap(), serde_json::to_string(&doc).unwrap());
+        }
     }
 
     #[test]

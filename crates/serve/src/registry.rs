@@ -7,6 +7,7 @@ use datastore::Store;
 use neural::export::ExportedNetwork;
 use neural::plan::FrozenPlan;
 use parking_lot::RwLock;
+use serde::Deserialize;
 
 use crate::ServeError;
 
@@ -168,6 +169,9 @@ impl ModelRegistry {
 
     /// Loads every deployed artifact from a [`Store`] collection.
     ///
+    /// Each artifact is deserialized in place from the store's shared
+    /// payload tree; nothing is copied out of the store.
+    ///
     /// Documents are expected in the layout written by the core
     /// pipeline's deploy stage: an [`ExportedNetwork`] payload with
     /// [`MODEL_PARAM`] / [`VERSION_PARAM`] metadata. Documents without a
@@ -191,7 +195,7 @@ impl ModelRegistry {
     pub fn load_from_store(&self, store: &Store, collection: &str) -> Result<usize, ServeError> {
         let mut staged: Vec<(String, u32, Arc<FrozenPlan>)> = Vec::new();
         for doc in store.collection(collection) {
-            let exported: ExportedNetwork = serde_json::from_value(doc.payload)
+            let exported = ExportedNetwork::from_value(&doc.payload)
                 .map_err(|e| ServeError::Store(format!("document {}: {e}", doc.id)))?;
             let name = doc
                 .metadata
