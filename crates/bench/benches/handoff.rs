@@ -7,53 +7,19 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
-use datastore::Store;
-use ms_sim::campaign::MS_TASK_SUBSTANCES;
-use ms_sim::instrument::default_axis;
-use neural::spec::NetworkSpec;
-use neural::Network;
+use bench::handoff::{deployed_store, served_models, COLLECTION};
 use serve::ModelRegistry;
-use spectroai::pipeline::deploy::deploy_network;
-use spectroai::pipeline::ms::{ActivationChoice, MsPipeline};
-use spectroai::pipeline::nmr::NmrPipeline;
-
-const COLLECTION: &str = "deployed_models";
-
-/// The two served models with fixed weights: Table 1 and the 5-step LSTM.
-fn models() -> [(&'static str, NetworkSpec, Network); 2] {
-    let table1 = MsPipeline::table1_spec(
-        default_axis().len(),
-        MS_TASK_SUBSTANCES.len(),
-        ActivationChoice::paper_best(),
-    );
-    let lstm = NmrPipeline::lstm_spec(5);
-    [
-        ("table1-ms", table1.clone(), table1.build(11).expect("table1")),
-        ("nmr-lstm", lstm.clone(), lstm.build(21).expect("lstm")),
-    ]
-}
-
-fn deploy_all(store: &Store, models: &[(&'static str, NetworkSpec, Network)]) {
-    for (name, spec, network) in models {
-        deploy_network(store, COLLECTION, name, spec.clone(), network, []).expect("deploy");
-    }
-}
 
 fn model_handoff(c: &mut Criterion) {
-    let models = models();
+    let models = served_models();
     let mut group = c.benchmark_group("model_handoff");
     group.sample_size(20);
 
     group.bench_function("deploy_table1_and_lstm", |b| {
-        b.iter(|| {
-            let store = Store::in_memory();
-            deploy_all(&store, &models);
-            black_box(store)
-        })
+        b.iter(|| black_box(deployed_store(&models)))
     });
 
-    let store = Store::in_memory();
-    deploy_all(&store, &models);
+    let store = deployed_store(&models);
     group.bench_function("load_from_store_table1_and_lstm", |b| {
         b.iter(|| {
             let registry = ModelRegistry::new();

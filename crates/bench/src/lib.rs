@@ -8,6 +8,7 @@
 #![forbid(unsafe_code)]
 
 pub mod arrival;
+pub mod handoff;
 
 use std::io::Write;
 use std::path::{Path, PathBuf};

@@ -9,41 +9,11 @@
 
 use std::sync::Arc;
 
+use bench::handoff::{deployed_store, served_models, ServedModel, COLLECTION};
 use datastore::Store;
 use neural::export::ExportedNetwork;
 use neural::plan::FrozenPlan;
-use neural::spec::NetworkSpec;
-use neural::Network;
 use serve::ModelRegistry;
-use spectroai::ms_sim::campaign::MS_TASK_SUBSTANCES;
-use spectroai::ms_sim::instrument::default_axis;
-use spectroai::pipeline::deploy::deploy_network;
-use spectroai::pipeline::ms::{ActivationChoice, MsPipeline};
-use spectroai::pipeline::nmr::NmrPipeline;
-
-const COLLECTION: &str = "deployed_models";
-
-/// The two served models with fixed weights.
-fn models() -> [(&'static str, NetworkSpec, Network); 2] {
-    let table1 = MsPipeline::table1_spec(
-        default_axis().len(),
-        MS_TASK_SUBSTANCES.len(),
-        ActivationChoice::paper_best(),
-    );
-    let lstm = NmrPipeline::lstm_spec(5);
-    [
-        ("table1-ms", table1.clone(), table1.build(11).expect("table1")),
-        ("nmr-lstm", lstm.clone(), lstm.build(21).expect("lstm")),
-    ]
-}
-
-fn deployed_store(models: &[(&'static str, NetworkSpec, Network)]) -> Store {
-    let store = Store::in_memory();
-    for (name, spec, network) in models {
-        deploy_network(&store, COLLECTION, name, spec.clone(), network, []).expect("deploy");
-    }
-    store
-}
 
 /// The plan's outputs, as bits, on a batch of three deterministic inputs
 /// and on the first of them alone.
@@ -58,7 +28,7 @@ fn output_bits(plan: &FrozenPlan) -> Vec<u32> {
 
 /// Every model resolves to version 1 and computes exactly what `publish`
 /// of its export computes.
-fn assert_matches_publish(registry: &ModelRegistry, models: &[(&'static str, NetworkSpec, Network)]) {
+fn assert_matches_publish(registry: &ModelRegistry, models: &[ServedModel]) {
     for (name, spec, network) in models {
         let exported = ExportedNetwork::from_network(spec.clone(), network, *name);
         let published = ModelRegistry::new().publish(name, 1, &exported).expect("publish");
@@ -70,7 +40,7 @@ fn assert_matches_publish(registry: &ModelRegistry, models: &[(&'static str, Net
 
 #[test]
 fn handoff_plans_match_publish_bit_for_bit() {
-    let models = models();
+    let models = served_models();
     let store = deployed_store(&models);
     let registry = ModelRegistry::new();
     assert_eq!(registry.load_from_store(&store, COLLECTION).expect("load"), 2);
@@ -84,7 +54,7 @@ fn handoff_plans_match_publish_bit_for_bit() {
 
 #[test]
 fn handoff_through_a_saved_store_matches_publish() {
-    let models = models();
+    let models = served_models();
     let dir = std::env::temp_dir().join(format!("spectroai-handoff-{}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
     deployed_store(&models).save_to_dir(&dir).expect("save");

@@ -14,7 +14,6 @@
 
 #![forbid(unsafe_code)]
 
-use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
@@ -60,12 +59,6 @@ impl std::error::Error for DeError {}
 pub trait Serialize {
     /// Converts `self` into a [`Value`] tree.
     fn to_value(&self) -> Value;
-
-    /// `self` as a [`Value`] tree, borrowed when `self` already is one.
-    /// Text writers walk this, so writing a [`Value`] never copies it.
-    fn as_value(&self) -> Cow<'_, Value> {
-        Cow::Owned(self.to_value())
-    }
 }
 
 /// Deserialization from the [`Value`] data model.
@@ -91,19 +84,11 @@ impl<T: Serialize + ?Sized> Serialize for &T {
     fn to_value(&self) -> Value {
         (**self).to_value()
     }
-
-    fn as_value(&self) -> Cow<'_, Value> {
-        (**self).as_value()
-    }
 }
 
 impl<T: Serialize + ?Sized> Serialize for Arc<T> {
     fn to_value(&self) -> Value {
         (**self).to_value()
-    }
-
-    fn as_value(&self) -> Cow<'_, Value> {
-        (**self).as_value()
     }
 }
 
@@ -116,10 +101,6 @@ impl<T: Deserialize> Deserialize for Arc<T> {
 impl Serialize for Value {
     fn to_value(&self) -> Value {
         self.clone()
-    }
-
-    fn as_value(&self) -> Cow<'_, Value> {
-        Cow::Borrowed(self)
     }
 }
 
@@ -430,14 +411,11 @@ mod tests {
     }
 
     #[test]
-    fn values_are_borrowed_not_copied() {
-        let v = Value::Array(vec![Value::Bool(true)]);
-        assert!(matches!(v.as_value(), Cow::Borrowed(b) if std::ptr::eq(b, &v)));
-        let shared = Arc::new(v.clone());
-        assert!(matches!(shared.as_value(), Cow::Borrowed(b) if std::ptr::eq(b, &*shared)));
-        assert!(matches!(7u32.as_value(), Cow::Owned(_)));
+    fn arc_is_transparent() {
+        let shared = Arc::new(vec![true, false]);
+        assert_eq!(shared.to_value(), vec![true, false].to_value());
         let back: Arc<Vec<bool>> = Deserialize::from_value(&shared.to_value()).unwrap();
-        assert_eq!(*back, vec![true]);
+        assert_eq!(back, shared);
     }
 
     #[test]

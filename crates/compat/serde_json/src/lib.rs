@@ -10,7 +10,6 @@
 #![forbid(unsafe_code)]
 
 use std::fmt;
-use std::fmt::Write as _;
 
 use serde::de::DeserializeOwned;
 use serde::Serialize;
@@ -77,7 +76,7 @@ pub fn from_value<T: DeserializeOwned>(value: Value) -> Result<T> {
 /// signature.
 pub fn to_string<T: Serialize + ?Sized>(value: &T) -> Result<String> {
     let mut out = String::new();
-    write_value(&mut out, &value.as_value(), None, 0);
+    write_value(&mut out, &value.to_value(), None, 0);
     Ok(out)
 }
 
@@ -89,7 +88,7 @@ pub fn to_string<T: Serialize + ?Sized>(value: &T) -> Result<String> {
 /// signature.
 pub fn to_string_pretty<T: Serialize + ?Sized>(value: &T) -> Result<String> {
     let mut out = String::new();
-    write_value(&mut out, &value.as_value(), Some(2), 0);
+    write_value(&mut out, &value.to_value(), Some(2), 0);
     Ok(out)
 }
 
@@ -108,10 +107,7 @@ fn write_value(out: &mut String, value: &Value, indent: Option<usize>, level: us
         Value::Null => out.push_str("null"),
         Value::Bool(true) => out.push_str("true"),
         Value::Bool(false) => out.push_str("false"),
-        Value::Number(n) => {
-            // `fmt::Write` for `String` never fails.
-            let _ = write!(out, "{n}");
-        }
+        Value::Number(n) => out.push_str(&n.to_string()),
         Value::String(s) => write_escaped(out, s),
         Value::Array(items) => write_seq(out, indent, level, items.iter(), '[', ']', |out, v, l| {
             write_value(out, v, indent, l);

@@ -185,40 +185,6 @@ pub struct Document {
     pub payload: Arc<serde_json::Value>,
 }
 
-impl Document {
-    /// The canonical compact JSON of the document, which persistence
-    /// checksums: exactly what `serde_json::to_string(self)` writes (keys
-    /// sorted, so `payload` comes last), but with the payload written
-    /// from the shared tree rather than from a copy of it.
-    fn to_json(&self) -> Result<String, serde_json::Error> {
-        let head = serde_json::json!({
-            "collection": self.collection,
-            "id": self.id,
-            "metadata": self.metadata
-        });
-        let mut json = serde_json::to_string(&head)?;
-        json.pop(); // the head object's closing brace
-        json.push_str(",\"payload\":");
-        json.push_str(&serde_json::to_string(&*self.payload)?);
-        json.push('}');
-        Ok(json)
-    }
-
-    /// Deserializes a document, moving its payload into the `Arc` instead
-    /// of copying it out of `value`.
-    fn from_json_value(mut value: serde_json::Value) -> Result<Self, serde::DeError> {
-        let payload = match &mut value {
-            serde_json::Value::Object(fields) => fields.get_mut("payload").map(std::mem::take),
-            _ => None,
-        };
-        let mut doc = Self::from_value(&value)?;
-        if let Some(payload) = payload {
-            doc.payload = Arc::new(payload);
-        }
-        Ok(doc)
-    }
-}
-
 /// The document store. Cheap to share: all methods take `&self` and the
 /// interior is guarded by an `RwLock`.
 #[derive(Debug)]
@@ -443,7 +409,8 @@ impl Store {
         let _span = obs::span!("store.save");
         std::fs::create_dir_all(dir)?;
         for doc in self.documents.read().values() {
-            let doc_json = doc.to_json().map_err(|e| StoreError::Serde(e.to_string()))?;
+            let doc_json =
+                serde_json::to_string(doc).map_err(|e| StoreError::Serde(e.to_string()))?;
             let envelope = format!(
                 "{{\"crc32\":{},\"doc\":{}}}",
                 crc32(doc_json.as_bytes()),
@@ -556,9 +523,7 @@ pub struct QuarantinedFile {
 }
 
 /// Parses a persisted file: a `{"crc32": N, "doc": {...}}` envelope
-/// (checksum verified), or a bare pre-checksum document. The parsed tree
-/// is checksummed from a borrow and then moved into the document, never
-/// copied.
+/// (checksum verified), or a bare pre-checksum document.
 fn verify_envelope(json: &str) -> Result<Document, String> {
     let value: serde_json::Value =
         serde_json::from_str(json).map_err(|e| format!("invalid JSON: {e}"))?;
@@ -568,7 +533,7 @@ fn verify_envelope(json: &str) -> Result<Document, String> {
         }
         // Legacy layout: the file is the document itself.
         legacy => {
-            return Document::from_json_value(legacy)
+            return serde_json::from_value(legacy)
                 .map_err(|e| format!("not an envelope and not a document: {e}"))
         }
     };
@@ -585,8 +550,7 @@ fn verify_envelope(json: &str) -> Result<Document, String> {
     if actual != stored {
         return Err(format!("crc32 mismatch: stored {stored}, computed {actual}"));
     }
-    Document::from_json_value(doc_value)
-        .map_err(|e| format!("checksum ok but not a document: {e}"))
+    serde_json::from_value(doc_value).map_err(|e| format!("checksum ok but not a document: {e}"))
 }
 
 /// Moves a corrupt file into `dir/quarantine/`, keeping its name.
@@ -937,24 +901,6 @@ mod tests {
         assert_eq!(Arc::strong_count(&stored), 2 + reads.len());
         drop(reads);
         assert_eq!(Arc::strong_count(&stored), 2);
-    }
-
-    #[test]
-    fn document_json_is_the_derived_serialization() {
-        let store = seeded_store(1);
-        let child = store
-            .insert(
-                "s",
-                Metadata::created_by("y")
-                    .with_param("k", "v")
-                    .with_parent(DocumentId(1)),
-                &serde_json::json!({"z": [1.5, -2.0], "a": serde_json::json!({}), "s": "q\"\n"}),
-            )
-            .unwrap();
-        for id in [DocumentId(1), child] {
-            let doc = store.get(id).unwrap();
-            assert_eq!(doc.to_json().unwrap(), serde_json::to_string(&doc).unwrap());
-        }
     }
 
     #[test]
