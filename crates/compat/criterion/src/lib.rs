@@ -3,8 +3,9 @@
 //! Keeps the `Criterion` / `BenchmarkGroup` / `Bencher` API shape and the
 //! `criterion_group!` / `criterion_main!` macros so `harness = false`
 //! bench targets compile and run unchanged, but replaces the statistical
-//! machinery with a single warm-up pass plus a fixed number of timed
-//! iterations printed as a mean per-iteration time.
+//! machinery with one warm-up batch plus `sample_size` timed batches of
+//! one call each, printed as the median per-call time and its quartiles,
+//! so a single host stall moves a quartile, not the reported figure.
 
 #![forbid(unsafe_code)]
 
@@ -28,25 +29,33 @@ impl Default for Criterion {
 }
 
 impl Criterion {
-    /// Sets the iteration count used for subsequent benchmarks.
+    /// Sets the number of timed batches used for subsequent benchmarks.
     pub fn sample_size(&mut self, samples: usize) -> &mut Self {
         self.sample_size = samples.max(1);
         self
     }
 
-    /// Times `routine` and prints its mean per-iteration wall time.
+    /// Times `routine` and prints the median per-call wall time with the
+    /// first and third quartiles over its timed batches.
     pub fn bench_function<F>(&mut self, name: impl std::fmt::Display, mut routine: F) -> &mut Self
     where
         F: FnMut(&mut Bencher),
     {
         let name = name.to_string();
         let mut bencher = Bencher {
-            iterations: self.sample_size as u64,
-            elapsed: Duration::ZERO,
+            batches: self.sample_size,
+            samples: Vec::new(),
         };
         routine(&mut bencher);
-        let mean = bencher.elapsed.as_nanos() / u128::from(bencher.iterations.max(1));
-        println!("bench: {name:<40} {mean:>12} ns/iter ({} iters)", bencher.iterations);
+        let mut ns: Vec<f64> = bencher.samples.iter().map(|d| d.as_nanos() as f64).collect();
+        ns.sort_by(f64::total_cmp);
+        match (quantile(&ns, 0.25), quantile(&ns, 0.5), quantile(&ns, 0.75)) {
+            (Some(q1), Some(median), Some(q3)) => println!(
+                "bench: {name:<40} {median:>12.0} ns/iter [q1 {q1:.0}, q3 {q3:.0}] ({} batches)",
+                ns.len()
+            ),
+            _ => println!("bench: {name:<40} no timed batches"),
+        }
         self
     }
 
@@ -95,23 +104,37 @@ impl BenchmarkGroup<'_> {
 /// Runs and times the benchmark routine.
 #[derive(Debug)]
 pub struct Bencher {
-    iterations: u64,
-    elapsed: Duration,
+    batches: usize,
+    samples: Vec<Duration>,
 }
 
 impl Bencher {
-    /// Calls `routine` once to warm up, then `iterations` timed times.
+    /// Calls `routine` in one warm-up batch, then in `batches` batches
+    /// timed one by one. A batch is one call: the routines benched here run
+    /// for microseconds or more, well above the clock's resolution.
     pub fn iter<O, F>(&mut self, mut routine: F)
     where
         F: FnMut() -> O,
     {
         black_box(routine());
-        let start = Instant::now();
-        for _ in 0..self.iterations {
+        self.samples.clear();
+        for _ in 0..self.batches {
+            let start = Instant::now();
             black_box(routine());
+            self.samples.push(start.elapsed());
         }
-        self.elapsed = start.elapsed();
     }
+}
+
+/// The `p` quantile of ascending `sorted`, interpolated linearly between
+/// the two nearest ranks; `None` when empty.
+fn quantile(sorted: &[f64], p: f64) -> Option<f64> {
+    let last = sorted.len().checked_sub(1)?;
+    let rank = p * last as f64;
+    let lo = rank.floor() as usize;
+    let hi = (lo + 1).min(last);
+    let (a, b) = (sorted.get(lo)?, sorted.get(hi)?);
+    Some(a + (b - a) * (rank - lo as f64))
 }
 
 /// Bundles benchmark functions into a single runnable group.
@@ -148,8 +171,18 @@ mod tests {
                 calls += 1;
             })
         });
-        // One warm-up call plus three timed iterations.
+        // One warm-up batch plus three timed batches, one call each.
         assert_eq!(calls, 4);
+    }
+
+    #[test]
+    fn quantiles_interpolate_between_ranks() {
+        let sorted = [1.0, 2.0, 3.0, 4.0, 10.0];
+        assert_eq!(quantile(&sorted, 0.5), Some(3.0));
+        assert_eq!(quantile(&sorted, 0.25), Some(2.0));
+        assert_eq!(quantile(&sorted, 0.75), Some(4.0));
+        assert_eq!(quantile(&[1.0, 2.0], 0.5), Some(1.5));
+        assert_eq!(quantile(&[], 0.5), None);
     }
 
     #[test]

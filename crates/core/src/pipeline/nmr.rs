@@ -25,7 +25,7 @@ use neural::train::{Dataset, History, TrainConfig, Trainer};
 use neural::{Activation, Loss, Network};
 use nmr_sim::augment::{AugmentationConfig, SpectraAugmenter};
 use nmr_sim::experiment::{ExperimentConfig, ExperimentRun, FlowReactorExperiment};
-use nmr_sim::sequence::plateau_training_sequences;
+use nmr_sim::sequence::plateau_order;
 
 use crate::PipelineError;
 
@@ -246,31 +246,32 @@ impl NmrPipeline {
         let scale = config.input_scale as f32;
         let experiment = FlowReactorExperiment::new(config.seed, config.experiment);
         let run = experiment.acquire()?;
-        let experimental_inputs: Vec<Vec<f32>> = run
-            .spectra
-            .iter()
-            .map(|s| s.to_f32().into_iter().map(|v| v * scale).collect())
-            .collect();
         let reference_f32: Vec<Vec<f32>> = run
             .reference
             .iter()
             .map(|r| r.iter().map(|&v| v as f32).collect())
             .collect();
-        let validation = Dataset::new(experimental_inputs, reference_f32)?;
-
-        // 2. Augmentation.
-        let augmenter = SpectraAugmenter::new(config.augmentation.clone())?;
-        let mut synthetic = augmenter.generate(config.augmented_spectra, config.seed ^ 0xA5A5)?;
-        for row in &mut synthetic.inputs {
-            for v in row.iter_mut() {
-                *v *= config.input_scale;
-            }
+        // Each dataset below is built flat, in the f32 form its network
+        // reads, and dropped after its last reader.
+        let mut validation_rows = Vec::with_capacity(run.len() * SPECTRUM_LEN);
+        for s in &run.spectra {
+            validation_rows.extend(s.intensities().iter().map(|&v| (v as f32) * scale));
         }
+        let validation = Dataset::windows(validation_rows, SPECTRUM_LEN, 1, reference_f32)?;
+
+        // 2. Augmentation, streamed into the CNN's rows.
+        let augmenter = SpectraAugmenter::new(config.augmentation.clone())?;
+        let synthetic = augmenter.generate_rows(
+            config.augmented_spectra,
+            config.seed ^ 0xA5A5,
+            config.input_scale,
+        )?;
 
         // 3. CNN.
         let cnn_spec = Self::cnn_spec();
         let mut cnn = cnn_spec.build(config.seed)?;
-        let cnn_train = Dataset::new(synthetic.inputs_f32(), synthetic.labels_f32())?;
+        let cnn_train =
+            Dataset::windows(synthetic.rows, synthetic.spectrum_len, 1, synthetic.labels)?;
         let cnn_config = TrainConfig {
             epochs: config.cnn_epochs,
             batch_size: config.batch_size,
@@ -296,25 +297,38 @@ impl NmrPipeline {
             seconds_per_spectrum: cnn_time,
             parameters: cnn.param_count(),
         };
+        drop(validation);
 
-        // 4. LSTM.
+        // 4. LSTM. The plateau-repeat sequence gathers its rows from the
+        // CNN's augmented rows, which are dropped once it has them; a
+        // window is a view of `lstm_timesteps` consecutive rows.
         let lstm_spec = Self::lstm_spec(config.lstm_timesteps);
         let mut lstm = lstm_spec.build(config.seed ^ 0x5A5A)?;
-        let sequences = plateau_training_sequences(
-            &synthetic,
+        let order = plateau_order(
+            cnn_train.len(),
             config.lstm_timesteps,
             config.lstm_windows,
             config.seed ^ 0x1234,
         )?;
-        // Both LSTM datasets hold each spectrum once, as a row of one f32
-        // buffer; a window is a view of `lstm_timesteps` consecutive rows.
+        // `plateau_order` draws every index below `cnn_train.len()`, so no
+        // lookup below misses.
+        let mut sequence_rows = Vec::with_capacity(order.len() * SPECTRUM_LEN);
+        for &i in &order {
+            sequence_rows.extend_from_slice(cnn_train.input(i).unwrap_or_default());
+        }
+        // Window w ends on timestep w + lstm_timesteps - 1 and takes its label.
+        let sequence_targets: Vec<Vec<f32>> = order
+            .iter()
+            .skip(config.lstm_timesteps - 1)
+            .filter_map(|&i| cnn_train.targets().get(i).cloned())
+            .collect();
+        drop(cnn_train);
         let lstm_train = Dataset::windows(
-            sequences.rows_f32(),
-            sequences.spectrum_len,
-            sequences.window,
-            sequences.targets_f32(),
+            sequence_rows,
+            SPECTRUM_LEN,
+            config.lstm_timesteps,
+            sequence_targets,
         )?;
-        drop(sequences);
         // Experimental sliding windows for validation/evaluation. Each value
         // is scaled in f64 and then cast, as the training rows are.
         let mut experimental_rows = Vec::with_capacity(run.len() * SPECTRUM_LEN);

@@ -63,6 +63,18 @@ impl NmrDataset {
     }
 }
 
+/// A labelled synthetic set as a network reads it: every spectrum scaled
+/// and cast to `f32`, the spectra end to end in one buffer.
+#[derive(Debug, Clone, PartialEq)]
+pub struct NmrRows {
+    /// The spectra, `spectrum_len` values each, end to end.
+    pub rows: Vec<f32>,
+    /// Concentration labels as `f32`, one row per spectrum.
+    pub labels: Vec<Vec<f32>>,
+    /// Values per spectrum.
+    pub spectrum_len: usize,
+}
+
 /// Configuration of the augmentation simulator.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AugmentationConfig {
@@ -221,10 +233,59 @@ impl SpectraAugmenter {
     ///
     /// Propagates synthesis errors.
     pub fn generate(&self, count: usize, seed: u64) -> Result<NmrDataset, NmrSimError> {
-        use rand::SeedableRng;
-        let mut rng = ChaCha8Rng::seed_from_u64(seed);
         let mut inputs = Vec::with_capacity(count);
         let mut concentrations = Vec::with_capacity(count);
+        self.each_spectrum(count, seed, |spectrum, conc| {
+            inputs.push(spectrum.into_intensities());
+            concentrations.push(conc);
+        })?;
+        Ok(NmrDataset {
+            inputs,
+            concentrations,
+            names: LITHIATION_NAMES.iter().map(|&s| s.to_string()).collect(),
+            axis: self.axis,
+        })
+    }
+
+    /// [`generate`](Self::generate) streamed into network inputs: each
+    /// value is stored as `(v * scale) as f32` as its spectrum is made, so
+    /// the set is never held as `f64` rows. The spectra and labels are
+    /// those of `generate(count, seed)`.
+    ///
+    /// # Errors
+    ///
+    /// Propagates synthesis errors.
+    pub fn generate_rows(
+        &self,
+        count: usize,
+        seed: u64,
+        scale: f64,
+    ) -> Result<NmrRows, NmrSimError> {
+        let spectrum_len = self.axis.len();
+        let mut rows = Vec::with_capacity(count * spectrum_len);
+        let mut labels = Vec::with_capacity(count);
+        self.each_spectrum(count, seed, |spectrum, conc| {
+            rows.extend(spectrum.intensities().iter().map(|&v| (v * scale) as f32));
+            labels.push(conc.iter().map(|&c| c as f32).collect());
+        })?;
+        Ok(NmrRows {
+            rows,
+            labels,
+            spectrum_len,
+        })
+    }
+
+    /// The generator loop behind both entry points: `count` spectra at
+    /// concentrations uniform in the configured ranges, each handed to
+    /// `keep` with its labels. Labels are drawn before their spectrum.
+    fn each_spectrum(
+        &self,
+        count: usize,
+        seed: u64,
+        mut keep: impl FnMut(ContinuousSpectrum, Vec<f64>),
+    ) -> Result<(), NmrSimError> {
+        use rand::SeedableRng;
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
         for _ in 0..count {
             let conc: Vec<f64> = self
                 .config
@@ -232,16 +293,9 @@ impl SpectraAugmenter {
                 .iter()
                 .map(|&max| rng.gen_range(0.0..=max))
                 .collect();
-            let spectrum = self.synthesize(&conc, &mut rng)?;
-            inputs.push(spectrum.into_intensities());
-            concentrations.push(conc);
+            keep(self.synthesize(&conc, &mut rng)?, conc);
         }
-        Ok(NmrDataset {
-            inputs,
-            concentrations,
-            names: LITHIATION_NAMES.iter().map(|&s| s.to_string()).collect(),
-            axis: self.axis,
-        })
+        Ok(())
     }
 }
 
@@ -376,6 +430,21 @@ mod tests {
             for (i, (g, w)) in input.iter().zip(&want).enumerate() {
                 assert_eq!(g.to_bits(), w.to_bits(), "spectrum {n} [{i}]");
             }
+        }
+    }
+
+    #[test]
+    fn rows_are_the_scaled_f32_generate() {
+        let augmenter = SpectraAugmenter::new(AugmentationConfig::default()).unwrap();
+        let scale = 0.02;
+        let data = augmenter.generate(6, 11).unwrap();
+        let rows = augmenter.generate_rows(6, 11, scale).unwrap();
+        assert_eq!(rows.spectrum_len, 1700);
+        assert_eq!(rows.rows.len(), 6 * 1700);
+        assert_eq!(rows.labels, data.labels_f32());
+        let want = data.inputs.iter().flatten().map(|&v| (v * scale) as f32);
+        for (i, (g, w)) in rows.rows.iter().zip(want).enumerate() {
+            assert_eq!(g.to_bits(), w.to_bits(), "value {i}");
         }
     }
 

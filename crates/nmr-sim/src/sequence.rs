@@ -54,12 +54,6 @@ impl SequenceDataset {
         (0..self.len()).filter_map(|i| self.input(i))
     }
 
-    /// The spectra as `f32`, each once, end to end: the row buffer of
-    /// `neural::train::Dataset::windows`.
-    pub fn rows_f32(&self) -> Vec<f32> {
-        self.rows.iter().map(|&v| v as f32).collect()
-    }
-
     /// Every window copied out as an `f32` row.
     pub fn inputs_f32(&self) -> Vec<Vec<f32>> {
         self.inputs()
@@ -153,7 +147,34 @@ pub fn plateau_training_sequences(
     target_windows: usize,
     seed: u64,
 ) -> Result<SequenceDataset, NmrSimError> {
-    if dataset.is_empty() {
+    let order = plateau_order(dataset.len(), window, target_windows, seed)?;
+    let spectra: Vec<&[f64]> = order
+        .iter()
+        .map(|&i| dataset.inputs[i].as_slice())
+        .collect();
+    let targets: Vec<&[f64]> = order
+        .iter()
+        .map(|&i| dataset.concentrations[i].as_slice())
+        .collect();
+    windows_over(&spectra, &targets, window)
+}
+
+/// The time order of [`plateau_training_sequences`] as indices into a set
+/// of `spectra` spectra: `target_windows + window - 1` entries, each
+/// drawn index repeated 1–20 times. Gathering these rows of any copy of
+/// the set yields that function's sequence.
+///
+/// # Errors
+///
+/// Returns [`NmrSimError::InvalidConfig`] on an empty set or zero
+/// window/target.
+pub fn plateau_order(
+    spectra: usize,
+    window: usize,
+    target_windows: usize,
+    seed: u64,
+) -> Result<Vec<usize>, NmrSimError> {
+    if spectra == 0 {
         return Err(NmrSimError::InvalidConfig("empty dataset".into()));
     }
     if window == 0 || target_windows == 0 {
@@ -163,18 +184,13 @@ pub fn plateau_training_sequences(
     }
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
     let needed = target_windows + window - 1;
-    let mut spectra: Vec<&[f64]> = Vec::with_capacity(needed);
-    let mut targets: Vec<&[f64]> = Vec::with_capacity(needed);
-    while spectra.len() < needed {
-        let idx = rng.gen_range(0..dataset.len());
-        let repeats = rng.gen_range(1..=20usize).min(needed - spectra.len());
-        spectra.extend(std::iter::repeat_n(dataset.inputs[idx].as_slice(), repeats));
-        targets.extend(std::iter::repeat_n(
-            dataset.concentrations[idx].as_slice(),
-            repeats,
-        ));
+    let mut order = Vec::with_capacity(needed);
+    while order.len() < needed {
+        let idx = rng.gen_range(0..spectra);
+        let repeats = rng.gen_range(1..=20usize).min(needed - order.len());
+        order.extend(std::iter::repeat_n(idx, repeats));
     }
-    windows_over(&spectra, &targets, window)
+    Ok(order)
 }
 
 #[cfg(test)]
@@ -253,6 +269,21 @@ mod tests {
             axis: UniformAxis::new(0.0, 1.0, 2).unwrap(),
         };
         assert!(plateau_training_sequences(&empty, 3, 10, 1).is_err());
+    }
+
+    #[test]
+    fn plateau_order_gathers_the_sequence_rows() {
+        let data = toy_dataset(30, 3);
+        let set = plateau_training_sequences(&data, 5, 60, 4).unwrap();
+        let order = plateau_order(data.len(), 5, 60, 4).unwrap();
+        assert_eq!(order.len(), 64);
+        let gathered: Vec<f64> = order.iter().flat_map(|&i| data.inputs[i].clone()).collect();
+        assert_eq!(gathered, set.rows);
+        let targets: Vec<Vec<f64>> = order[4..]
+            .iter()
+            .map(|&i| data.concentrations[i].clone())
+            .collect();
+        assert_eq!(targets, set.targets);
     }
 
     #[test]

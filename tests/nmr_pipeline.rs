@@ -39,14 +39,18 @@ fn toolflow_config() -> NmrPipelineConfig {
 
 #[test]
 fn toolflow_scores_are_bit_identical() {
-    // Recorded when every LSTM window was a copy of its five spectra;
-    // holding each spectrum once as a row must not move a bit.
+    // Recorded when every LSTM window was a copy of its five spectra and
+    // the augmented set was held as f64 rows; holding each dataset once,
+    // as the f32 rows its network reads, must not move a bit.
     let report = NmrPipeline::new(toolflow_config()).unwrap().run().unwrap();
+    let ihm = report.ihm.expect("the toolflow runs the IHM baseline");
     let scores = [
         ("lstm.mse", report.lstm.mse, 0x3fb7_d206_03d0_c538_u64),
         ("cnn.mse", report.cnn.mse, 0x3fa3_1ce7_261a_b30c),
         ("lstm.plateau_std", report.lstm.plateau_std, 0x3f98_78d1_38ae_bd44),
         ("cnn.plateau_std", report.cnn.plateau_std, 0x3fac_dc42_8002_2851),
+        ("ihm.mse", ihm.mse, 0x3f53_ee96_6453_946c),
+        ("ihm.plateau_std", ihm.plateau_std, 0),
     ];
     for (name, value, bits) in scores {
         assert_eq!(
@@ -55,6 +59,24 @@ fn toolflow_scores_are_bit_identical() {
             "{name} = {value}, expected {}",
             f64::from_bits(bits)
         );
+    }
+    let losses: [(&str, &[f32], &[u32]); 4] = [
+        (
+            "cnn.train_loss",
+            &report.cnn_history.train_loss,
+            &[0x3e6d_d396, 0x3de4_10df, 0x3d79_ee2c],
+        ),
+        (
+            "cnn.val_loss",
+            &report.cnn_history.val_loss,
+            &[0x3d9e_5e9a, 0x3d18_e738, 0x3d48_b8d4],
+        ),
+        ("lstm.train_loss", &report.lstm_history.train_loss, &[0x3e11_8aa8]),
+        ("lstm.val_loss", &report.lstm_history.val_loss, &[0x3dbe_902a]),
+    ];
+    for (name, values, bits) in losses {
+        let got: Vec<u32> = values.iter().map(|v| v.to_bits()).collect();
+        assert_eq!(got, bits, "{name} = {values:?}");
     }
 }
 
