@@ -494,7 +494,7 @@ fn fma_peak_gmac_s() -> f64 {
 /// warm-up, so a rep the scheduler interrupts cannot move it (the plan
 /// stays wall-clock-free for determinism; the `Instant`s live here). The
 /// observer index aligns with the plan's op order, so each timing is
-/// paired with [`FrozenPlan::macs_per_op`] into an achieved-GMAC/s
+/// paired with [`neural::plan::FrozenPlan::macs_per_op`] into an achieved-GMAC/s
 /// figure per layer (0-MAC shape ops report no rate), and that rate
 /// with `fma_peak` (GMAC/s) into the layer's fraction of the roofline.
 fn kernel_timing_probe(

@@ -120,11 +120,6 @@ impl NmrComponent {
         &self.peaks
     }
 
-    /// Total area per unit concentration (sum over all peaks).
-    pub fn total_area(&self) -> f64 {
-        self.peaks.iter().map(|p| p.area).sum()
-    }
-
     /// Renders the component at `concentration` onto `axis`, applying a
     /// global chemical-shift offset `shift_ppm` and a multiplicative line
     /// broadening `broaden` (1.0 = nominal width). These two perturbations
@@ -290,11 +285,11 @@ mod tests {
 
     #[test]
     fn render_area_matches_component_area() {
-        // o-FNB: all peaks well inside the axis; area ≈ total_area.
+        // o-FNB: all peaks well inside the axis; area ≈ the peak table's.
         let comps = lithiation_components();
         let ax = axis();
         let spec = comps[1].render(&ax, 1.0, 0.0, 1.0).unwrap();
-        let expect = comps[1].total_area();
+        let expect: f64 = comps[1].peaks().iter().map(|p| p.area).sum();
         assert!(
             (spec.area() - expect).abs() / expect < 0.05,
             "area {} vs {expect}",

@@ -76,34 +76,6 @@ impl ComponentConcentrations {
     pub fn to_vec(&self) -> Vec<f64> {
         vec![self.toluidine, self.fnb, self.hmds, self.mndpa]
     }
-
-    /// Builds concentrations from a canonical-order slice.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ChemError::InvalidReaction`] if the slice does not have
-    /// exactly four non-negative finite entries.
-    pub fn from_slice(values: &[f64]) -> Result<Self, ChemError> {
-        if values.len() != 4 {
-            return Err(ChemError::InvalidReaction(format!(
-                "expected 4 concentrations, got {}",
-                values.len()
-            )));
-        }
-        for &v in values {
-            if !v.is_finite() || v < 0.0 {
-                return Err(ChemError::InvalidReaction(format!(
-                    "concentration {v} must be non-negative"
-                )));
-            }
-        }
-        Ok(Self {
-            toluidine: values[0],
-            fnb: values[1],
-            hmds: values[2],
-            mndpa: values[3],
-        })
-    }
 }
 
 /// The lithiation reaction model: maps operating conditions to
@@ -138,19 +110,6 @@ impl LithiationReaction {
         Self {
             rate_constant: RATE_CONSTANT,
         }
-    }
-
-    /// A reaction with a custom rate constant (for kinetics sweeps).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ChemError::InvalidReaction`] if `k` is not strictly
-    /// positive and finite.
-    pub fn with_rate_constant(k: f64) -> Result<Self, ChemError> {
-        if !(k.is_finite() && k > 0.0) {
-            return Err(ChemError::InvalidReaction(format!("rate constant {k}")));
-        }
-        Ok(Self { rate_constant: k })
     }
 
     /// The first-order rate constant in 1/s.
@@ -287,7 +246,7 @@ mod tests {
 
     #[test]
     fn limiting_reagent_caps_conversion() {
-        let r = LithiationReaction::with_rate_constant(10.0).unwrap(); // ~instant kinetics
+        let r = LithiationReaction { rate_constant: 10.0 }; // ~instant kinetics
         let starved = ReactionConditions {
             toluidine_feed: 0.5,
             fnb_ratio: 0.4,
@@ -307,27 +266,11 @@ mod tests {
             residence_time: 10.0,
         };
         assert!(bad.validate().is_err());
-        assert!(LithiationReaction::with_rate_constant(0.0).is_err());
-        assert!(LithiationReaction::with_rate_constant(f64::NAN).is_err());
     }
 
     #[test]
     fn default_doe_has_fifteen_points() {
         assert_eq!(default_doe().len(), 15);
-    }
-
-    #[test]
-    fn concentration_vector_roundtrip() {
-        let c = ComponentConcentrations {
-            toluidine: 0.1,
-            fnb: 0.2,
-            hmds: 0.3,
-            mndpa: 0.4,
-        };
-        let v = c.to_vec();
-        assert_eq!(ComponentConcentrations::from_slice(&v).unwrap(), c);
-        assert!(ComponentConcentrations::from_slice(&[1.0]).is_err());
-        assert!(ComponentConcentrations::from_slice(&[1.0, 1.0, -1.0, 1.0]).is_err());
     }
 
     #[test]

@@ -119,11 +119,6 @@ impl IhmAnalyzer {
         &self.components
     }
 
-    /// Component names in concentration order.
-    pub fn component_names(&self) -> Vec<&str> {
-        self.components.iter().map(|c| c.name()).collect()
-    }
-
     /// Fits the hard model to `spectrum` and returns the recovered
     /// concentrations.
     ///
@@ -537,14 +532,5 @@ mod tests {
                 Err(ChemometricsError::InvalidInput(_))
             ));
         }
-    }
-
-    #[test]
-    fn component_names_follow_order() {
-        let analyzer = IhmAnalyzer::new(lithiation_components(), axis()).unwrap();
-        assert_eq!(
-            analyzer.component_names(),
-            vec!["p-toluidine", "o-FNB", "Li-HMDS", "MNDPA"]
-        );
     }
 }

@@ -1,13 +1,12 @@
-//! Classical chemometric baselines.
+//! The classical chemometric baseline.
 //!
 //! The paper contrasts its ANN approach with "multivariate tools and
 //! algorithms ... such as ... Principal Component Analysis (PCA), Partial
-//! Least Squares (PLS), or Latent Discriminant Analysis" (§II.C) and
-//! benchmarks the NMR networks against *Indirect Hard Modelling* (IHM,
-//! §III.B). This crate implements those baselines:
+//! Least Squares (PLS), or Latent Discriminant Analysis" (§II.C), but
+//! benchmarks the NMR networks only against *Indirect Hard Modelling*
+//! (IHM, §III.B). The reproduction needs only IHM and the solver under
+//! it:
 //!
-//! * [`pca`] — NIPALS principal component analysis;
-//! * [`pls`] — NIPALS partial least squares regression (PLS2);
 //! * [`lm`] — a generic Levenberg–Marquardt solver;
 //! * [`ihm`] — Indirect Hard Modelling: fitting Lorentz–Gauss pure
 //!   component models (with per-component shift and broadening) to a
@@ -43,8 +42,6 @@
 
 pub mod ihm;
 pub mod lm;
-pub mod pca;
-pub mod pls;
 
 mod error;
 

@@ -1,8 +1,6 @@
 //! Property-based tests for the chemometric algorithms.
 
 use chemometrics::lm::{levenberg_marquardt, LmOptions};
-use chemometrics::pca::Pca;
-use chemometrics::pls::Pls;
 use proptest::prelude::*;
 
 proptest! {
@@ -39,51 +37,5 @@ proptest! {
         )
         .expect("lm runs");
         prop_assert!(result.cost <= initial_cost + 1e-12);
-    }
-
-    #[test]
-    fn pca_explained_ratios_sum_to_at_most_one(seed_rows in 3usize..20) {
-        let data: Vec<Vec<f64>> = (0..seed_rows * 3)
-            .map(|i| {
-                vec![
-                    (i % 7) as f64,
-                    ((i * 3) % 5) as f64,
-                    ((i * 5) % 11) as f64 * 0.5,
-                ]
-            })
-            .collect();
-        let pca = Pca::fit(&data, 3).expect("pca fits");
-        let total: f64 = pca.explained_variance_ratio().iter().sum();
-        prop_assert!(total <= 1.0 + 1e-9, "total {total}");
-        // Ratios are non-increasing.
-        let ratios = pca.explained_variance_ratio();
-        for w in ratios.windows(2) {
-            prop_assert!(w[0] + 1e-12 >= w[1]);
-        }
-    }
-
-    #[test]
-    fn pca_transform_of_mean_is_origin(shift in -10.0..10.0f64) {
-        let data: Vec<Vec<f64>> = (0..30)
-            .map(|i| vec![shift + (i % 5) as f64, shift - (i % 3) as f64])
-            .collect();
-        let pca = Pca::fit(&data, 2).expect("pca fits");
-        let scores = pca.transform(pca.mean()).expect("widths match");
-        for s in scores {
-            prop_assert!(s.abs() < 1e-9);
-        }
-    }
-
-    #[test]
-    fn pls_is_exact_on_noiseless_linear_targets(w0 in -2.0..2.0f64, w1 in -2.0..2.0f64) {
-        let x: Vec<Vec<f64>> = (0..30)
-            .map(|i| vec![(i % 6) as f64, ((i / 6) % 5) as f64, 1.0])
-            .collect();
-        let y: Vec<Vec<f64>> = x.iter().map(|r| vec![w0 * r[0] + w1 * r[1]]).collect();
-        let model = Pls::fit(&x, &y, 3).expect("pls fits");
-        for (xi, yi) in x.iter().zip(&y) {
-            let pred = model.predict(xi).expect("widths match");
-            prop_assert!((pred[0] - yi[0]).abs() < 1e-6, "{} vs {}", pred[0], yi[0]);
-        }
     }
 }

@@ -92,13 +92,6 @@ pub fn select_best(
     })
 }
 
-/// Checks a report against an acceptance threshold — the paper's initial
-/// target was "a mean error of no more than 0.005 on the validation
-/// data" (0.5 % absolute deviation).
-pub fn meets_target(report: &EvaluationReport, max_mean_mae: f64) -> bool {
-    report.overall_mae <= max_mean_mae
-}
-
 /// Exports a trained network for embedded deployment together with its
 /// estimated footprint on a target device.
 ///
@@ -175,13 +168,6 @@ mod tests {
     #[test]
     fn empty_selection_is_none() {
         assert!(select_best(&[], QualityCriterion::MeanError).is_none());
-    }
-
-    #[test]
-    fn target_check() {
-        let r = report("a", &[0.004, 0.005]);
-        assert!(meets_target(&r, 0.005));
-        assert!(!meets_target(&r, 0.004));
     }
 
     #[test]

@@ -295,22 +295,6 @@ impl Store {
             .collect()
     }
 
-    /// Distinct values of metadata parameter `key` across a collection,
-    /// sorted. The model registry uses this to enumerate deployed model
-    /// names without fetching payloads.
-    pub fn param_values(&self, collection: &str, key: &str) -> Vec<String> {
-        let mut values: Vec<String> = self
-            .documents
-            .read()
-            .values()
-            .filter(|d| d.collection == collection)
-            .filter_map(|d| d.metadata.params.get(key).cloned())
-            .collect();
-        values.sort();
-        values.dedup();
-        values
-    }
-
     /// The newest (highest logical sequence) document of a collection
     /// whose metadata parameter `key` equals `value`, or `None` if no
     /// document matches.
@@ -695,28 +679,6 @@ mod tests {
         let selu = store.query("networks", "activation", "selu");
         assert_eq!(selu.len(), 1);
         assert_eq!(selu[0].payload["value"], 1);
-    }
-
-    #[test]
-    fn param_values_lists_distinct_sorted() {
-        let store = Store::in_memory();
-        for name in ["ms-b", "ms-a", "ms-b"] {
-            store
-                .insert(
-                    "models",
-                    Metadata::created_by("deploy").with_param("model", name),
-                    &payload(0),
-                )
-                .unwrap();
-        }
-        store
-            .insert("other", Metadata::created_by("x").with_param("model", "zz"), &payload(0))
-            .unwrap();
-        assert_eq!(
-            store.param_values("models", "model"),
-            vec!["ms-a".to_string(), "ms-b".to_string()]
-        );
-        assert!(store.param_values("models", "missing").is_empty());
     }
 
     #[test]

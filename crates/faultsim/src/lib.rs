@@ -4,10 +4,9 @@
 //! batches, pipeline-stage failures, torn datastore writes — and the
 //! subsystems under test consult it through cheap hooks
 //! ([`FaultPlan::poison_batch`], [`FaultPlan::fail_stage`],
-//! [`FaultPlan::tear_write`]). Plans are either built explicitly or
-//! scattered pseudo-randomly from a seed, so every run of a fault
-//! scenario is reproducible. Each triggered fault is recorded in an
-//! event log for assertions.
+//! [`FaultPlan::tear_write`]). Plans are built explicitly, fault by
+//! fault, so every run of a fault scenario is reproducible. Each
+//! triggered fault is recorded in an event log for assertions.
 //!
 //! The plan is internally synchronised and is shared by reference (or
 //! `Arc`) across the training loop, the datastore, the pipeline runner,
@@ -23,7 +22,6 @@
 //! | [`FaultPlan::with_worker_panic`] | [`FaultPlan::batch_fault`] (`serve` worker loop) | Panics a shard worker before a batch |
 //! | [`FaultPlan::arm_worker_panic`] | [`FaultPlan::batch_fault`] (`serve` worker loop) | Panics a shard worker N batches from now (runtime arming, e.g. on a swap canary) |
 //! | [`FaultPlan::with_stall_batch`] | [`FaultPlan::batch_fault`] (`serve` worker loop) | Stalls a batch past the supervisor's deadline |
-//! | [`FaultPlan::with_slow_predict`] | [`FaultPlan::batch_fault`] (`serve` worker loop) | Multiplies one batch's compute time |
 //! | [`FaultPlan::with_registry_load_error`] | [`FaultPlan::fail_registry_load`] (`serve::Router::rolling_swap`) | Fails a registry load / upgrade publish |
 //! | [`FaultPlan::with_sensor_dropout`] | [`FaultPlan::sensor_dropout`] (`monitor` spectra stream) | Drops one stream measurement (sensor blackout) |
 //! | [`FaultPlan::with_characterize_error`] | [`FaultPlan::fail_characterize`] (`monitor` recharacterizer) | Fails one re-characterization attempt |
@@ -78,13 +76,6 @@ pub enum FaultEvent {
         /// Zero-based index of the failed load in plan-lifetime order.
         load_index: u64,
     },
-    /// A serving batch was slowed by a multiplicative factor.
-    SlowPredict {
-        /// Shard whose batch was slowed.
-        shard: usize,
-        /// Slowdown factor in percent (250 = 2.5× the measured compute).
-        factor_pct: u32,
-    },
     /// A stream measurement was dropped (sensor blackout).
     SensorDropout {
         /// Zero-based index of the dropped measurement in plan-lifetime
@@ -106,15 +97,12 @@ pub enum ServeFault {
     Panic,
     /// Sleep this long before executing the batch (stall detection).
     Stall(Duration),
-    /// Multiply the batch's compute time by this factor (slow shard).
-    Slow(f64),
 }
 
 impl ServeFault {
-    /// Applies the pre-execution half of the fault: panics the calling
-    /// thread for [`ServeFault::Panic`], sleeps for [`ServeFault::Stall`],
-    /// and does nothing for [`ServeFault::Slow`] (the caller applies the
-    /// factor after measuring its compute time via [`ServeFault::slow_factor`]).
+    /// Applies the fault before the batch runs: panics the calling
+    /// thread for [`ServeFault::Panic`] and sleeps for
+    /// [`ServeFault::Stall`].
     ///
     /// Living here keeps the deliberate chaos `panic!` out of the
     /// panic-free serving crate — the lint baseline points at this one
@@ -123,15 +111,6 @@ impl ServeFault {
         match self {
             ServeFault::Panic => panic!("faultsim: injected serve worker panic"),
             ServeFault::Stall(duration) => std::thread::sleep(*duration),
-            ServeFault::Slow(_) => {}
-        }
-    }
-
-    /// The slowdown factor, if this is a [`ServeFault::Slow`].
-    pub fn slow_factor(&self) -> Option<f64> {
-        match self {
-            ServeFault::Slow(factor) => Some(*factor),
-            _ => None,
         }
     }
 }
@@ -148,7 +127,6 @@ struct PlanInner {
     // with concurrent shards.
     worker_panics: BTreeSet<(usize, u64)>,
     stall_batches: BTreeMap<(usize, u64), u64>,
-    slow_predicts: BTreeMap<(usize, u64), u32>,
     batch_counters: BTreeMap<usize, u64>,
     registry_load_errors: BTreeSet<u64>,
     load_counter: u64,
@@ -206,44 +184,6 @@ impl FaultPlan {
         self
     }
 
-    /// Scatters `count` NaN batches pseudo-randomly (from `seed`) over an
-    /// `epochs` × `batches_per_epoch` grid.
-    pub fn with_scattered_nan_batches(
-        self,
-        seed: u64,
-        count: usize,
-        epochs: usize,
-        batches_per_epoch: usize,
-    ) -> Self {
-        let cells = epochs.saturating_mul(batches_per_epoch);
-        {
-            let mut inner = self.lock();
-            let mut stream = SplitMix64::new(seed);
-            let target = count.min(cells);
-            while inner.nan_batches.len() < target {
-                let cell = (stream.next() % cells.max(1) as u64) as usize;
-                inner
-                    .nan_batches
-                    .insert((cell / batches_per_epoch.max(1), cell % batches_per_epoch.max(1)));
-            }
-        }
-        self
-    }
-
-    /// Scatters `count` torn writes pseudo-randomly (from `seed`) over the
-    /// first `writes` writes.
-    pub fn with_scattered_torn_writes(self, seed: u64, count: usize, writes: u64) -> Self {
-        {
-            let mut inner = self.lock();
-            let mut stream = SplitMix64::new(seed);
-            let target = count.min(writes as usize);
-            while inner.torn_writes.len() < target {
-                inner.torn_writes.insert(stream.next() % writes.max(1));
-            }
-        }
-        self
-    }
-
     /// Schedules a worker panic on `shard` when it consults
     /// [`FaultPlan::batch_fault`] for the `nth_batch`-th time (zero-based).
     pub fn with_worker_panic(self, shard: usize, nth_batch: u64) -> Self {
@@ -270,13 +210,6 @@ impl FaultPlan {
         inner.worker_panics.insert((shard, current + after));
     }
 
-    /// Schedules `shard`'s `nth_batch`-th batch to run `factor_pct`/100×
-    /// slower than measured (250 = 2.5× the compute time).
-    pub fn with_slow_predict(self, shard: usize, nth_batch: u64, factor_pct: u32) -> Self {
-        self.lock().slow_predicts.insert((shard, nth_batch), factor_pct);
-        self
-    }
-
     /// Schedules the `nth` registry load (zero-based, in plan lifetime
     /// order) to fail.
     pub fn with_registry_load_error(self, nth: u64) -> Self {
@@ -301,8 +234,8 @@ impl FaultPlan {
 
     /// Hook for serving workers: consulted once per batch, advancing
     /// `shard`'s batch counter, and returning the fault (if any) scheduled
-    /// for this batch. Panic wins over stall wins over slow when several
-    /// are scheduled on the same batch. Each fault fires at most once.
+    /// for this batch. Panic wins over stall when both are scheduled on
+    /// the same batch. Each fault fires at most once.
     pub fn batch_fault(&self, shard: usize) -> Option<ServeFault> {
         let mut inner = self.lock();
         let counter = inner.batch_counters.entry(shard).or_insert(0);
@@ -315,10 +248,6 @@ impl FaultPlan {
         if let Some(millis) = inner.stall_batches.remove(&(shard, index)) {
             inner.events.push(FaultEvent::StallBatch { shard, millis });
             return Some(ServeFault::Stall(Duration::from_millis(millis)));
-        }
-        if let Some(factor_pct) = inner.slow_predicts.remove(&(shard, index)) {
-            inner.events.push(FaultEvent::SlowPredict { shard, factor_pct });
-            return Some(ServeFault::Slow(f64::from(factor_pct) / 100.0));
         }
         None
     }
@@ -429,7 +358,6 @@ impl FaultPlan {
             + inner.torn_writes.len()
             + inner.worker_panics.len()
             + inner.stall_batches.len()
-            + inner.slow_predicts.len()
             + inner.registry_load_errors.len()
             + inner.sensor_dropouts.len()
             + inner.characterize_errors.len()
@@ -439,27 +367,6 @@ impl FaultPlan {
         self.inner
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-}
-
-/// SplitMix64 — the small deterministic stream behind the `scattered`
-/// constructors.
-#[derive(Debug)]
-struct SplitMix64 {
-    state: u64,
-}
-
-impl SplitMix64 {
-    fn new(seed: u64) -> Self {
-        Self { state: seed }
-    }
-
-    fn next(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
     }
 }
 
@@ -496,26 +403,6 @@ mod tests {
     }
 
     #[test]
-    fn scattered_plans_are_deterministic() {
-        let a = FaultPlan::new().with_scattered_nan_batches(7, 5, 10, 8);
-        let b = FaultPlan::new().with_scattered_nan_batches(7, 5, 10, 8);
-        let mut fired_a = Vec::new();
-        let mut fired_b = Vec::new();
-        for epoch in 0..10 {
-            for batch in 0..8 {
-                if a.poison_batch(epoch, batch) {
-                    fired_a.push((epoch, batch));
-                }
-                if b.poison_batch(epoch, batch) {
-                    fired_b.push((epoch, batch));
-                }
-            }
-        }
-        assert_eq!(fired_a.len(), 5);
-        assert_eq!(fired_a, fired_b);
-    }
-
-    #[test]
     fn pending_tracks_undelivered_faults() {
         let plan = FaultPlan::new()
             .with_nan_batch(0, 0)
@@ -532,13 +419,11 @@ mod tests {
     fn batch_faults_fire_once_per_shard_batch_index() {
         let plan = FaultPlan::new()
             .with_worker_panic(1, 2)
-            .with_stall_batch(0, 1, 50)
-            .with_slow_predict(0, 2, 250);
-        // Shard 0, batches 0..3: nothing, stall, slow.
+            .with_stall_batch(0, 1, 50);
+        // Shard 0, batches 0..3: nothing, stall, nothing.
         assert_eq!(plan.batch_fault(0), None);
         assert_eq!(plan.batch_fault(0), Some(ServeFault::Stall(Duration::from_millis(50))));
-        let slow = plan.batch_fault(0).expect("slow fault");
-        assert_eq!(slow.slow_factor(), Some(2.5));
+        assert_eq!(plan.batch_fault(0), None);
         // Shard 1 counts independently: batches 0,1 clean, 2 panics.
         assert_eq!(plan.batch_fault(1), None);
         assert_eq!(plan.batch_fault(1), None);
@@ -548,7 +433,6 @@ mod tests {
             plan.events(),
             vec![
                 FaultEvent::StallBatch { shard: 0, millis: 50 },
-                FaultEvent::SlowPredict { shard: 0, factor_pct: 250 },
                 FaultEvent::WorkerPanic { shard: 1 },
             ]
         );
@@ -618,16 +502,4 @@ mod tests {
         assert_eq!(plan.pending(), 0);
     }
 
-    #[test]
-    fn scattered_torn_writes_within_bounds() {
-        let plan = FaultPlan::new().with_scattered_torn_writes(3, 4, 20);
-        let mut torn = 0;
-        for _ in 0..20 {
-            if plan.tear_write() {
-                torn += 1;
-            }
-        }
-        assert_eq!(torn, 4);
-        assert_eq!(plan.pending(), 0);
-    }
 }

@@ -279,7 +279,7 @@ pub fn base_module_of(rel_path: &str, crate_dir: &str) -> Vec<String> {
 }
 
 /// Parses one file into items. `tokens`/`test_mask` must come from
-/// [`lexer::lex`] / [`lexer::test_mask`] on the file's source.
+/// [`crate::lexer::lex`] / [`crate::lexer::test_mask`] on the file's source.
 pub fn parse_file(
     rel_path: &str,
     crate_dir: &str,

@@ -32,11 +32,10 @@ use datastore::Store;
 use faultsim::FaultPlan;
 use ms_sim::instrument::InstrumentModel;
 use ms_sim::simulate::TrainingSimulator;
-use platform::overlay::spectral_fit;
 use serve::{Request, RetryPolicy, Router, ServeError, SubmitError};
 use spectrum::ContinuousSpectrum;
 
-use crate::detector::{DriftDetector, Verdict};
+use crate::detector::{spectral_fit, DriftDetector, Verdict};
 use crate::recharacterize::{RecharacterizeConfig, Recharacterizer, StepOutcome};
 use crate::stream::{MsStream, SpectraStream};
 use crate::MonitorError;

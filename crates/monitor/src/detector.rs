@@ -2,7 +2,7 @@
 //!
 //! Input: one observation per window — the mean total-variation
 //! distance between the window's measured spectra and the *believed*
-//! instrument's clean render (`platform::overlay::spectral_fit`).
+//! instrument's clean render ([`spectral_fit`]).
 //! Because the fit is computed on area-normalized spectra it is immune
 //! to the prototype's large per-measurement gain fluctuation and reacts
 //! only to *shape* drift: attenuation steepening, mass-calibration
@@ -28,6 +28,8 @@
 //!
 //! Non-finite observations are rejected at the boundary: they are
 //! counted, reported, and leave the detector state untouched.
+
+use std::fmt;
 
 use crate::MonitorError;
 
@@ -250,6 +252,110 @@ impl DriftDetector {
     }
 }
 
+/// Why a spectral fit could not be computed. Produced at the boundary so
+/// downstream consumers (e.g. a drift detector averaging fit scores) never
+/// see a NaN or a division by a zero-area window.
+#[derive(Debug, Clone, PartialEq)]
+pub enum FitError {
+    /// One of the spectra has no samples.
+    Empty,
+    /// Modelled and measured spectra have different lengths.
+    LengthMismatch {
+        /// Samples in the modelled spectrum.
+        modelled: usize,
+        /// Samples in the measured spectrum.
+        measured: usize,
+    },
+    /// A spectrum contains a NaN or infinite intensity.
+    NonFinite {
+        /// Index of the first offending sample.
+        index: usize,
+    },
+    /// A spectrum window has (numerically) zero total area, so it cannot
+    /// be normalized — e.g. an all-zero window from a sensor blackout.
+    ZeroVariance,
+}
+
+impl fmt::Display for FitError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            FitError::Empty => write!(f, "spectral fit: empty spectrum"),
+            FitError::LengthMismatch { modelled, measured } => write!(
+                f,
+                "spectral fit: length mismatch (modelled {modelled}, measured {measured})"
+            ),
+            FitError::NonFinite { index } => {
+                write!(f, "spectral fit: non-finite intensity at index {index}")
+            }
+            FitError::ZeroVariance => {
+                write!(f, "spectral fit: zero-area window cannot be normalized")
+            }
+        }
+    }
+}
+
+impl std::error::Error for FitError {}
+
+/// How well a measured spectrum matches the modelled (noiseless) render
+/// of the same mixture.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct SpectralFit {
+    /// Total-variation distance between the two area-normalized spectra,
+    /// in `[0, 1]`. `0` is a perfect shape match, `1` fully disjoint.
+    pub distance: f64,
+    /// `1 - distance` — a fit score where `1` is perfect.
+    pub score: f64,
+}
+
+/// Compares a measured spectrum against a modelled render of the same
+/// mixture on the same axis, by total-variation distance between the
+/// area-normalized intensity vectors.
+///
+/// Area normalization cancels global gain drift (detector sensitivity,
+/// sample amount), so the distance responds only to *shape* changes —
+/// peak broadening, mass-axis offset, attenuation-law steepening — which
+/// is exactly what instrument re-characterization can repair.
+///
+/// Every degenerate input is rejected with a [`FitError`] instead of
+/// leaking a NaN into downstream statistics.
+pub fn spectral_fit(modelled: &[f64], measured: &[f64]) -> Result<SpectralFit, FitError> {
+    if modelled.is_empty() || measured.is_empty() {
+        return Err(FitError::Empty);
+    }
+    if modelled.len() != measured.len() {
+        return Err(FitError::LengthMismatch {
+            modelled: modelled.len(),
+            measured: measured.len(),
+        });
+    }
+    for (index, value) in modelled.iter().chain(measured.iter()).enumerate() {
+        if !value.is_finite() {
+            return Err(FitError::NonFinite {
+                index: index % modelled.len(),
+            });
+        }
+    }
+    // Clamp sub-zero noise excursions to zero before normalizing: a
+    // probability-style vector keeps the TV distance inside [0, 1].
+    let area = |spectrum: &[f64]| -> f64 { spectrum.iter().map(|v| v.max(0.0)).sum() };
+    let modelled_area = area(modelled);
+    let measured_area = area(measured);
+    if modelled_area <= f64::EPSILON || measured_area <= f64::EPSILON {
+        return Err(FitError::ZeroVariance);
+    }
+    let distance: f64 = modelled
+        .iter()
+        .zip(measured.iter())
+        .map(|(m, x)| (m.max(0.0) / modelled_area - x.max(0.0) / measured_area).abs())
+        .sum::<f64>()
+        / 2.0;
+    let distance = distance.clamp(0.0, 1.0);
+    Ok(SpectralFit {
+        distance,
+        score: 1.0 - distance,
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -402,5 +508,77 @@ mod tests {
         ] {
             assert!(DriftDetector::new(bad).is_err());
         }
+    }
+
+    #[test]
+    fn spectral_fit_rejects_empty_spectra() {
+        assert_eq!(spectral_fit(&[], &[]), Err(FitError::Empty));
+        assert_eq!(spectral_fit(&[1.0], &[]), Err(FitError::Empty));
+        assert_eq!(spectral_fit(&[], &[1.0]), Err(FitError::Empty));
+    }
+
+    #[test]
+    fn spectral_fit_rejects_length_mismatch() {
+        assert_eq!(
+            spectral_fit(&[1.0, 2.0], &[1.0]),
+            Err(FitError::LengthMismatch {
+                modelled: 2,
+                measured: 1
+            })
+        );
+    }
+
+    #[test]
+    fn spectral_fit_rejects_nan_and_infinite_measurements() {
+        let modelled = [1.0, 2.0, 3.0];
+        assert_eq!(
+            spectral_fit(&modelled, &[1.0, f64::NAN, 3.0]),
+            Err(FitError::NonFinite { index: 1 })
+        );
+        assert_eq!(
+            spectral_fit(&modelled, &[f64::INFINITY, 2.0, 3.0]),
+            Err(FitError::NonFinite { index: 0 })
+        );
+        assert_eq!(
+            spectral_fit(&[1.0, 2.0, f64::NAN], &[1.0, 2.0, 3.0]),
+            Err(FitError::NonFinite { index: 2 })
+        );
+    }
+
+    #[test]
+    fn spectral_fit_rejects_zero_variance_windows() {
+        let modelled = [1.0, 2.0, 3.0];
+        // All-zero window — e.g. a sensor blackout frame.
+        assert_eq!(
+            spectral_fit(&modelled, &[0.0, 0.0, 0.0]),
+            Err(FitError::ZeroVariance)
+        );
+        // All-negative noise clamps to zero area too.
+        assert_eq!(
+            spectral_fit(&modelled, &[-1.0, -0.5, -2.0]),
+            Err(FitError::ZeroVariance)
+        );
+        assert_eq!(
+            spectral_fit(&[0.0, 0.0, 0.0], &modelled),
+            Err(FitError::ZeroVariance)
+        );
+    }
+
+    #[test]
+    fn spectral_fit_is_gain_invariant_and_bounded() {
+        let modelled = [0.0, 1.0, 4.0, 1.0, 0.0];
+        let scaled: Vec<f64> = modelled.iter().map(|v| v * 37.5).collect();
+        let fit = spectral_fit(&modelled, &scaled).unwrap();
+        assert!(fit.distance < 1e-12, "distance {}", fit.distance);
+        assert!((fit.score - 1.0).abs() < 1e-12);
+
+        // Fully disjoint shapes sit at the top of the range.
+        let disjoint = spectral_fit(&[1.0, 0.0], &[0.0, 1.0]).unwrap();
+        assert!((disjoint.distance - 1.0).abs() < 1e-12);
+        assert!(disjoint.score.abs() < 1e-12);
+
+        // A moderate shape change lands strictly inside (0, 1).
+        let shifted = spectral_fit(&[0.0, 1.0, 4.0, 1.0, 0.0], &[0.0, 0.5, 3.0, 2.5, 0.0]).unwrap();
+        assert!(shifted.distance > 0.0 && shifted.distance < 1.0);
     }
 }

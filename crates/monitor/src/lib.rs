@@ -75,7 +75,7 @@ pub enum MonitorError {
     /// A submission was rejected and could not be retried.
     Submit(serve::SubmitError),
     /// Model-fit scoring rejected its inputs.
-    Fit(platform::overlay::FitError),
+    Fit(detector::FitError),
     /// Deploy/pipeline stage failed.
     Pipeline(spectroai::PipelineError),
     /// Axis or spectrum construction failed.
@@ -133,8 +133,8 @@ impl From<serve::SubmitError> for MonitorError {
     }
 }
 
-impl From<platform::overlay::FitError> for MonitorError {
-    fn from(err: platform::overlay::FitError) -> Self {
+impl From<detector::FitError> for MonitorError {
+    fn from(err: detector::FitError) -> Self {
         MonitorError::Fit(err)
     }
 }

@@ -182,11 +182,6 @@ impl MsStream {
         self.prototype.true_instrument()
     }
 
-    /// Drift events applied so far.
-    pub fn events_fired(&self) -> usize {
-        self.next_event
-    }
-
     /// Captures a resumable checkpoint of the stream.
     pub fn checkpoint(&self) -> StreamCheckpoint {
         StreamCheckpoint {
@@ -346,12 +341,6 @@ impl NmrStream {
         })
     }
 
-    /// Fast-forwards to `position` (for resuming a prior stream).
-    #[must_use]
-    pub fn starting_at(mut self, position: u64) -> Self {
-        self.position = position;
-        self
-    }
 }
 
 impl SpectraStream for NmrStream {
@@ -443,12 +432,12 @@ mod tests {
         let d2 = drifting.next_window(&plan).unwrap();
         assert_eq!(s1.spectra, d1.spectra);
         assert_eq!(s2.spectra, d2.spectra);
-        assert_eq!(drifting.events_fired(), 0);
+        assert_eq!(drifting.next_event, 0);
         // The window starting at position 4 sees the mutated instrument.
         let s3 = stable.next_window(&plan).unwrap();
         let d3 = drifting.next_window(&plan).unwrap();
         assert_ne!(s3.spectra, d3.spectra);
-        assert_eq!(drifting.events_fired(), 1);
+        assert_eq!(drifting.next_event, 1);
     }
 
     #[test]
@@ -499,8 +488,8 @@ mod tests {
             let b = resumed.next_window(&plan).unwrap();
             assert_eq!(a.spectra, b.spectra);
         }
-        assert_eq!(original.events_fired(), resumed.events_fired());
-        assert_eq!(original.events_fired(), 1);
+        assert_eq!(original.next_event, resumed.next_event);
+        assert_eq!(original.next_event, 1);
     }
 
     #[test]

@@ -504,7 +504,7 @@ impl Layer for Lstm {
         out
     }
 
-    /// Every window through [`FrozenLstm::infer`], which projects each
+    /// Every window through `FrozenLstm::infer`, which projects each
     /// distinct timestep row of the batch once.
     fn forward_batch(&mut self, inputs: &[&[f32]]) -> Vec<Vec<f32>> {
         for x in inputs {

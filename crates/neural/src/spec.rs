@@ -1,6 +1,6 @@
 //! Config-driven network topologies.
 //!
-//! The paper's Tool 4 "allow[s] the definition of one or more network
+//! The paper's Tool 4 "allow\[s\] the definition of one or more network
 //! topologies ... without modifying the source code" (§III.A.2). A
 //! [`NetworkSpec`] is a serde-serializable description that builds a
 //! [`Network`]; specs travel through the datastore and the export format.

@@ -11,7 +11,7 @@
 //! bounded seqlock [`Journal`] of span/gauge records, and an optional
 //! [`Subscriber`] that sees every event synchronously.
 //!
-//! Instrumented code calls the free functions ([`span`], [`counter_add`],
+//! Instrumented code calls the free functions ([`span()`], [`counter_add`],
 //! [`gauge_set`]) or the [`span!`] macro; they consult a process-global
 //! collector slot. When nothing is installed the entire call is one
 //! relaxed atomic load — this is the fast path the `serve_load` overhead
@@ -340,7 +340,7 @@ pub fn gauge_set(name: &str, value: f64) {
 
 /// Opens a span: `let _span = obs::span!("train.epoch");`.
 ///
-/// Equivalent to [`span`]; exists so call sites read like structured
+/// Equivalent to [`span()`]; exists so call sites read like structured
 /// logging and can later grow fields without changing shape.
 #[macro_export]
 macro_rules! span {

@@ -17,9 +17,9 @@ pub const SUB_BUCKETS: usize = 8;
 
 const SUB_BITS: u32 = SUB_BUCKETS.trailing_zeros();
 
-/// Number of log-linear histogram buckets. Values below [`SUB_BUCKETS`]
+/// Number of log-linear histogram buckets. Values below `SUB_BUCKETS`
 /// get one bucket each; every power-of-two range `[2^k, 2^(k+1))` above
-/// that is split into [`SUB_BUCKETS`] equal-width linear sub-buckets, up
+/// that is split into `SUB_BUCKETS` equal-width linear sub-buckets, up
 /// to the full `u64` range.
 pub const BUCKETS: usize = SUB_BUCKETS + (64 - SUB_BITS as usize) * SUB_BUCKETS;
 
@@ -82,7 +82,7 @@ impl Gauge {
 
 /// A fixed log-linear bucket histogram over `u64` values (typically
 /// microseconds): each power-of-two range is split into
-/// [`SUB_BUCKETS`] equal-width linear sub-buckets, bounding the relative
+/// `SUB_BUCKETS` equal-width linear sub-buckets, bounding the relative
 /// quantile error at `1/SUB_BUCKETS` (12.5%).
 ///
 /// Quantiles are conservative upper bounds: `quantile_upper(0.95) ==
@@ -112,9 +112,9 @@ impl Histogram {
         Self::default()
     }
 
-    /// The bucket index a value falls into. Values below [`SUB_BUCKETS`]
+    /// The bucket index a value falls into. Values below `SUB_BUCKETS`
     /// map to their own bucket; above that, the exponent picks the
-    /// power-of-two range and the [`SUB_BITS`] bits below the leading one
+    /// power-of-two range and the `SUB_BITS` bits below the leading one
     /// pick the linear sub-bucket within it.
     pub fn bucket_index(value: u64) -> usize {
         if value < SUB_BUCKETS as u64 {

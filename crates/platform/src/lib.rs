@@ -1,11 +1,11 @@
 //! Embedded-platform performance/energy model.
 //!
 //! Substitutes for the paper's NVIDIA Jetson Nano / TX2 measurement
-//! hardware (Table 2) and the Intel i7-8565U used for the NMR timing
-//! claims. The model is analytical: a device is characterized by its
-//! arithmetic peak (cores × FLOPs/cycle × clock), an empirical efficiency
-//! factor for small-batch ANN inference, a framework dispatch overhead
-//! per sample, and an active power draw. Execution estimates follow
+//! hardware (Table 2). The model is analytical: a device is
+//! characterized by its arithmetic peak (cores × FLOPs/cycle × clock),
+//! an empirical efficiency factor for small-batch ANN inference, a
+//! framework dispatch overhead per sample, and an active power draw.
+//! Execution estimates follow
 //!
 //! ```text
 //! time   = n · (2 · MACs / (peak · efficiency) + overhead)
@@ -32,8 +32,6 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
-
-pub mod overlay;
 
 use serde::{Deserialize, Serialize};
 
@@ -121,11 +119,6 @@ impl Device {
         self.cores as f64 * self.flops_per_core_per_cycle * self.frequency_hz
     }
 
-    /// Sustained throughput in MAC/s under the efficiency factor.
-    pub fn sustained_macs_per_sec(&self) -> f64 {
-        self.peak_flops() * self.efficiency / 2.0
-    }
-
     /// The quad-core Cortex-A57 CPU of the Jetson Nano.
     pub fn jetson_nano_cpu() -> Self {
         Self::new(
@@ -179,23 +172,6 @@ impl Device {
             0.052,
             1e-5,
             6.68,
-        )
-    }
-
-    /// The Intel i7-8565U laptop CPU of the paper's NMR timing study
-    /// (1.8 GHz base, AVX2). The large per-sample overhead models the
-    /// Keras/TensorFlow dispatch cost that dominates tiny networks —
-    /// the paper's 0.9 ms per spectrum.
-    pub fn desktop_i7_cpu() -> Self {
-        Self::new(
-            "Intel i7-8565U (CPU)",
-            DeviceKind::Cpu,
-            4,
-            32.0,
-            1.8e9,
-            0.10,
-            8.5e-4,
-            15.0,
         )
     }
 
@@ -354,19 +330,6 @@ mod tests {
     }
 
     #[test]
-    fn i7_overhead_dominates_tiny_networks() {
-        // The paper's 10 532-parameter NMR CNN takes ~0.9 ms per spectrum
-        // on the i7 under Keras: dispatch overhead, not arithmetic.
-        let cnn = Workload::new("nmr-cnn", 10_532, 10_532);
-        let run = estimate(&Device::desktop_i7_cpu(), &cnn, 1);
-        assert!(
-            (5e-4..1.5e-3).contains(&run.seconds),
-            "per-spectrum {}",
-            run.seconds
-        );
-    }
-
-    #[test]
     #[should_panic(expected = "cores")]
     fn zero_cores_panics() {
         let _ = Device::new("bad", DeviceKind::Cpu, 0, 1.0, 1.0, 1.0, 0.0, 1.0);
@@ -376,6 +339,5 @@ mod tests {
     fn peak_flops_formula() {
         let d = Device::new("x", DeviceKind::Cpu, 2, 4.0, 1e9, 0.5, 0.0, 1.0);
         assert_eq!(d.peak_flops(), 8e9);
-        assert_eq!(d.sustained_macs_per_sec(), 2e9);
     }
 }

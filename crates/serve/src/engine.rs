@@ -10,7 +10,7 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use faultsim::{FaultPlan, ServeFault};
+use faultsim::FaultPlan;
 use neural::plan::FrozenPlan;
 use parking_lot::{Condvar, Mutex};
 
@@ -231,9 +231,9 @@ pub(crate) struct WorkerCtx {
 /// requests past their deadline, run the rest as one contiguous block,
 /// fan results back out.
 ///
-/// An injected [`ServeFault::Panic`] unwinds this thread between the pop
-/// and the batch execution: every popped request completes through
-/// [`PendingRequest`]'s drop-completion (a terminal
+/// An injected [`faultsim::ServeFault::Panic`] unwinds this thread
+/// between the pop and the batch execution: every popped request
+/// completes through [`PendingRequest`]'s drop-completion (a terminal
 /// [`ServeError::WorkerCrashed`]), and the supervisor sees the finished
 /// thread handle and fails the shard over. Terminal request outcomes are
 /// recorded on each request's *origin-shard* metrics, so conservation
@@ -246,21 +246,16 @@ pub(crate) fn worker_loop(ctx: WorkerCtx) {
             break;
         };
         ctx.heartbeat.mark_busy(ctx.index);
-        let fault = ctx
+        if let Some(fault) = ctx
             .fault_plan
             .as_ref()
-            .and_then(|plan| plan.batch_fault(ctx.shard));
-        if let Some(fault) = &fault {
+            .and_then(|plan| plan.batch_fault(ctx.shard))
+        {
             // Panic unwinds here; Stall sleeps here, inside the busy
             // window the supervisor's stall detector watches.
             fault.apply_pre();
         }
-        run_batch(
-            &ctx,
-            batch,
-            fault.as_ref().and_then(ServeFault::slow_factor),
-            &mut bufs,
-        );
+        run_batch(&ctx, batch, &mut bufs);
     }
     ctx.heartbeat.mark_idle(ctx.index);
 }
@@ -288,12 +283,7 @@ impl WorkerBufs {
     }
 }
 
-fn run_batch(
-    ctx: &WorkerCtx,
-    batch: Vec<PendingRequest>,
-    slow_factor: Option<f64>,
-    bufs: &mut WorkerBufs,
-) {
+fn run_batch(ctx: &WorkerCtx, batch: Vec<PendingRequest>, bufs: &mut WorkerBufs) {
     let _batch_span = obs::span("serve.batch");
     let now = Instant::now();
     let mut live: Vec<PendingRequest> = Vec::with_capacity(batch.len());
@@ -322,13 +312,6 @@ fn run_batch(
         &mut bufs.scratch,
         &mut |_, _| {},
     );
-    if let Some(factor) = slow_factor {
-        // Injected slow shard: inflate the measured compute time so the
-        // slowdown shows up in latency percentiles and the EWMA the
-        // admission controller reads.
-        let extra = started.elapsed().mul_f64((factor - 1.0).max(0.0));
-        std::thread::sleep(extra.max(Duration::from_micros(50)));
-    }
     match result {
         Ok(_) => {
             ctx.metrics.record_batch(batch_size, started.elapsed());

@@ -174,7 +174,7 @@ impl ModelRegistry {
     ///
     /// Documents are expected in the layout written by the core
     /// pipeline's deploy stage: an [`ExportedNetwork`] payload with
-    /// [`MODEL_PARAM`] / [`VERSION_PARAM`] metadata. Documents without a
+    /// `MODEL_PARAM` / `VERSION_PARAM` metadata. Documents without a
     /// version parameter fall back to their logical sequence number, so
     /// re-deployments naturally become newer versions. Returns the number
     /// of plans published.

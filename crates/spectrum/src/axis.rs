@@ -137,18 +137,6 @@ impl UniformAxis {
     pub fn contains(&self, x: f64) -> bool {
         x >= self.start && x <= self.stop()
     }
-
-    /// A new axis over the same range but with a different step — used by
-    /// the MS pipeline when the spectrometer resolution is reconfigured
-    /// and inputs must be re-interpolated.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SpectrumError::InvalidAxis`] under the same conditions as
-    /// [`UniformAxis::from_range`].
-    pub fn with_step(&self, step: f64) -> Result<Self, SpectrumError> {
-        Self::from_range(self.start, self.stop(), step)
-    }
 }
 
 #[cfg(test)]
@@ -205,15 +193,6 @@ mod tests {
         for (i, v) in vals.iter().enumerate() {
             assert_eq!(*v, axis.value_at(i));
         }
-    }
-
-    #[test]
-    fn with_step_preserves_range() {
-        let axis = UniformAxis::from_range(1.0, 100.0, 0.25).unwrap();
-        let coarse = axis.with_step(0.5).unwrap();
-        assert_eq!(coarse.start(), 1.0);
-        assert!((coarse.stop() - 100.0).abs() < 1e-9);
-        assert_eq!(coarse.len(), 199);
     }
 
     #[test]

@@ -153,44 +153,11 @@ impl ContinuousSpectrum {
         Ok(())
     }
 
-    /// Adds `weight * other` in place.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SpectrumError::ShapeMismatch`] if the axes differ.
-    pub fn add_scaled(
-        &mut self,
-        other: &ContinuousSpectrum,
-        weight: f64,
-    ) -> Result<(), SpectrumError> {
-        if self.axis != other.axis {
-            return Err(SpectrumError::ShapeMismatch {
-                left: self.len(),
-                right: other.len(),
-            });
-        }
-        for (a, b) in self.intensities.iter_mut().zip(&other.intensities) {
-            *a += weight * b;
-        }
-        Ok(())
-    }
-
     /// Multiplies every sample by `factor` in place.
     pub fn scale(&mut self, factor: f64) {
         for v in &mut self.intensities {
             *v *= factor;
         }
-    }
-
-    /// A copy normalized so the maximum sample is `1.0`; unchanged if the
-    /// maximum is not strictly positive.
-    pub fn normalized_to_max(&self) -> Self {
-        let max = self.max_intensity();
-        let mut out = self.clone();
-        if max > 0.0 {
-            out.scale(1.0 / max);
-        }
-        out
     }
 
     /// A copy normalized to unit total intensity; unchanged if the total is
@@ -264,14 +231,6 @@ mod tests {
     }
 
     #[test]
-    fn add_scaled_accumulates() {
-        let mut a = spec(vec![1.0, 2.0, 3.0]);
-        let b = spec(vec![10.0, 10.0, 10.0]);
-        a.add_scaled(&b, 0.1).unwrap();
-        assert_eq!(a.intensities(), &[2.0, 3.0, 4.0]);
-    }
-
-    #[test]
     fn add_mismatched_axes_fails() {
         let mut a = spec(vec![1.0, 2.0, 3.0]);
         let b = spec(vec![1.0, 2.0]);
@@ -285,15 +244,7 @@ mod tests {
     }
 
     #[test]
-    fn normalization_to_max() {
-        let s = spec(vec![0.0, 4.0, 2.0]).normalized_to_max();
-        assert_eq!(s.intensities(), &[0.0, 1.0, 0.5]);
-    }
-
-    #[test]
     fn normalization_of_zero_spectrum_is_identity() {
-        let s = spec(vec![0.0, 0.0]).normalized_to_max();
-        assert_eq!(s.intensities(), &[0.0, 0.0]);
         let t = spec(vec![0.0, 0.0]).normalized_to_total();
         assert_eq!(t.intensities(), &[0.0, 0.0]);
     }

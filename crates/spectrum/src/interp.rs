@@ -56,53 +56,6 @@ pub fn resample(src: &UniformAxis, samples: &[f64], dst: &UniformAxis) -> Vec<f6
         .collect()
 }
 
-/// Fills `NaN` gaps in `samples` by linear interpolation between the nearest
-/// finite neighbours (edge gaps are filled with the nearest finite value).
-/// Returns the number of samples repaired. All-NaN input is left unchanged.
-pub fn fill_gaps(samples: &mut [f64]) -> usize {
-    let n = samples.len();
-    let mut fixed = 0;
-    let mut i = 0;
-    while i < n {
-        if samples[i].is_finite() {
-            i += 1;
-            continue;
-        }
-        // Find the run of non-finite samples [i, j).
-        let mut j = i;
-        while j < n && !samples[j].is_finite() {
-            j += 1;
-        }
-        let left = if i > 0 { Some(samples[i - 1]) } else { None };
-        let right = if j < n { Some(samples[j]) } else { None };
-        match (left, right) {
-            (Some(l), Some(r)) => {
-                let span = (j - i + 1) as f64;
-                for (k, slot) in samples[i..j].iter_mut().enumerate() {
-                    let frac = (k + 1) as f64 / span;
-                    *slot = l * (1.0 - frac) + r * frac;
-                    fixed += 1;
-                }
-            }
-            (Some(l), None) => {
-                for slot in samples[i..j].iter_mut() {
-                    *slot = l;
-                    fixed += 1;
-                }
-            }
-            (None, Some(r)) => {
-                for slot in samples[i..j].iter_mut() {
-                    *slot = r;
-                    fixed += 1;
-                }
-            }
-            (None, None) => return fixed, // all NaN: nothing to anchor on
-        }
-        i = j;
-    }
-    fixed
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -142,28 +95,5 @@ mod tests {
         let dst = UniformAxis::new(0.0, 1.0, 5).unwrap(); // 0..4
         let out = resample(&src, &[0.0, 4.0, 8.0], &dst);
         assert_eq!(out, vec![0.0, 2.0, 4.0, 6.0, 8.0]);
-    }
-
-    #[test]
-    fn fill_gaps_interior() {
-        let mut samples = vec![1.0, f64::NAN, f64::NAN, 4.0];
-        let fixed = fill_gaps(&mut samples);
-        assert_eq!(fixed, 2);
-        assert_eq!(samples, vec![1.0, 2.0, 3.0, 4.0]);
-    }
-
-    #[test]
-    fn fill_gaps_edges_extend_nearest() {
-        let mut samples = vec![f64::NAN, 2.0, f64::NAN];
-        let fixed = fill_gaps(&mut samples);
-        assert_eq!(fixed, 2);
-        assert_eq!(samples, vec![2.0, 2.0, 2.0]);
-    }
-
-    #[test]
-    fn fill_gaps_all_nan_is_noop() {
-        let mut samples = vec![f64::NAN, f64::NAN];
-        assert_eq!(fill_gaps(&mut samples), 0);
-        assert!(samples.iter().all(|v| v.is_nan()));
     }
 }

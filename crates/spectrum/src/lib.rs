@@ -9,10 +9,9 @@
 //! * [`PeakShape`] — Gaussian / Lorentzian / Lorentz–Gauss peak profiles
 //!   used to render line spectra into continuous ones;
 //! * [`noise`] — additive, shot, drift and spike noise models;
-//! * [`baseline`] — polynomial baseline estimation and removal;
-//! * [`fft`] — a radix-2 FFT and free-induction-decay helpers;
+//! * [`interp`] — linear interpolation and resampling between axes;
 //! * [`linalg`] — small dense linear algebra (solvers, least squares);
-//! * [`stats`] — regression/error metrics shared by all evaluations.
+//! * [`stats`] — error metrics shared by all evaluations.
 //!
 //! # Example
 //!
@@ -35,15 +34,12 @@
 #![warn(missing_docs)]
 
 pub mod axis;
-pub mod baseline;
 pub mod continuous;
-pub mod fft;
 pub mod interp;
 pub mod line;
 pub mod linalg;
 pub mod noise;
 pub mod peak;
-pub mod peaks;
 pub mod stats;
 
 mod error;

@@ -1,8 +1,9 @@
 //! Small dense linear algebra: matrices, solvers, least squares.
 //!
-//! Sized for the workspace's needs — polynomial baselines, Levenberg–
-//! Marquardt normal equations, PCA/PLS deflation — i.e. systems of at most
-//! a few hundred unknowns. Everything is `f64` and row-major.
+//! Sized for the workspace's needs — Levenberg–Marquardt normal equations,
+//! instrument-characterization least squares, IHM concentration fits —
+//! i.e. systems of at most a few hundred unknowns. Everything is `f64` and
+//! row-major.
 
 use serde::{Deserialize, Serialize};
 
@@ -17,7 +18,7 @@ use crate::SpectrumError;
 ///
 /// let m = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
 /// assert_eq!(m.get(1, 0), 3.0);
-/// assert_eq!(m.transpose().get(0, 1), 3.0);
+/// assert_eq!(m.matvec(&[1.0, 1.0]), vec![3.0, 7.0]);
 /// ```
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Matrix {
@@ -120,39 +121,6 @@ impl Matrix {
         &self.data
     }
 
-    /// The transpose.
-    pub fn transpose(&self) -> Matrix {
-        let mut out = Matrix::zeros(self.cols, self.rows);
-        for r in 0..self.rows {
-            for c in 0..self.cols {
-                out.set(c, r, self.get(r, c));
-            }
-        }
-        out
-    }
-
-    /// Matrix product `self * other`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `self.cols() != other.rows()`.
-    pub fn matmul(&self, other: &Matrix) -> Matrix {
-        assert_eq!(self.cols, other.rows, "matmul dimension mismatch");
-        let mut out = Matrix::zeros(self.rows, other.cols);
-        for i in 0..self.rows {
-            for k in 0..self.cols {
-                let aik = self.get(i, k);
-                if aik == 0.0 {
-                    continue;
-                }
-                for j in 0..other.cols {
-                    out.data[i * other.cols + j] += aik * other.get(k, j);
-                }
-            }
-        }
-        out
-    }
-
     /// Matrix–vector product `self * v`.
     ///
     /// # Panics
@@ -165,10 +133,10 @@ impl Matrix {
             .collect()
     }
 
-    /// The Gram matrix `selfᵀ·self`, summed exactly as
-    /// `self.transpose().matmul(self)` sums it: entry `(i, j)` adds
-    /// `a[r][i] * a[r][j]` over the rows `r` in ascending order, skipping
-    /// rows whose left factor `a[r][i]` is zero.
+    /// The Gram matrix `selfᵀ·self`, summed exactly as the textbook
+    /// product of the explicit transpose with `self` sums it: entry
+    /// `(i, j)` adds `a[r][i] * a[r][j]` over the rows `r` in ascending
+    /// order, skipping rows whose left factor `a[r][i]` is zero.
     pub fn gram(&self) -> Matrix {
         let c = self.cols;
         let mut out = Matrix::zeros(c, c);
@@ -186,7 +154,7 @@ impl Matrix {
     }
 
     /// `selfᵀ·v`, each entry summed over the rows in ascending order as
-    /// `self.transpose().matvec(v)` sums it.
+    /// the explicit transpose's `matvec` sums it.
     ///
     /// # Panics
     ///
@@ -360,21 +328,6 @@ pub fn nnls(a: &Matrix, b: &[f64], iterations: usize) -> Result<Vec<f64>, Spectr
     Ok(x)
 }
 
-/// Dot product of two equal-length slices.
-///
-/// # Panics
-///
-/// Panics if the slices differ in length.
-pub fn dot(a: &[f64], b: &[f64]) -> f64 {
-    assert_eq!(a.len(), b.len(), "dot length mismatch");
-    a.iter().zip(b).map(|(x, y)| x * y).sum()
-}
-
-/// Euclidean norm of a slice.
-pub fn norm(a: &[f64]) -> f64 {
-    dot(a, a).sqrt()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -470,10 +423,38 @@ mod tests {
         assert!((x[1] - y[1]).abs() < 1e-6);
     }
 
+    /// The explicit transpose.
+    fn transpose(a: &Matrix) -> Matrix {
+        let mut out = Matrix::zeros(a.cols(), a.rows());
+        for r in 0..a.rows() {
+            for c in 0..a.cols() {
+                out.set(c, r, a.get(r, c));
+            }
+        }
+        out
+    }
+
+    /// The textbook product `a * b`, skipping zero left factors.
+    fn matmul(a: &Matrix, b: &Matrix) -> Matrix {
+        let mut out = Matrix::zeros(a.rows(), b.cols());
+        for i in 0..a.rows() {
+            for k in 0..a.cols() {
+                let aik = a.get(i, k);
+                if is_zero(aik) {
+                    continue;
+                }
+                for j in 0..b.cols() {
+                    out.data[i * b.cols() + j] += aik * b.get(k, j);
+                }
+            }
+        }
+        out
+    }
+
     /// `lstsq` before the Gram core: transpose, `matmul`, `matvec`.
     fn textbook_lstsq(a: &Matrix, b: &[f64], lambda: f64) -> Result<Vec<f64>, SpectrumError> {
-        let at = a.transpose();
-        let mut ata = at.matmul(a);
+        let at = transpose(a);
+        let mut ata = matmul(&at, a);
         for i in 0..ata.rows() {
             let v = ata.get(i, i) + lambda;
             ata.set(i, i, v);
@@ -555,12 +536,12 @@ mod tests {
                 assert_bits_eq(
                     &format!("{ctx} gram"),
                     a.gram().as_slice(),
-                    a.transpose().matmul(&a).as_slice(),
+                    matmul(&transpose(&a), &a).as_slice(),
                 );
                 assert_bits_eq(
                     &format!("{ctx} transpose_matvec"),
                     &a.transpose_matvec(&b),
-                    &a.transpose().matvec(&b),
+                    &transpose(&a).matvec(&b),
                 );
                 for lambda in [0.0, 1e-10, 0.3] {
                     match (lstsq(&a, &b, lambda), textbook_lstsq(&a, &b, lambda)) {
@@ -583,7 +564,7 @@ mod tests {
         // `0 · ∞` is NaN, so only the skip keeps these entries finite.
         let inf = f64::INFINITY;
         let a = Matrix::from_rows(&[&[0.0, inf, 1.0], &[2.0, -0.0, -inf], &[1.5, 3.0, 0.0]]);
-        let want = a.transpose().matmul(&a);
+        let want = matmul(&transpose(&a), &a);
         assert_bits_eq("gram", a.gram().as_slice(), want.as_slice());
     }
 
@@ -600,21 +581,15 @@ mod tests {
     fn matmul_and_transpose() {
         let a = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
         let b = Matrix::from_rows(&[&[5.0, 6.0], &[7.0, 8.0]]);
-        let c = a.matmul(&b);
+        let c = matmul(&a, &b);
         assert_eq!(c.row(0), &[19.0, 22.0]);
         assert_eq!(c.row(1), &[43.0, 50.0]);
-        assert_eq!(a.transpose().row(0), &[1.0, 3.0]);
+        assert_eq!(transpose(&a).row(0), &[1.0, 3.0]);
     }
 
     #[test]
     fn matvec_matches_matmul() {
         let a = Matrix::from_rows(&[&[1.0, 2.0, 3.0], &[4.0, 5.0, 6.0]]);
         assert_eq!(a.matvec(&[1.0, 0.0, -1.0]), vec![-2.0, -2.0]);
-    }
-
-    #[test]
-    fn dot_and_norm() {
-        assert_eq!(dot(&[1.0, 2.0], &[3.0, 4.0]), 11.0);
-        assert_eq!(norm(&[3.0, 4.0]), 5.0);
     }
 }

@@ -144,15 +144,6 @@ impl LineSpectrum {
         }
     }
 
-    /// A copy normalized so the base peak has intensity `1.0`.
-    /// Returns an unchanged copy if the spectrum is empty or all-zero.
-    pub fn normalized_to_base_peak(&self) -> Self {
-        match self.base_peak() {
-            Some((_, max)) if max > 0.0 => self.scaled(1.0 / max),
-            _ => self.clone(),
-        }
-    }
-
     /// A copy normalized so intensities sum to `1.0`.
     /// Returns an unchanged copy if the total intensity is zero.
     pub fn normalized_to_total(&self) -> Self {
@@ -200,18 +191,6 @@ impl LineSpectrum {
             shape.accumulate(axis, pos, int, &mut out);
         }
         ContinuousSpectrum::from_parts(*axis, out).expect("finite render output")
-    }
-
-    /// Keeps only sticks whose position lies within `[lo, hi]`.
-    pub fn clipped(&self, lo: f64, hi: f64) -> Self {
-        Self {
-            sticks: self
-                .sticks
-                .iter()
-                .copied()
-                .filter(|&(p, _)| p >= lo && p <= hi)
-                .collect(),
-        }
     }
 }
 
@@ -274,12 +253,6 @@ mod tests {
     }
 
     #[test]
-    fn normalization_to_base_peak() {
-        let spec = n2().normalized_to_base_peak();
-        assert_eq!(spec.base_peak(), Some((28.0, 1.0)));
-    }
-
-    #[test]
     fn normalization_to_total_sums_to_one() {
         let spec = n2().normalized_to_total();
         assert!((spec.total_intensity() - 1.0).abs() < 1e-12);
@@ -325,14 +298,6 @@ mod tests {
             .max_by(|a, b| a.1.partial_cmp(b.1).unwrap())
             .unwrap();
         assert!((axis.value_at(argmax) - 10.0).abs() < 0.1 + 1e-12);
-    }
-
-    #[test]
-    fn clipping_drops_out_of_range_sticks() {
-        let spec = LineSpectrum::from_sticks(vec![(1.0, 1.0), (5.0, 1.0), (9.0, 1.0)]).unwrap();
-        let clipped = spec.clipped(2.0, 8.0);
-        assert_eq!(clipped.len(), 1);
-        assert_eq!(clipped.sticks()[0].0, 5.0);
     }
 
     #[test]

@@ -103,20 +103,6 @@ impl PeakShape {
         }
     }
 
-    /// The same shape with a different FWHM (used for broadening sweeps).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SpectrumError::InvalidPeak`] if `fwhm` is invalid.
-    pub fn with_fwhm(&self, fwhm: f64) -> Result<Self, SpectrumError> {
-        check_fwhm(fwhm)?;
-        Ok(match *self {
-            Self::Gaussian { .. } => Self::Gaussian { fwhm },
-            Self::Lorentzian { .. } => Self::Lorentzian { fwhm },
-            Self::LorentzGauss { eta, .. } => Self::LorentzGauss { fwhm, eta },
-        })
-    }
-
     /// Evaluates the unit-area profile at signed distance `dx` from the
     /// peak center.
     pub fn evaluate(&self, dx: f64) -> f64 {
@@ -356,13 +342,6 @@ mod tests {
         assert!(PeakShape::lorentz_gauss(1.0, -0.1).is_err());
         assert!(PeakShape::lorentz_gauss(1.0, 1.1).is_err());
         assert!(PeakShape::lorentz_gauss(1.0, f64::NAN).is_err());
-    }
-
-    #[test]
-    fn with_fwhm_preserves_family() {
-        let shape = PeakShape::lorentz_gauss(0.1, 0.7).unwrap();
-        let wider = shape.with_fwhm(0.2).unwrap();
-        assert_eq!(wider, PeakShape::LorentzGauss { fwhm: 0.2, eta: 0.7 });
     }
 
     #[test]

@@ -1,6 +1,5 @@
-//! Error and regression metrics shared by every evaluation in the
-//! workspace (MAE is the paper's headline metric; MSE is used for the
-//! NMR comparison; the standard deviation backs the LSTM plateau claim).
+//! Error metrics shared by every evaluation in the workspace (MAE is
+//! the paper's headline metric; MSE is used for the NMR comparison).
 
 use crate::SpectrumError;
 
@@ -14,17 +13,6 @@ pub fn mean(values: &[f64]) -> Result<f64, SpectrumError> {
         return Err(SpectrumError::Empty);
     }
     Ok(values.iter().sum::<f64>() / values.len() as f64)
-}
-
-/// Population standard deviation.
-///
-/// # Errors
-///
-/// Returns [`SpectrumError::Empty`] for an empty slice.
-pub fn std_dev(values: &[f64]) -> Result<f64, SpectrumError> {
-    let m = mean(values)?;
-    let var = values.iter().map(|v| (v - m) * (v - m)).sum::<f64>() / values.len() as f64;
-    Ok(var.sqrt())
 }
 
 /// Mean absolute error between predictions and targets — the loss function
@@ -96,66 +84,6 @@ pub fn pearson(a: &[f64], b: &[f64]) -> Result<f64, SpectrumError> {
     Ok(cov / (va.sqrt() * vb.sqrt()))
 }
 
-/// Coefficient of determination R².
-///
-/// # Errors
-///
-/// Returns [`SpectrumError::ShapeMismatch`] on length mismatch,
-/// [`SpectrumError::Empty`] for empty inputs, or
-/// [`SpectrumError::InvalidValue`] if targets are constant.
-pub fn r_squared(predictions: &[f64], targets: &[f64]) -> Result<f64, SpectrumError> {
-    check(predictions, targets)?;
-    let mt = mean(targets)?;
-    let ss_tot: f64 = targets.iter().map(|t| (t - mt) * (t - mt)).sum();
-    if ss_tot == 0.0 {
-        return Err(SpectrumError::InvalidValue(
-            "r-squared of constant targets is undefined".into(),
-        ));
-    }
-    let ss_res: f64 = predictions
-        .iter()
-        .zip(targets)
-        .map(|(p, t)| (p - t) * (p - t))
-        .sum();
-    Ok(1.0 - ss_res / ss_tot)
-}
-
-/// Per-output-column MAE for batched predictions laid out row-major:
-/// `predictions[i * width + j]` is output `j` of sample `i`. Used to
-/// reproduce the per-substance error bars of Figures 5–7.
-///
-/// # Errors
-///
-/// Returns [`SpectrumError::ShapeMismatch`] if the flattened inputs differ
-/// or are not multiples of `width`, or [`SpectrumError::Empty`] if `width`
-/// is zero or the inputs are empty.
-pub fn per_column_mae(
-    predictions: &[f64],
-    targets: &[f64],
-    width: usize,
-) -> Result<Vec<f64>, SpectrumError> {
-    if width == 0 || predictions.is_empty() {
-        return Err(SpectrumError::Empty);
-    }
-    if predictions.len() != targets.len() || !predictions.len().is_multiple_of(width) {
-        return Err(SpectrumError::ShapeMismatch {
-            left: predictions.len(),
-            right: targets.len(),
-        });
-    }
-    let rows = predictions.len() / width;
-    let mut out = vec![0.0; width];
-    for r in 0..rows {
-        for (c, slot) in out.iter_mut().enumerate() {
-            *slot += (predictions[r * width + c] - targets[r * width + c]).abs();
-        }
-    }
-    for v in &mut out {
-        *v /= rows as f64;
-    }
-    Ok(out)
-}
-
 fn check(a: &[f64], b: &[f64]) -> Result<(), SpectrumError> {
     if a.is_empty() {
         return Err(SpectrumError::Empty);
@@ -176,7 +104,6 @@ mod tests {
     #[test]
     fn mean_and_std() {
         assert_eq!(mean(&[1.0, 2.0, 3.0]).unwrap(), 2.0);
-        assert!((std_dev(&[2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0]).unwrap() - 2.0).abs() < 1e-12);
         assert!(mean(&[]).is_err());
     }
 
@@ -210,34 +137,5 @@ mod tests {
     #[test]
     fn pearson_of_constant_fails() {
         assert!(pearson(&[1.0, 1.0], &[1.0, 2.0]).is_err());
-    }
-
-    #[test]
-    fn r_squared_perfect_fit() {
-        let t = [1.0, 2.0, 3.0];
-        assert!((r_squared(&t, &t).unwrap() - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn r_squared_mean_predictor_is_zero() {
-        let t = [1.0, 2.0, 3.0];
-        let p = [2.0, 2.0, 2.0];
-        assert!(r_squared(&p, &t).unwrap().abs() < 1e-12);
-    }
-
-    #[test]
-    fn per_column_mae_splits_columns() {
-        // Two samples, two outputs.
-        let pred = [1.0, 0.0, 3.0, 0.0];
-        let tgt = [0.0, 0.0, 1.0, 2.0];
-        let cols = per_column_mae(&pred, &tgt, 2).unwrap();
-        assert_eq!(cols, vec![1.5, 1.0]);
-    }
-
-    #[test]
-    fn per_column_mae_validates() {
-        assert!(per_column_mae(&[1.0, 2.0, 3.0], &[1.0, 2.0, 3.0], 2).is_err());
-        assert!(per_column_mae(&[], &[], 2).is_err());
-        assert!(per_column_mae(&[1.0], &[1.0], 0).is_err());
     }
 }

@@ -1,7 +1,6 @@
 //! Property-based tests for the spectrum substrate.
 
 use proptest::prelude::*;
-use spectrum::fft::{fft_in_place, ifft_in_place, Complex};
 use spectrum::{interp, stats, LineSpectrum, PeakShape, UniformAxis};
 
 fn finite_axis() -> impl Strategy<Value = UniformAxis> {
@@ -107,21 +106,6 @@ proptest! {
         let lo = samples[i].min(samples[i + 1]);
         let hi = samples[i].max(samples[i + 1]);
         prop_assert!(y >= lo - 1e-12 && y <= hi + 1e-12);
-    }
-
-    #[test]
-    fn fft_roundtrip_preserves_signal(
-        reals in prop::collection::vec(-5.0..5.0f64, 64),
-        imags in prop::collection::vec(-5.0..5.0f64, 64)
-    ) {
-        let original: Vec<Complex> = reals.into_iter().zip(imags).collect();
-        let mut data = original.clone();
-        fft_in_place(&mut data).expect("power of two");
-        ifft_in_place(&mut data).expect("power of two");
-        for (a, b) in data.iter().zip(&original) {
-            prop_assert!((a.0 - b.0).abs() < 1e-9);
-            prop_assert!((a.1 - b.1).abs() < 1e-9);
-        }
     }
 
     #[test]
